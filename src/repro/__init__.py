@@ -10,11 +10,9 @@ layer-by-layer walkthrough.
 from repro.config import (
     ExecutionOptions,
     set_codegen,
-    set_interning,
     set_planner,
     set_tracing,
     use_codegen,
-    use_interning,
     use_planner,
     use_tracing,
 )
@@ -64,11 +62,9 @@ __all__ = [
     "prepare_query",
     "query_directed_chase",
     "set_codegen",
-    "set_interning",
     "set_planner",
     "set_tracing",
     "use_codegen",
-    "use_interning",
     "use_planner",
     "use_tracing",
 ]

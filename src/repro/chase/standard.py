@@ -225,7 +225,6 @@ def _trigger_key(
     tgd_index: int,
     mapping: dict[Variable, object],
     order: Sequence[Variable],
-    interned: bool = False,
 ) -> tuple:
     """The dedup key of a trigger: the mapped values in a fixed variable order.
 
@@ -233,14 +232,10 @@ def _trigger_key(
     (restricted chase) or body (oblivious chase) from
     :class:`CompiledOntology` — callers must pass the same order for keys to
     compare across rounds and across the provenance-maintained delta chase.
-    With ``interned`` the values are dictionary-encoded first, so the
-    ``fired`` set hashes machine ints instead of term objects — the
-    id-matching half of the chase loop.
+    The values are dictionary-encoded, so the ``fired`` set hashes machine
+    ints instead of term objects — the id-matching half of the chase loop.
     """
-    values = tuple(mapping[v] for v in order)
-    if interned:
-        values = TERMS.intern_tuple(values)
-    return (tgd_index, values)
+    return (tgd_index, TERMS.intern_tuple(mapping[v] for v in order))
 
 
 def _single_body_matcher(atom: Atom, codegen: bool | None = None):
@@ -341,7 +336,6 @@ def chase(
     # Draw labels from the instance's factory (process-globally unique), so
     # two independent chase runs can never hand out aliasing null labels.
     fresh = instance.null_factory
-    interned = instance.interned
     result = ChaseResult(instance, base_constants, null_depth)
     fired: set[tuple] = set()
     if recorder is not None:
@@ -403,19 +397,13 @@ def chase(
                 frontier_map = {v: body_map[v] for v in frontiers[tgd_index]}
                 if oblivious:
                     key = _trigger_key(
-                        tgd_index,
-                        body_map,
-                        compiled.body_orders[tgd_index],
-                        interned,
+                        tgd_index, body_map, compiled.body_orders[tgd_index]
                     )
                     if key in fired:
                         continue
                 else:
                     key = _trigger_key(
-                        tgd_index,
-                        frontier_map,
-                        compiled.frontier_orders[tgd_index],
-                        interned,
+                        tgd_index, frontier_map, compiled.frontier_orders[tgd_index]
                     )
                     if key in fired:
                         continue

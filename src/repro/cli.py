@@ -55,7 +55,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.config import ExecutionOptions, use_codegen, use_interning, use_planner
+from repro.config import ExecutionOptions, use_codegen, use_planner
 from repro.data.facts import Fact
 from repro.data.instance import Database
 from repro.cq.atoms import Variable
@@ -184,13 +184,10 @@ def _replay_updates(
 
 
 def _run(args: argparse.Namespace) -> int:
-    # Scoped around the whole run (scenario load included — instances
-    # capture the interning flag at construction, enumerators the codegen
-    # flag) and restored on exit, so in-process callers of main() keep the
-    # process defaults.
+    # Scoped around the whole run (enumerators capture the codegen flag at
+    # construction) and restored on exit, so in-process callers of main()
+    # keep the process defaults.
     with contextlib.ExitStack() as stack:
-        if args.no_intern:
-            stack.enter_context(use_interning(False))
         if args.no_codegen:
             stack.enter_context(use_codegen(False))
         if args.no_planner:
@@ -211,7 +208,6 @@ def _run_command(args: argparse.Namespace) -> int:
         scenario.ontology,
         database,
         options=ExecutionOptions(
-            interning=False if args.no_intern else None,
             codegen=False if args.no_codegen else None,
             planner=False if args.no_planner else None,
             incremental=not args.no_incremental,
@@ -610,14 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "allow queries outside the acyclic/free-connex class "
             "(served via materialized certain answers, not constant delay)"
-        ),
-    )
-    run.add_argument(
-        "--no-intern",
-        action="store_true",
-        help=(
-            "disable the interned (dictionary-encoded) fact store and run "
-            "over term objects, as with REPRO_NO_INTERN=1 (A/B escape hatch)"
         ),
     )
     run.add_argument(

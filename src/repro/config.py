@@ -1,18 +1,17 @@
 """Unified execution configuration: one options object, one switch module.
 
-Three generations of tuning knobs accumulated as the engine grew — the
-interning switch of the columnar store (``REPRO_NO_INTERN`` /
-``set_interning``), the incremental-maintenance kwargs of the prepared-query
-engine (``incremental``, ``incremental_fallback_ratio``, ``plan_cache_size``,
-``strict``), and now the per-plan code generation of
-:mod:`repro.engine.codegen` (``REPRO_NO_CODEGEN`` / ``set_codegen``).  This
-module is their single home:
+The tuning knobs accumulated as the engine grew — the
+incremental-maintenance kwargs of the prepared-query engine
+(``incremental``, ``incremental_fallback_ratio``, ``plan_cache_size``,
+``strict``), the per-plan code generation of :mod:`repro.engine.codegen`
+(``REPRO_NO_CODEGEN`` / ``set_codegen``), the planner, tracing and the
+worker count.  This module is their single home:
 
 * :class:`ExecutionOptions` — one frozen dataclass carrying every knob, the
   object :class:`repro.engine.QueryEngine`, :class:`repro.server.QueryService`
   and the CLI consume;
-* the process-wide boolean switches (``set_interning`` / ``use_interning``,
-  ``set_codegen`` / ``use_codegen``) with their environment-variable
+* the process-wide switches (``set_codegen`` / ``use_codegen``,
+  ``set_planner`` / ``use_planner``, ...) with their environment-variable
   defaults — the A/B escape hatches the differential suite flips.
 
 **Precedence** (most specific wins):
@@ -21,13 +20,13 @@ module is their single home:
    (``QueryEngine(..., strict=False)``);
 2. the :class:`ExecutionOptions` object passed to that component
    (``QueryEngine(..., options=ExecutionOptions(strict=False))``);
-3. the process default — the environment variables ``REPRO_NO_INTERN`` and
-   ``REPRO_NO_CODEGEN`` read at import time, as later adjusted by
-   ``set_interning`` / ``set_codegen``.
+3. the process default — the environment variables (``REPRO_NO_CODEGEN``,
+   ``REPRO_NO_PLANNER``, ``REPRO_TRACE``, ``REPRO_WORKERS``) read at import
+   time, as later adjusted by the matching ``set_*`` function.
 
-The historical entry points ``repro.data.interning.set_interning`` /
-``use_interning`` still work but delegate here with a
-:class:`DeprecationWarning`; see ``docs/engine.md`` for the migration table.
+There is no storage-format switch: rows are tuples of dense term ids
+(:mod:`repro.data.interning`) on every path, decoded once at answer
+emission.
 """
 
 from __future__ import annotations
@@ -43,17 +42,14 @@ __all__ = [
     "ExecutionOptions",
     "codegen_enabled",
     "default_workers",
-    "interning_enabled",
     "planner_enabled",
     "resolve_option",
     "set_codegen",
-    "set_interning",
     "set_planner",
     "set_tracing",
     "set_workers",
     "tracing_enabled",
     "use_codegen",
-    "use_interning",
     "use_planner",
     "use_tracing",
     "use_workers",
@@ -66,12 +62,11 @@ def _env_disabled(variable: str) -> bool:
 
 
 # Process-wide defaults, captured from the environment once at import time.
-# ``set_interning`` / ``set_codegen`` / ``set_tracing`` adjust them
+# ``set_codegen`` / ``set_planner`` / ``set_tracing`` adjust them
 # afterwards; a lock keeps the read-modify-write of the toggles well-defined
 # under threads (reads are single dict-free attribute loads and stay
 # lock-free).
 _STATE_LOCK = threading.Lock()
-_INTERNING = not _env_disabled("REPRO_NO_INTERN")
 _CODEGEN = not _env_disabled("REPRO_NO_CODEGEN")
 _PLANNER = not _env_disabled("REPRO_NO_PLANNER")
 # Tracing has the opposite polarity: it is *off* unless asked for, because
@@ -93,35 +88,6 @@ def _env_workers(variable: str) -> int:
 # Process-worker default: 1 means sequential; REPRO_WORKERS=N opts every
 # engine without an explicit ``workers`` setting into N-process execution.
 _WORKERS = _env_workers("REPRO_WORKERS")
-
-
-def interning_enabled() -> bool:
-    """Whether newly created instances use the interned backing (default on)."""
-    return _INTERNING
-
-
-def set_interning(enabled: bool) -> bool:
-    """Flip the process-wide interning default; returns the previous setting.
-
-    Only instances created *after* the call are affected: every
-    :class:`~repro.data.instance.Instance` captures the flag at construction
-    so its indexes stay internally consistent.
-    """
-    global _INTERNING
-    with _STATE_LOCK:
-        previous = _INTERNING
-        _INTERNING = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_interning(enabled: bool) -> Iterator[None]:
-    """Context manager scoping :func:`set_interning` (A/B test helper)."""
-    previous = set_interning(enabled)
-    try:
-        yield
-    finally:
-        set_interning(previous)
 
 
 def codegen_enabled() -> bool:
@@ -284,12 +250,11 @@ def resolve_option(explicit, options_value, default):
 class ExecutionOptions:
     """Every engine tuning knob in one (immutable) place.
 
-    ``None`` fields mean "use the process default" — for ``interning`` and
-    ``codegen`` that default is the environment-aware process switch above,
-    resolved at the moment the option is consumed, so a context manager like
+    ``None`` fields mean "use the process default" — for ``codegen`` that
+    default is the environment-aware process switch above, resolved at the
+    moment the option is consumed, so a context manager like
     :func:`use_codegen` still wins over an unset field.
 
-    * ``interning`` — dictionary-encode terms to dense ids (columnar store).
     * ``codegen`` — compile per-plan closures for the enumeration walk,
       semi-join kernels and single-atom chase rounds.
     * ``incremental`` — maintain materializations in place under mutations.
@@ -320,7 +285,6 @@ class ExecutionOptions:
     means "always rebuild on mutation").
     """
 
-    interning: bool | None = None
     codegen: bool | None = None
     incremental: bool = True
     incremental_fallback_ratio: float = 0.1
@@ -352,10 +316,6 @@ class ExecutionOptions:
                 "incremental_fallback_ratio must be a finite number in [0, 1] "
                 f"(0.0 means always rebuild), got {ratio!r}"
             )
-
-    def resolved_interning(self) -> bool:
-        """The interning flag with the process default filled in."""
-        return interning_enabled() if self.interning is None else self.interning
 
     def resolved_codegen(self) -> bool:
         """The codegen flag with the process default filled in."""

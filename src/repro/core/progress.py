@@ -9,6 +9,12 @@ the join tree together with partial assignments that describe an "excursion"
 of the query into the null part of the chase.  The lists are kept in
 *database-preferring order* (fewer covered atoms, then fewer wildcards).
 
+Like every consumer of the reduced query, the enumerator works on rows of
+dense term ids (:data:`repro.data.interning.TERMS`): the null test of the
+progress-tree conditions is one load from the dictionary's null-flag table,
+a progress tree's assignment holds constant ids plus the wildcard, and ids
+are decoded to terms only when an assignment is emitted as an answer.
+
 The enumeration phase is the recursive procedure of Figure "Algorithm 1":
 walk the join tree in preorder, at each not-yet-covered atom pick the next
 progress tree from the appropriate list, and after emitting an answer prune
@@ -24,7 +30,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from repro.data.instance import Database, Instance
-from repro.data.terms import is_null
+from repro.data.interning import TERMS
 from repro.cq.atoms import Atom, Variable
 from repro.cq.query import ConjunctiveQuery, QueryError
 from repro.core.omq import OMQ
@@ -42,8 +48,8 @@ class ProgressTree:
     """A progress tree ``(p, g)``: a subtree of ``T1`` plus an assignment.
 
     ``atoms`` is the (frozen) set of covered block atoms, ``root`` its root
-    and ``assignment`` maps every variable of the covered atoms to a database
-    constant or the wildcard.
+    and ``assignment`` maps every variable of the covered atoms to the dense
+    term id of a database constant, or to the wildcard.
     """
 
     root: Atom
@@ -138,10 +144,14 @@ class PartialAnswerEnumerator:
 
     def __init__(self, query: ConjunctiveQuery, instance: Instance) -> None:
         self.original_query = query
-        self.deduplicated, self._head_positions = query.deduplicated_head()
+        self.deduplicated, _ = query.deduplicated_head()
         self.reduced: ReducedQuery = build_reduced_query(
             self.deduplicated, instance, keep_nulls=True
         )
+        # Both tables are append-only and never replaced, so holding them
+        # is safe: the flag of / term behind an id never changes.
+        self._null_flags = TERMS.null_flags()
+        self._decode = TERMS.decoder()
         self._preorder: list[Atom] = []
         self._pred_vars: dict[Atom, tuple[Variable, ...]] = {}
         self._children: dict[Atom, list[Atom]] = {}
@@ -182,10 +192,11 @@ class PartialAnswerEnumerator:
         nulls living in constant-size chase blocks — yields constantly many
         combinations per root fact.
         """
+        null_flags = self._null_flags
         required_children = []
         for child in self._children[atom]:
             shared = self._pred_vars[child]
-            if any(is_null(assignment[x]) for x in shared):
+            if any(null_flags[assignment[x]] for x in shared):
                 required_children.append(child)
         if not required_children:
             return [(frozenset([atom]), dict(assignment))]
@@ -214,20 +225,21 @@ class PartialAnswerEnumerator:
         return results
 
     def _build_progress_trees(self) -> None:
+        null_flags = self._null_flags
         for atom in self._preorder:
             relation = self.reduced.relations[atom]
             pred = self._pred_vars[atom]
             pending: dict[tuple, dict[tuple, ProgressTree]] = {}
             for row in relation.tuples:
                 assignment = dict(zip(relation.variables, row))
-                if any(is_null(assignment[x]) for x in pred):
+                if any(null_flags[assignment[x]] for x in pred):
                     continue  # condition (1): roots need constant predecessors
                 key = (atom, tuple(assignment[x] for x in pred))
                 for atoms, mapping in self._extend_tree(atom, assignment):
                     wildcarded = tuple(
                         sorted(
                             (
-                                (variable, WILDCARD if is_null(value) else value)
+                                (variable, WILDCARD if null_flags[value] else value)
                                 for variable, value in mapping.items()
                             ),
                             key=lambda item: item[0].name,
@@ -270,9 +282,10 @@ class PartialAnswerEnumerator:
         return self.reduced.is_empty
 
     def _emit(self, assignment: dict[Variable, object]) -> tuple:
-        dedup_head = self.deduplicated.answer_variables
-        reduced_tuple = tuple(assignment[v] for v in dedup_head)
-        return tuple(reduced_tuple[p] for p in self._head_positions)
+        """The answer tuple of a complete assignment: ids decoded, once."""
+        decode = self._decode
+        values = map(assignment.__getitem__, self.original_query.answer_variables)
+        return tuple([v if v is WILDCARD else decode(v) for v in values])
 
     def _next_atom(self, start: int, assignment: dict[Variable, object]) -> int | None:
         for index in range(start, len(self._preorder)):

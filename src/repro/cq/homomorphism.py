@@ -7,14 +7,13 @@ the instance's positional indexes: at every step the *most constrained*
 remaining atom (the one with the smallest candidate bucket under the current
 partial assignment) is matched next, and its candidates are fetched with one
 ``(relation, bound-positions)`` index probe instead of scanning and filtering
-whole relation or adjacency buckets.  Over an interned instance (the
-default) those probes are id-keyed: :meth:`~repro.data.instance.Instance.probe`
-translates the term key to dense ids once and the bucket lookup hashes
-machine ints, which is what makes the per-probe constant match the paper's
-RAM-model accounting.  They are the reference evaluator the
-optimised algorithms are tested against, and the workhorse for the small
-fixed-size subproblems (progress trees, excursions) where data complexity is
-not a concern.
+whole relation or adjacency buckets.  Those probes are id-keyed:
+:meth:`~repro.data.instance.Instance.probe` translates the term key to
+dense ids once and the bucket lookup hashes machine ints, which is what
+makes the per-probe constant match the paper's RAM-model accounting.  They
+are the reference evaluator the optimised algorithms are tested against, and
+the workhorse for the small fixed-size subproblems (progress trees,
+excursions) where data complexity is not a concern.
 
 The candidate buckets returned by ``Instance.probe`` are live views; the
 search never mutates the instance, but callers that interleave consumption of

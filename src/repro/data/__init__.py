@@ -5,16 +5,13 @@ are finite sets of facts over constants, instances may additionally use
 labelled nulls (introduced by the chase), and ``adom`` / guarded sets /
 Gaifman graphs are the derived notions the algorithms rely on.
 
-The storage layer is *interned* by default: every constant and null is
+The storage layer is *interned*: every constant and null is
 dictionary-encoded to a dense int id by the process-wide
 :data:`~repro.data.interning.TERMS` dictionary, positional indexes key
 their buckets by id tuples, and :mod:`repro.data.columns` provides the
-columnar kernels the reduction/enumeration pipeline runs over.  Set
-``REPRO_NO_INTERN=1`` (or :func:`~repro.data.interning.set_interning`) to
-fall back to the historical term-object path for A/B comparison.
+columnar kernels the reduction/enumeration pipeline runs over.
 """
 
-from repro.config import interning_enabled, set_interning, use_interning
 from repro.data.columns import ColumnarRelation
 from repro.data.facts import Fact
 from repro.data.instance import Database, Instance
@@ -34,7 +31,4 @@ __all__ = [
     "ColumnarRelation",
     "TERMS",
     "TermDictionary",
-    "interning_enabled",
-    "set_interning",
-    "use_interning",
 ]

@@ -18,13 +18,19 @@ building blocks of the hot paths:
 
 Rows are plain ``tuple``\\ s of ids at the API boundary (they interoperate
 with the set-based :class:`~repro.yannakakis.relations.AtomRelation`
-machinery); the columns are the storage of record, and every kernel walks
-them with ``zip``'s C-level iteration instead of per-row Python objects.
+machinery).  A relation keeps the row tuples it was filled from next to the
+columns: the columns give the kernels (and the shared-memory export) their
+keys at ``zip``'s C-level speed, and the kept rows are what the kernels
+hand back — the caller's own tuples and ``int`` objects, not fresh copies
+materialised from the columns, so each id object is paid for once however
+many projections and indexes follow.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.config import codegen_enabled
@@ -49,47 +55,33 @@ def _kernels(arity: int):
 class ColumnarRelation:
     """A relation of ``arity`` columns of interned ids (``array('q')``)."""
 
-    __slots__ = ("arity", "columns", "_length")
+    __slots__ = ("arity", "columns", "_rows")
 
     def __init__(self, arity: int, rows: Iterable[Sequence[int]] | None = None):
         self.arity = arity
         self.columns: list[array] = [array("q") for _ in range(arity)]
-        self._length = 0
+        self._rows: list[Sequence[int]] = []
         if rows is not None:
             self.extend(rows)
-
-    @classmethod
-    def from_rows(cls, arity: int, rows: Iterable[Sequence[int]]) -> "ColumnarRelation":
-        return cls(arity, rows)
 
     # -- construction ------------------------------------------------------
 
     def append(self, row: Sequence[int]) -> None:
-        for column, value in zip(self.columns, row):
-            column.append(value)
-        self._length += 1
+        self.extend((row,))
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
-        if self.arity == 0:
-            self._length += sum(1 for _ in rows)
-            return
-        columns = self.columns
-        count = 0
-        for row in rows:
-            for column, value in zip(columns, row):
-                column.append(value)
-            count += 1
-        self._length += count
+        start = len(self._rows)
+        self._rows.extend(rows)
+        for position, column in enumerate(self.columns):
+            column.extend(map(itemgetter(position), islice(self._rows, start, None)))
 
     # -- row access --------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[tuple]:
-        if self.arity == 0:
-            return iter([()] * self._length)
-        return zip(*self.columns)
+        return iter(self._rows)
 
     def row(self, index: int) -> tuple:
         return tuple(column[index] for column in self.columns)
@@ -98,19 +90,19 @@ class ColumnarRelation:
         return self.columns[position]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ColumnarRelation(arity={self.arity}, {self._length} rows)"
+        return f"ColumnarRelation(arity={self.arity}, {len(self)} rows)"
 
     # -- kernels -----------------------------------------------------------
 
     def _key_iter(self, positions: tuple[int, ...]) -> Iterator[tuple]:
-        """Iterate the key tuples at ``positions`` (one zip, no row objects)."""
-        return zip(*(self.columns[p] for p in positions))
+        """Iterate the key tuples at ``positions`` (sharing the rows' ids)."""
+        return zip(*(map(itemgetter(p), self._rows) for p in positions))
 
     def project(self, positions: Sequence[int]) -> set[tuple]:
         """The set of key tuples at ``positions`` (set semantics)."""
         positions = tuple(positions)
         if not positions:
-            return {()} if self._length else set()
+            return {()} if self._rows else set()
         return set(self._key_iter(positions))
 
     def project_with_equalities(
@@ -128,7 +120,7 @@ class ColumnarRelation:
         out: set[tuple] = set()
         group_columns = [[columns[p] for p in group] for group in groups]
         key_columns = [columns[p] for p in positions]
-        for index in range(self._length):
+        for index in range(len(self)):
             consistent = True
             for cols in group_columns:
                 first = cols[0][index]
@@ -144,7 +136,7 @@ class ColumnarRelation:
         positions = tuple(positions)
         index: dict[tuple, list[tuple]] = {}
         if not positions:
-            if self._length:
+            if self._rows:
                 index[()] = list(self)
             return index
         if codegen_enabled():

@@ -12,8 +12,9 @@ Index API
 Beyond the classic accessors, an instance maintains *positional indexes*:
 
 ``index(relation, positions)``
-    A hash map from key tuples ``tuple(fact.args[p] for p in positions)`` to
-    the bucket of facts of ``relation`` with those values at those positions.
+    A mapping from key tuples ``tuple(fact.args[p] for p in positions)`` to
+    the bucket of facts of ``relation`` with those values at those positions
+    (stored keyed by dense term ids, presented keyed by terms).
     Indexes are built lazily on first request and from then on maintained
     *incrementally* by :meth:`Instance.add` / :meth:`Instance.discard`, so a
     probe is amortised O(1) regardless of how often the instance mutates.
@@ -77,7 +78,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from repro.data.columns import ColumnarRelation
 from repro.data.facts import Fact
-from repro.data.interning import TERMS, interning_enabled
+from repro.data.interning import TERMS
 from repro.data.schema import Schema
 from repro.data.terms import Null, NullFactory, is_null, shared_null_factory
 
@@ -123,10 +124,10 @@ class FactSetView(AbstractSet):
 class _DecodedIndexView(AbstractMapping):
     """A term-keyed, read-only view over an id-keyed positional index.
 
-    Interned instances key their positional indexes by dense term ids; this
-    adapter keeps :meth:`Instance.index` presenting the historical term-tuple
-    keys to external callers (the hot paths go through
-    :meth:`Instance.probe`, which translates once and hits the raw dict).
+    Positional indexes key their buckets by dense term ids; this adapter
+    lets :meth:`Instance.index` present term-tuple keys to external callers
+    (the hot paths go through :meth:`Instance.probe`, which translates once
+    and hits the raw dict).
     """
 
     __slots__ = ("_raw",)
@@ -166,15 +167,9 @@ class Instance:
         self._facts: set[Fact] = set()
         self._by_relation: dict[str, set[Fact]] = defaultdict(set)
         self._by_constant: dict[object, set[Fact]] = defaultdict(set)
-        # Interned backing mode, captured at construction so the index key
-        # representation stays internally consistent for this instance's
-        # whole lifetime (flipping the process default affects new
-        # instances only).  Interned indexes key buckets by dense term ids
-        # (Fact.iargs); the term-object path survives behind
-        # REPRO_NO_INTERN for A/B comparison.
-        self._interned = interning_enabled()
-        # Positional indexes, keyed by (relation, positions); built lazily by
-        # index() and maintained incrementally by add()/discard().
+        # Positional indexes, keyed by (relation, positions), buckets keyed
+        # by dense term ids (Fact.iargs); built lazily by index()/probe() and
+        # maintained incrementally by add()/discard().
         self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Fact]]] = {}
         self._indexes_by_relation: dict[str, list[tuple[int, ...]]] = defaultdict(list)
         # Columnar per-(relation, arity) stores; built lazily, invalidated
@@ -198,11 +193,6 @@ class Instance:
     def version(self) -> int:
         """Mutation counter: increases on every effective add/discard."""
         return self._version
-
-    @property
-    def interned(self) -> bool:
-        """True when this instance keys its indexes by dense term ids."""
-        return self._interned
 
     @property
     def null_factory(self) -> NullFactory:
@@ -353,14 +343,14 @@ class Instance:
                 removed.add(fact)
         return Delta(added=frozenset(added), removed=frozenset(removed))
 
-    def _index_key(self, positions: tuple[int, ...], fact: Fact) -> tuple | None:
+    @staticmethod
+    def _index_key(positions: tuple[int, ...], fact: Fact) -> tuple | None:
         """The fact's key in a positional index, or None if its arity is short.
 
-        Interned instances key by dense term ids (``Fact.iargs``), which hash
-        and compare as machine ints; the term-object keys remain behind
-        ``REPRO_NO_INTERN``.
+        Keys are dense term ids (``Fact.iargs``), which hash and compare as
+        machine ints.
         """
-        args = fact.iargs if self._interned else fact.args
+        args = fact.iargs
         if all(p < len(args) for p in positions):
             return tuple(args[p] for p in positions)
         return None
@@ -394,10 +384,6 @@ class Instance:
 
     def copy(self) -> "Instance":
         duplicate = type(self)(self._facts)
-        # A copy clones the original's storage mode, not the (possibly
-        # flipped) process default — safe to set here because positional
-        # indexes are built lazily, so none exist yet on the duplicate.
-        duplicate._interned = self._interned
         # Continuation, not a restart: the copy draws fresh-null labels from
         # the same factory, so chase runs over original and copy never alias.
         duplicate._null_factory = self._null_factory
@@ -448,7 +434,7 @@ class Instance:
     def _raw_index(
         self, relation: str, positions: tuple[int, ...]
     ) -> dict[tuple, list[Fact]]:
-        """The backing index dict (id-keyed when interned), built lazily."""
+        """The backing id-keyed index dict, built lazily."""
         key = (relation, positions)
         index = self._indexes.get(key)
         if index is None:
@@ -471,14 +457,11 @@ class Instance:
         cannot match an atom that binds those positions).  Treat the mapping
         and its buckets as read-only.
 
-        On an interned instance the storage is id-keyed; this accessor wraps
-        it in a term-keyed read-only view so callers are unaffected.  Hot
-        paths should use :meth:`probe`, which skips the per-key decoding.
+        The storage is id-keyed; this accessor wraps it in a term-keyed
+        read-only view.  Hot paths should use :meth:`probe`, which skips the
+        per-key decoding.
         """
-        raw = self._raw_index(relation, tuple(positions))
-        if self._interned:
-            return _DecodedIndexView(raw)
-        return raw
+        return _DecodedIndexView(self._raw_index(relation, tuple(positions)))
 
     def probe(
         self, relation: str, positions: Iterable[int], key: tuple
@@ -487,17 +470,16 @@ class Instance:
 
         Amortised O(1) plus the size of the returned bucket.  The bucket is
         live (read-only): snapshot it before mutating the instance while
-        iterating.  ``key`` always holds term objects; interned instances
-        translate it to ids once (a key containing a never-seen term cannot
-        match and short-circuits to the empty bucket).
+        iterating.  ``key`` holds term objects and is translated to ids
+        once (a key containing a never-seen term cannot match and
+        short-circuits to the empty bucket).
         """
+        # Index first: building it is what interns the relation's terms.
         index = self._raw_index(relation, tuple(positions))
-        if self._interned:
-            ikey = TERMS.try_intern_tuple(key)
-            if ikey is None:
-                return _EMPTY_BUCKET
-            return index.get(ikey, _EMPTY_BUCKET)
-        return index.get(key, _EMPTY_BUCKET)
+        ikey = TERMS.try_intern_tuple(key)
+        if ikey is None:
+            return _EMPTY_BUCKET
+        return index.get(ikey, _EMPTY_BUCKET)
 
     def columnar(self, relation: str, arity: int) -> ColumnarRelation:
         """The facts of ``relation`` with ``arity``, as interned columns.

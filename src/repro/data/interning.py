@@ -15,33 +15,20 @@ lifetime of the process and two instances/relations can exchange ids freely
 intern time so "is this id a null?" is one ``bytearray`` load instead of a
 decode plus ``isinstance``.
 
-Interned mode is **on by default** and controls how new
-:class:`~repro.data.instance.Instance` objects key their positional indexes
-and how the reduction/enumeration pipeline stores its rows.  Set the
-environment variable ``REPRO_NO_INTERN=1`` (or call :func:`set_interning`)
-to fall back to the historical term-object path — the A/B escape hatch the
-differential test-suite exercises.
+This is the only row format: :class:`~repro.data.instance.Instance` keys
+its positional indexes by ids, and the reduction/enumeration pipeline
+stores id rows throughout.  ``baselines/naive.py``, which works on term
+objects directly, is the oracle the differential suite compares against.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.config import interning_enabled
-from repro.config import set_interning as _set_interning
-from repro.config import use_interning as _use_interning
 from repro.data.terms import is_null
 
-__all__ = [
-    "TERMS",
-    "TermDictionary",
-    "interning_enabled",
-    "set_interning",
-    "use_interning",
-]
+__all__ = ["TERMS", "TermDictionary"]
 
 
 class TermDictionary:
@@ -157,35 +144,3 @@ class TermDictionary:
 #: The process-wide dictionary every interned structure shares.
 TERMS = TermDictionary()
 
-
-# -- deprecated switch entry points ---------------------------------------
-#
-# The interning toggle moved to :mod:`repro.config` (one module for every
-# execution switch, with a documented precedence order).  These wrappers
-# keep the historical import path working for one release; new code should
-# use ``repro.config.set_interning`` / ``use_interning`` or pass an
-# :class:`repro.config.ExecutionOptions` to the engine.
-
-
-def set_interning(enabled: bool) -> bool:
-    """Deprecated alias for :func:`repro.config.set_interning`."""
-    warnings.warn(
-        "repro.data.interning.set_interning is deprecated; "
-        "use repro.config.set_interning",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _set_interning(enabled)
-
-
-@contextmanager
-def use_interning(enabled: bool) -> Iterator[None]:
-    """Deprecated alias for :func:`repro.config.use_interning`."""
-    warnings.warn(
-        "repro.data.interning.use_interning is deprecated; "
-        "use repro.config.use_interning",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    with _use_interning(enabled):
-        yield

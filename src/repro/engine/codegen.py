@@ -35,6 +35,8 @@ mirrors one interpreted loop statement-for-statement, the differential suite
 locks codegen-on against codegen-off byte-identical, and the
 ``REPRO_NO_CODEGEN`` / :func:`repro.config.set_codegen` / ``repro run
 --no-codegen`` escape hatch restores the interpreted path at runtime.
+Rows are dense term-id tuples throughout; the generated walk decodes at
+emit, like the interpreted one.
 
 This module deliberately imports only :mod:`repro.config` and
 :mod:`repro.obs.trace` (which itself stops at :mod:`repro.config`), so the
@@ -123,7 +125,7 @@ def _compile(source: str, name: str, namespace: dict | None = None) -> Callable:
 # -- (a) the enumeration walk ----------------------------------------------
 
 
-def walk_source(plan: tuple, interned: bool) -> str | None:
+def walk_source(plan: tuple) -> str | None:
     """The generated source of one slot plan's enumeration walk.
 
     ``plan`` is the tuple built by ``CDLinEnumerator._build_plan``:
@@ -165,9 +167,7 @@ def walk_source(plan: tuple, interned: bool) -> str | None:
                 lines.append(f"{inner}_v{slot} = _r{level}[{position}]")
         pad = inner
     if final_slots:
-        emit = ", ".join(
-            f"decode(_v{slot})" if interned else f"_v{slot}" for slot in final_slots
-        )
+        emit = ", ".join(f"decode(_v{slot})" for slot in final_slots)
         suffix = "," if len(final_slots) == 1 else ""
         lines.append(f"{pad}yield ({emit}{suffix})")
     else:
@@ -175,7 +175,7 @@ def walk_source(plan: tuple, interned: bool) -> str | None:
     return "\n".join(lines) + "\n"
 
 
-def compile_walk(plan: tuple, interned: bool) -> Callable | None:
+def compile_walk(plan: tuple) -> Callable | None:
     """Compile the enumeration walk of ``plan``; ``None`` if not covered.
 
     The returned generator function has the signature
@@ -183,7 +183,7 @@ def compile_walk(plan: tuple, interned: bool) -> Callable | None:
     argument, so the closure is a pure function of the plan and one compiled
     object serves every database and every maintenance epoch.
     """
-    source = walk_source(plan, interned)
+    source = walk_source(plan)
     if source is None:
         return None
     return _compile(source, "_walk")
@@ -208,14 +208,12 @@ class PlanCodegen:
     def __len__(self) -> int:
         return len(self._walks)
 
-    def walk_for(self, plan: tuple, interned: bool) -> Callable | None:
+    def walk_for(self, plan: tuple) -> Callable | None:
         """The compiled walk for ``plan`` (compiling on first sight)."""
-        key = (plan, interned)
-        if key in self._walks:
+        if plan in self._walks:
             CODEGEN_STATS.hit()
-            return self._walks[key]
-        walk = compile_walk(plan, interned)
-        self._walks[key] = walk
+            return self._walks[plan]
+        walk = self._walks[plan] = compile_walk(plan)
         return walk
 
 

@@ -73,8 +73,8 @@ class EngineStats:
     materialization could not absorb — delta over the fallback threshold,
     delta unreconstructable from the trimmed log, or a blown chase budget —
     and that forced a rebuild instead.  ``interned_terms`` is the size of
-    the process-wide term dictionary backing the interned fact store (0 is
-    possible only under ``REPRO_NO_INTERN`` before anything interned).
+    the process-wide term dictionary backing the fact store (append-only,
+    so it only grows over a process lifetime).
     ``plans_compiled`` / ``codegen_cache_hits`` read the process-wide
     :data:`~repro.engine.codegen.CODEGEN_STATS` the same way: generated
     functions compiled, and lookups served from a codegen cache without
@@ -262,11 +262,7 @@ class QueryEngine:
     object; the individual keyword arguments remain as per-knob overrides
     (the documented precedence: explicit argument > ``options`` > process
     default) and for source compatibility with pre-``options`` callers —
-    see the migration table in ``docs/engine.md``.  ``options.interning``
-    is not consumed here: interning is fixed per :class:`Instance` at
-    construction time, so the serving layers apply it when they create
-    databases (the engine works with whatever representation its databases
-    already have).
+    see the migration table in ``docs/engine.md``.
     """
 
     def __init__(

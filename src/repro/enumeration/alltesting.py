@@ -3,9 +3,10 @@
 The query need not be acyclic: only ``q⁺`` must have a join tree.  The
 preprocessing phase decomposes the query into components, materialises each
 component's projection onto its answer variables (linear time via semi-join
-reduction towards the component root) and stores it as a hash set.  A test
-then checks, in time independent of the data, that the candidate tuple's
-projection belongs to every component set.
+reduction towards the component root) and stores it as a hash set of dense
+term-id rows.  A test then dictionary-encodes the candidate once and checks,
+in time independent of the data, that its projection belongs to every
+component set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.data.instance import Instance
-from repro.data.terms import is_null
+from repro.data.interning import TERMS
 from repro.cq.query import ConjunctiveQuery, QueryError
 from repro.yannakakis.decomposition import decompose_free_connex
 from repro.enumeration.reduction import component_projection
@@ -58,8 +59,6 @@ class FreeConnexAllTester:
             )
         if self._empty:
             return False
-        if any(is_null(value) for value in answer):
-            return False
         # Consistency of repeated head variables.
         reduced: list[object] = [None] * len(self.deduplicated.answer_variables)
         filled = [False] * len(reduced)
@@ -69,9 +68,14 @@ class FreeConnexAllTester:
                 return False
             reduced[target] = value
             filled[target] = True
+        # A term no fact ever mentioned has no id and cannot be an answer;
+        # a null has one, but the component sets hold null-free rows only
+        # and every head position lies in some component.
+        ids = TERMS.try_intern_tuple(reduced)
+        if ids is None:
+            return False
         for positions, component_set in self._component_sets:
-            projected = tuple(reduced[p] for p in positions)
-            if projected not in component_set:
+            if tuple(ids[p] for p in positions) not in component_set:
                 return False
         return True
 

@@ -13,9 +13,9 @@ delay between consecutive answers depends only on the query.
 
 Two engineering layers keep the constants close to the paper's RAM model:
 
-* over an interned instance (the default, see :mod:`repro.data.interning`)
-  the block relations hold dense term-id rows built by columnar kernels,
-  and ids are decoded back to terms only when an answer tuple is emitted;
+* the block relations hold dense term-id rows (see
+  :mod:`repro.data.interning`) built by columnar kernels, and ids are
+  decoded back to terms only when an answer tuple is emitted;
 * the walk itself binds rows into a flat slot array computed at
   preprocessing time (one slot per variable, per-atom write plans), so the
   per-answer work is a few list writes instead of a dictionary copy per
@@ -76,12 +76,11 @@ class CDLinEnumerator:
         self.deduplicated, self._head_positions = query.deduplicated_head()
         self._keep_nulls = keep_nulls
         self._decomposition = decomposition
-        self._interned = instance.interned
-        # Captured at construction, like the interning flag: the enumerator
-        # must stay internally consistent even if the process default flips
-        # while it is alive.  ``codegen_cache`` is the per-plan closure cache
-        # (prepared queries pass theirs so closures die with the plan-cache
-        # entry; standalone enumerators lazily create their own).
+        # Captured at construction: the enumerator must stay internally
+        # consistent even if the process default flips while it is alive.
+        # ``codegen_cache`` is the per-plan closure cache (prepared queries
+        # pass theirs so closures die with the plan-cache entry; standalone
+        # enumerators lazily create their own).
         self._codegen = codegen_enabled() if codegen is None else bool(codegen)
         self._codegen_cache = codegen_cache
         # ``False`` hard-disables the per-call ambient-trace check in
@@ -96,7 +95,6 @@ class CDLinEnumerator:
                 instance,
                 keep_nulls=keep_nulls,
                 decomposition=decomposition,
-                interned=self._interned,
                 codegen=self._codegen,
                 projections=projections,
             )
@@ -147,7 +145,7 @@ class CDLinEnumerator:
         ``(row position, slot)`` write plan for its own variables.  The walk
         then extends an assignment by a handful of list writes instead of
         copying a dictionary per row, and the emit step reads the answer
-        slots directly (decoding ids exactly there when interned).
+        slots directly (decoding ids exactly there).
         """
         slot_of: dict[Variable, int] = {}
         for atom in self._order:
@@ -181,7 +179,6 @@ class CDLinEnumerator:
             instance,
             keep_nulls=self._keep_nulls,
             decomposition=self._decomposition,
-            interned=self._interned,
             codegen=self._codegen,
         )
         self._order, self._indexes, self._shared = [], {}, {}
@@ -226,11 +223,7 @@ class CDLinEnumerator:
                 continue
             if (
                 component_projection(
-                    component,
-                    instance,
-                    self._keep_nulls,
-                    interned=self._interned,
-                    codegen=self._codegen,
+                    component, instance, self._keep_nulls, codegen=self._codegen
                 )
                 is None
             ):
@@ -240,11 +233,7 @@ class CDLinEnumerator:
             if not ({atom.relation for atom in block.component.atoms} & touched):
                 continue
             projection = component_projection(
-                block.component,
-                instance,
-                self._keep_nulls,
-                interned=self._interned,
-                codegen=self._codegen,
+                block.component, instance, self._keep_nulls, codegen=self._codegen
             )
             if projection is None:
                 return self._make_empty()
@@ -254,12 +243,7 @@ class CDLinEnumerator:
         if not pending:
             return False
         fresh = {
-            block.atom: AtomRelation(
-                block.atom,
-                block.variables,
-                block.projection,
-                interned=self._interned,
-            )
+            block.atom: AtomRelation(block.atom, block.variables, block.projection)
             for block in self.reduced.blocks
         }
         assert self.reduced.join_tree is not None
@@ -300,7 +284,7 @@ class CDLinEnumerator:
             from repro.engine.codegen import PlanCodegen
 
             cache = self._codegen_cache = PlanCodegen()
-        return cache.walk_for(plan, self._interned)
+        return cache.walk_for(plan)
 
     def is_empty(self) -> bool:
         return self.reduced.is_empty
@@ -315,8 +299,7 @@ class CDLinEnumerator:
         (a single atomic reference), so an in-flight enumeration keeps a
         consistent view even if :meth:`maintain` publishes updated state
         concurrently (maintenance replaces containers instead of mutating
-        them).  Interned ids are decoded to terms here — and only here —
-        so the emitted tuples are byte-identical to the term-object path.
+        them).  Ids are decoded to terms here — and only here.
 
         This is a plain dispatcher, not a generator: when a trace is
         ambient (and tracing was not hard-disabled at construction) the
@@ -343,21 +326,16 @@ class CDLinEnumerator:
         if self._codegen:
             compiled = self._compiled_walk(plan)
             if compiled is not None:
-                yield from compiled(
-                    index_list, TERMS.decoder() if self._interned else None
-                )
+                yield from compiled(index_list, TERMS.decoder())
                 return
         key_slots, stores, final_slots, slot_count = plan
         values: list = [None] * slot_count
         depth = len(order)
-        decode = TERMS.decode if self._interned else None
+        decode = TERMS.decoder()
 
         def walk(position: int) -> Iterator[tuple]:
             if position == depth:
-                if decode is None:
-                    yield tuple(values[s] for s in final_slots)
-                else:
-                    yield tuple(decode(values[s]) for s in final_slots)
+                yield tuple(decode(values[s]) for s in final_slots)
                 return
             key = tuple(values[s] for s in key_slots[position])
             store = stores[position]

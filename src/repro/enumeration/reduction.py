@@ -15,6 +15,8 @@ such that ``q1(D1) = q0(D0)`` projected to the answer variables.  Both the
 CD∘Lin enumeration of complete answers (Theorem 4.1) and the minimal partial
 answer enumeration (Algorithm 1 / Theorem 5.2) run on this reduced form; the
 only difference is whether block rows containing labelled nulls are kept.
+Block rows are tuples of dense term ids (:data:`repro.data.interning.TERMS`);
+the enumerators decode them when an answer is emitted.
 
 Why ``q1`` is acyclic: distinct components share only answer variables and
 every component's answer variables are contained in its root atom.  A clique
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 from repro.config import codegen_enabled
 from repro.data.instance import Instance
 from repro.data.interning import TERMS
-from repro.data.terms import is_null
 from repro.cq.acyclicity import is_acyclic
 from repro.cq.atoms import Atom, Variable
 from repro.cq.jointree import JoinTree, build_join_tree
@@ -97,23 +98,18 @@ def component_projection(
     component: Component,
     instance: Instance,
     keep_nulls: bool,
-    interned: bool = False,
     codegen: bool | None = None,
 ) -> set[tuple] | None:
     """Project a component's satisfying assignments onto its answer variables.
 
-    Returns ``None`` when the component is unsatisfiable.  The projection is
-    computed by a bottom-up semi-join pass towards the component root (all
-    answer variables live in the root, so projecting the reduced root
-    relation is exact).  With ``interned`` the atom relations hold dense
-    term ids and the null filter tests id flags instead of term types —
-    through a per-arity generated kernel when ``codegen`` resolves on
-    (``None`` means the process default).
+    Returns ``None`` when the component is unsatisfiable.  The projection
+    (a set of id rows) is computed by a bottom-up semi-join pass towards
+    the component root (all answer variables live in the root, so
+    projecting the reduced root relation is exact).  The null filter tests
+    the dictionary's id flags — through a per-arity generated kernel when
+    ``codegen`` resolves on (``None`` means the process default).
     """
-    relations = {
-        atom: atom_relation(atom, instance, interned=interned)
-        for atom in component.atoms
-    }
+    relations = {atom: atom_relation(atom, instance) for atom in component.atoms}
     if any(relation.is_empty() for relation in relations.values()):
         return None
     bottom_up_pass(component.tree, relations)
@@ -122,26 +118,17 @@ def component_projection(
         return None
     projection = root_relation.project(component.answer_variables)
     if not keep_nulls:
-        if interned:
-            if codegen is None:
-                codegen = codegen_enabled()
-            kernel = (
-                _nullfree_kernel(len(component.answer_variables))
-                if codegen
-                else None
-            )
-            if kernel is not None:
-                projection = kernel(projection, TERMS.null_flags())
-            else:
-                null_id = TERMS.is_null_id
-                projection = {
-                    row
-                    for row in projection
-                    if not any(null_id(value) for value in row)
-                }
+        if codegen is None:
+            codegen = codegen_enabled()
+        kernel = (
+            _nullfree_kernel(len(component.answer_variables)) if codegen else None
+        )
+        if kernel is not None:
+            projection = kernel(projection, TERMS.null_flags())
         else:
+            null_id = TERMS.is_null_id
             projection = {
-                row for row in projection if not any(is_null(value) for value in row)
+                row for row in projection if not any(null_id(value) for value in row)
             }
         if not projection and component.answer_variables:
             return None
@@ -154,7 +141,6 @@ def build_reduced_query(
     keep_nulls: bool = False,
     require_acyclic: bool = True,
     decomposition: "FreeConnexDecomposition | None" = None,
-    interned: bool = False,
     codegen: bool | None = None,
     projections: "dict[int, set | None] | None" = None,
 ) -> ReducedQuery:
@@ -169,9 +155,9 @@ def build_reduced_query(
     structural preprocessing — including the acyclicity check it implies —
     is skipped and only the data-dependent reduction runs.
 
-    ``interned`` builds the block relations over dense term ids (columnar
-    kernels in the reducer, id-hashing in the per-block indexes); callers
-    then decode at answer emission.  Only valid for interned instances.
+    The block relations hold dense term ids (columnar kernels in the
+    reducer, id-hashing in the per-block indexes); callers decode at answer
+    emission.
 
     ``projections`` may carry component projections computed elsewhere
     (the process-parallel reduce of :mod:`repro.parallel.reduce`), keyed
@@ -195,7 +181,7 @@ def build_reduced_query(
             projection = projections[index]
         else:
             projection = component_projection(
-                component, instance, keep_nulls, interned=interned, codegen=codegen
+                component, instance, keep_nulls, codegen=codegen
             )
         if projection is None:
             is_empty = True
@@ -206,10 +192,7 @@ def build_reduced_query(
             continue
         block_atom = Atom(f"__block{index}__", component.answer_variables)
         relation = AtomRelation(
-            block_atom,
-            tuple(component.answer_variables),
-            set(projection),
-            interned=interned,
+            block_atom, tuple(component.answer_variables), set(projection)
         )
         block = Block(
             atom=block_atom,

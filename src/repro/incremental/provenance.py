@@ -390,10 +390,7 @@ class ChaseMaintainer(ChaseRecorder):
                     # Key-compatible with the original run: same precompiled
                     # variable order, same id encoding as the recorded keys.
                     key = _trigger_key(
-                        tgd_index,
-                        frontier_map,
-                        compiled.frontier_orders[tgd_index],
-                        instance.interned,
+                        tgd_index, frontier_map, compiled.frontier_orders[tgd_index]
                     )
                     if key in self._fired:
                         continue

@@ -111,13 +111,15 @@ def _pre_intern_instance(instance: Instance) -> None:
 
 def _encode_delta(
     delta: list[Fact], relation_ids: dict[str, int]
-) -> tuple[list[tuple[int, tuple[int, ...]]] | None, list[str]]:
+) -> tuple[list[tuple[int, tuple[int, ...]]], list[str]]:
     """Encode a round's new facts for the shm exchange.
 
-    Returns ``(records, new_relation_names)``; ``records`` is ``None`` when
-    some constant has no pre-fork term id (non-interned databases), in
-    which case the caller ships the round pickled instead — correct,
-    merely slower.
+    Returns ``(records, new_relation_names)``.  Every constant of a fired
+    fact has a pre-fork term id: it is either a frontier value, i.e. a
+    database constant (:func:`_pre_intern_instance`), or a head constant
+    of the ontology (:func:`_pre_intern`).  A constant without one is a
+    broken invariant, not a case to serve — minting its id here would ship
+    an id the workers cannot decode — so it raises ``KeyError``.
     """
     new_names: list[str] = []
     records: list[tuple[int, tuple[int, ...]]] = []
@@ -134,7 +136,7 @@ def _encode_delta(
             else:
                 term_id = TERMS.try_intern(arg)
                 if term_id is None:
-                    return None, new_names
+                    raise KeyError(f"constant {arg!r} was not interned before the fork")
                 encoded.append(term_id)
         records.append((relation_id, tuple(encoded)))
     return records, new_names
@@ -185,18 +187,13 @@ def parallel_chase(
                 "fired": fired_last_round,
                 "initial": delta is None,
                 "facts": None,
-                "pickled": None,
             }
             block = None
             if delta:
                 records, new_names = _encode_delta(delta, relation_ids)
                 payload["relations"] = new_names
-                if records is None:
-                    payload["pickled"] = delta
-                    PARALLEL_STATS.bump("pickled_rounds")
-                else:
-                    block = SharedFactBlock.create(records)
-                    payload["facts"] = block.name
+                block = SharedFactBlock.create(records)
+                payload["facts"] = block.name
                 boundary_total += len(delta)
                 PARALLEL_STATS.bump("boundary_facts", len(delta))
             try:

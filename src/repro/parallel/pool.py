@@ -161,14 +161,11 @@ def _task_chase_round(state: dict, payload: dict):  # pragma: no cover - worker 
     instance = state["instance"]
     index, count = state["index"], state["count"]
 
-    if payload.get("facts") is not None:
+    mine: list = []
+    if payload["facts"] is not None:
         facts, mine = _decode_block(
             payload["facts"], state["relations"], (index, count)
         )
-    else:
-        facts = payload.get("pickled") or []
-        mine = [fact for j, fact in enumerate(facts) if j % count == index]
-    if facts:
         instance.add_facts(facts)
     if payload.get("initial"):
         everything = list(instance)
@@ -209,11 +206,7 @@ def _task_project(state: dict, payload):  # pragma: no cover - worker process
     out = []
     for index, component, keep_nulls in payload:
         rows = component_projection(
-            component,
-            instance,
-            keep_nulls,
-            interned=instance.interned,
-            codegen=state["codegen"],
+            component, instance, keep_nulls, codegen=state["codegen"]
         )
         out.append((index, None if rows is None else list(rows)))
     return out

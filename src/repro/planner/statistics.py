@@ -1,11 +1,10 @@
-"""Per-relation statistics collected on the (interned) columnar stores.
+"""Per-relation statistics collected on the columnar stores.
 
 The cost model of :mod:`repro.planner.cost` consumes three numbers per
 ``(relation, arity)`` pair: the cardinality, and per position the number of
-distinct values (whose inverse is the classical key selectivity).  On an
-interned instance they come from one pass over the cached
-:class:`~repro.data.columns.ColumnarRelation` columns (a ``set`` over an
-``array('q')`` — C-speed); the term-object store falls back to a fact walk.
+distinct values (whose inverse is the classical key selectivity).  They come
+from one pass over the cached :class:`~repro.data.columns.ColumnarRelation`
+columns (a ``set`` over an ``array('q')`` — C-speed).
 
 Collection is lazy and cached *on the instance* keyed by its mutation
 version (:func:`statistics_for`): the first plan decision after a version
@@ -82,16 +81,8 @@ def collect_statistics(instance: Instance) -> InstanceStatistics:
         for fact in facts:
             counts[fact.arity] = counts.get(fact.arity, 0) + 1
         for arity, cardinality in sorted(counts.items()):
-            if arity == 0:
-                distinct: tuple[int, ...] = ()
-            elif instance.interned:
-                store = instance.columnar(name, arity)
-                distinct = tuple(len(set(column)) for column in store.columns)
-            else:
-                distinct = tuple(
-                    len({fact.args[p] for fact in facts if fact.arity == arity})
-                    for p in range(arity)
-                )
+            store = instance.columnar(name, arity)
+            distinct = tuple(len(set(column)) for column in store.columns)
             per_relation[(name, arity)] = RelationStatistics(
                 relation=name,
                 arity=arity,

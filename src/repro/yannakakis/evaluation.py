@@ -47,16 +47,11 @@ class BooleanQueryPlan:
     def evaluate(self, instance: Instance) -> bool:
         """Evaluate the plan on ``instance`` (the data-dependent phase).
 
-        Over an interned instance the atom relations are materialised as
-        dense-id rows (columnar kernels); only emptiness is observed, so no
+        Only emptiness of the (dense-id) atom relations is observed, so no
         decoding is ever needed on this path.
         """
-        interned = instance.interned
         for atoms, tree in self._components:
-            relations = {
-                atom: atom_relation(atom, instance, interned=interned)
-                for atom in atoms
-            }
+            relations = {atom: atom_relation(atom, instance) for atom in atoms}
             if any(relation.is_empty() for relation in relations.values()):
                 return False
             bottom_up_pass(tree, relations)

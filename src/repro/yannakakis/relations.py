@@ -2,8 +2,9 @@
 
 An :class:`AtomRelation` stores, for one query atom, the set of variable
 assignments induced by the matching facts of an instance.  Assignments are
-stored as value tuples aligned with a fixed variable order, which makes
-semi-joins and index lookups cheap.
+stored as tuples of dense term ids (:data:`repro.data.interning.TERMS`)
+aligned with a fixed variable order; consumers decode ids exactly once, when
+an answer is emitted.
 
 Key-projection hash maps (:meth:`AtomRelation.project`) and row indexes
 (:meth:`AtomRelation.index_on`) are cached per variable tuple and invalidated
@@ -11,13 +12,12 @@ only when the tuple set is replaced through :meth:`AtomRelation.replace_tuples`
 / :meth:`AtomRelation.clear`, so the full reducer and the enumeration phase
 build each hash map once per edge instead of once per probe.
 
-Interned relations (``interned=True``) hold rows of dense term ids instead
-of term objects and keep a lazily built columnar backing
-(:class:`~repro.data.columns.ColumnarRelation`); their projections, row
-indexes and semi-join filters run as columnar kernels over ``array('q')``
-columns.  :func:`atom_relation` builds interned rows straight from the
-instance's columnar store when the atom is constant-free, skipping the
-per-``Fact`` object walk entirely.
+Every relation keeps a lazily built columnar backing
+(:class:`~repro.data.columns.ColumnarRelation`); projections, row indexes
+and semi-join filters run as columnar kernels over ``array('q')`` columns.
+:func:`atom_relation` builds the rows straight from the instance's columnar
+store when the atom is constant-free, skipping the per-``Fact`` object walk
+entirely.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ from repro.cq.atoms import Atom, Variable, is_variable
 class AtomRelation:
     """The assignments of one atom's variables over an instance.
 
-    ``tuples`` exposes the live row set for reading and iteration; mutate it
-    only through :meth:`replace_tuples` / :meth:`clear` so the cached
-    projections and indexes stay consistent.  When ``interned`` is set the
-    rows are dense term-id tuples (decode only at answer emission).
+    ``tuples`` exposes the live row set (dense term-id tuples) for reading
+    and iteration; mutate it only through :meth:`replace_tuples` /
+    :meth:`clear` so the cached projections and indexes stay consistent.
     """
 
     __slots__ = (
         "atom",
         "variables",
-        "interned",
         "_tuples",
         "_var_index",
         "_projections",
@@ -55,11 +53,9 @@ class AtomRelation:
         atom: Atom,
         variables: Iterable[Variable],
         tuples: Iterable[tuple] | None = None,
-        interned: bool = False,
     ):
         self.atom = atom
         self.variables: tuple[Variable, ...] = tuple(variables)
-        self.interned = interned
         self._tuples: set[tuple] = set(tuples) if tuples is not None else set()
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._projections: dict[tuple[Variable, ...], set[tuple]] = {}
@@ -83,9 +79,7 @@ class AtomRelation:
         return not self._tuples
 
     def copy(self) -> "AtomRelation":
-        return AtomRelation(
-            self.atom, self.variables, set(self._tuples), interned=self.interned
-        )
+        return AtomRelation(self.atom, self.variables, set(self._tuples))
 
     # -- mutation (invalidates caches) ------------------------------------
 
@@ -107,7 +101,7 @@ class AtomRelation:
     # -- columnar backing --------------------------------------------------
 
     def columns(self) -> ColumnarRelation:
-        """The rows as parallel ``array('q')`` columns (interned rows only).
+        """The rows as parallel ``array('q')`` columns.
 
         Built lazily from the current row set and cached until the rows are
         replaced; the projection/index kernels below run over it.
@@ -128,17 +122,13 @@ class AtomRelation:
         """The projection of the relation onto ``variables`` (set semantics).
 
         Built once per variable tuple and cached until the rows change; treat
-        the result as read-only.  Interned relations project by zipping the
-        backing key columns (one C-level pass, no row objects).
+        the result as read-only.  Projects by zipping the backing key columns
+        (one C-level pass, no row objects).
         """
         variables = tuple(variables)
         cached = self._projections.get(variables)
         if cached is None:
-            positions = self.positions(variables)
-            if self.interned:
-                cached = self.columns().project(positions)
-            else:
-                cached = {tuple(row[p] for p in positions) for row in self._tuples}
+            cached = self.columns().project(self.positions(variables))
             self._projections[variables] = cached
         return cached
 
@@ -146,43 +136,29 @@ class AtomRelation:
         """A hash index grouping rows by their values on ``variables``.
 
         Cached per variable tuple until the rows change; treat the result as
-        read-only.  Interned relations group over the backing columns.
+        read-only.  Groups over the backing columns.
         """
         variables = tuple(variables)
         cached = self._indexes.get(variables)
         if cached is None:
-            positions = self.positions(variables)
-            if self.interned:
-                cached = self.columns().index_on(positions)
-            else:
-                index: dict[tuple, list[tuple]] = defaultdict(list)
-                for row in self._tuples:
-                    index[tuple(row[p] for p in positions)].append(row)
-                cached = dict(index)
+            cached = self.columns().index_on(self.positions(variables))
             self._indexes[variables] = cached
         return cached
 
-    def assignment(self, row: tuple) -> dict[Variable, object]:
-        """Turn a stored row back into a variable assignment."""
+    def assignment(self, row: tuple) -> dict[Variable, int]:
+        """Turn a stored row back into a variable assignment (over ids)."""
         return dict(zip(self.variables, row))
 
 
-def atom_relation(
-    atom: Atom, instance: Instance, interned: bool = False
-) -> AtomRelation:
-    """Materialise the assignments of ``atom`` over ``instance``.
+def atom_relation(atom: Atom, instance: Instance) -> AtomRelation:
+    """Materialise the assignments of ``atom`` over ``instance`` as id rows.
 
     Constants in the atom act as selections and repeated variables as
     equality filters, exactly as in homomorphism matching.  The matching
-    facts are fetched with one positional-index probe on the atom's constant
-    positions (when it has any) instead of scanning the whole relation.
-
-    ``interned`` selects id rows: a constant-free atom is materialised by a
-    single projection kernel over the instance's columnar store, and atoms
-    with constants walk the (already id-keyed) probe bucket reading
-    ``Fact.iargs``.  Callers must only pass ``interned=True`` for instances
-    whose :attr:`~repro.data.instance.Instance.interned` flag is set, and
-    must decode ids at answer emission.
+    A constant-free atom is materialised by a single projection kernel over
+    the instance's columnar store; an atom with constants fetches the
+    matching facts with one positional-index probe on its constant positions
+    and walks the bucket reading ``Fact.iargs``.
     """
     variables = tuple(sorted(atom.variables(), key=lambda v: v.name))
     var_positions: dict[Variable, list[int]] = defaultdict(list)
@@ -193,8 +169,8 @@ def atom_relation(
         else:
             constant_positions.append((position, term))
 
-    if interned and not constant_positions:
-        # Constant-free atom over an interned instance: one columnar kernel.
+    if not constant_positions:
+        # Constant-free atom: one columnar kernel.
         store = instance.columnar(atom.relation, atom.arity)
         projection = tuple(var_positions[v][0] for v in variables)
         equal_groups = tuple(
@@ -203,20 +179,15 @@ def atom_relation(
             if len(positions) > 1
         )
         rows = store.project_with_equalities(projection, equal_groups)
-        return AtomRelation(atom, variables, rows, interned=True)
+        return AtomRelation(atom, variables, rows)
 
-    if constant_positions:
-        probe_positions = tuple(p for p, _ in constant_positions)
-        probe_key = tuple(value for _, value in constant_positions)
-        pool = instance.probe(atom.relation, probe_positions, probe_key)
-    else:
-        pool = instance.relation(atom.relation)
-
+    probe_positions = tuple(p for p, _ in constant_positions)
+    probe_key = tuple(value for _, value in constant_positions)
     rows: set[tuple] = set()
-    for fact in pool:
+    for fact in instance.probe(atom.relation, probe_positions, probe_key):
         if fact.arity != atom.arity:
             continue
-        args = fact.iargs if interned else fact.args
+        args = fact.iargs
         row = []
         consistent = True
         for variable in variables:
@@ -228,4 +199,4 @@ def atom_relation(
             row.append(value)
         if consistent:
             rows.add(tuple(row))
-    return AtomRelation(atom, variables, rows, interned=interned)
+    return AtomRelation(atom, variables, rows)

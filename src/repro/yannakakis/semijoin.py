@@ -20,9 +20,9 @@ def semijoin(left: AtomRelation, right: AtomRelation) -> bool:
 
     Returns True if any row was removed.  The join condition is equality on
     the shared variables; with no shared variables the semi-join only checks
-    that ``right`` is non-empty.  Interned relations filter with the
-    columnar hash semi-join kernel over the left side's key columns; the
-    right side's key set is the cached columnar projection either way.
+    that ``right`` is non-empty.  The filter is the columnar hash
+    semi-join kernel over the left side's key columns against the right
+    side's cached key projection.
     """
     shared = tuple(v for v in left.variables if v in right.variables)
     if not shared:
@@ -32,34 +32,29 @@ def semijoin(left: AtomRelation, right: AtomRelation) -> bool:
         return False
     right_keys = right.project(shared)
     positions = left.positions(shared)
-    if left.interned:
-        store = left.columns()
-        # Large interned filters may run sharded across the ambient worker
-        # pool (reduce phase under ``--workers``); ``None`` means "no pool,
-        # too small, or the parallel path degraded" — run the kernel here.
-        # Row order differs between the two paths; AtomRelation tuples are
-        # a set, so that is invisible.
-        from repro.parallel.runtime import maybe_parallel_filter
+    store = left.columns()
+    # Large filters may run sharded across the ambient worker pool (reduce
+    # phase under ``--workers``); ``None`` means "no pool, too small, or the
+    # parallel path degraded" — run the kernel here.  Row order differs
+    # between the two paths; AtomRelation tuples are a set, so that is
+    # invisible.
+    from repro.parallel.runtime import maybe_parallel_filter
 
-        surviving = maybe_parallel_filter(store, positions, right_keys)
-        if surviving is None:
-            # Inside a planner scope, single-column edges pick hash vs
-            # sorted-merge from the build/probe sizes; outside one,
-            # ``planned_kernel`` always answers "hash" (the historical
-            # kernel).  Both kernels return the same row set.
-            from repro.planner.kernels import planned_kernel
+    surviving = maybe_parallel_filter(store, positions, right_keys)
+    if surviving is None:
+        # Inside a planner scope, single-column edges pick hash vs
+        # sorted-merge from the build/probe sizes; outside one,
+        # ``planned_kernel`` always answers "hash" (the historical
+        # kernel).  Both kernels return the same row set.
+        from repro.planner.kernels import planned_kernel
 
-            if (
-                len(positions) == 1
-                and planned_kernel(len(left.tuples), len(right_keys)) == "sorted"
-            ):
-                surviving = store.filter_by_keys_sorted(positions[0], right_keys)
-            else:
-                surviving = store.filter_by_keys(positions, right_keys)
-    else:
-        surviving = [
-            row for row in left.tuples if tuple(row[p] for p in positions) in right_keys
-        ]
+        if (
+            len(positions) == 1
+            and planned_kernel(len(left.tuples), len(right_keys)) == "sorted"
+        ):
+            surviving = store.filter_by_keys_sorted(positions[0], right_keys)
+        else:
+            surviving = store.filter_by_keys(positions, right_keys)
     if len(surviving) != len(left.tuples):
         left.replace_tuples(surviving)
         return True

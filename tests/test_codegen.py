@@ -50,56 +50,48 @@ PATH_PLAN = (
     3,  # slot_count
 )
 
-#: index_list matching PATH_PLAN over R = {(a,b),(a,c)}, S = {(b,d),(c,d)}.
+#: index_list matching PATH_PLAN over R = {(a,b),(a,c)}, S = {(b,d),(c,d)};
+#: the lowercase letters stand for ids, DECODE for the dictionary's decoder.
 PATH_INDEXES = [
     {(): [("a", "b"), ("a", "c")]},
     {("b",): [("b", "d")], ("c",): [("c", "d")]},
 ]
+DECODE = str.upper
 
 
 class TestWalkSource:
     def test_source_mirrors_the_interpreter(self):
-        source = walk_source(PATH_PLAN, interned=False)
+        source = walk_source(PATH_PLAN)
         assert "def _walk(index_list, decode):" in source
         assert "_get1 = index_list[1].get" in source
         assert "for _r0 in index_list[0].get((), ()):" in source
         assert "for _r1 in _get1((_v1,), ()):" in source
-        assert "yield (_v0, _v1, _v2)" in source
+        assert "yield (decode(_v0), decode(_v1), decode(_v2))" in source
         # Writes to key slots are elided: level 1's slot 1 is its lookup key.
         assert "_v1 = _r1" not in source
 
-    def test_compiled_walk_enumerates_the_join(self):
-        walk = compile_walk(PATH_PLAN, interned=False)
-        assert set(walk(PATH_INDEXES, None)) == {
-            ("a", "b", "d"),
-            ("a", "c", "d"),
-        }
-
-    def test_interned_plans_decode_at_emit(self):
-        source = walk_source(PATH_PLAN, interned=True)
-        assert "yield (decode(_v0), decode(_v1), decode(_v2))" in source
-        walk = compile_walk(PATH_PLAN, interned=True)
-        table = {"a": "A", "b": "B", "c": "C", "d": "D"}
-        assert set(walk(PATH_INDEXES, table.__getitem__)) == {
+    def test_compiled_walk_enumerates_the_join_and_decodes_at_emit(self):
+        walk = compile_walk(PATH_PLAN)
+        assert set(walk(PATH_INDEXES, DECODE)) == {
             ("A", "B", "D"),
             ("A", "C", "D"),
         }
 
     def test_boolean_plan_yields_the_empty_tuple(self):
         plan = (((),), (((0, 0),),), (), 1)
-        source = walk_source(plan, interned=False)
+        source = walk_source(plan)
         assert "yield ()" in source
-        walk = compile_walk(plan, interned=False)
-        assert list(walk([{(): [("w",)]}], None)) == [()]
+        walk = compile_walk(plan)
+        assert list(walk([{(): [("w",)]}], DECODE)) == [()]
 
     def test_single_answer_variable_yields_one_tuples(self):
         plan = (((),), (((0, 0),),), (0,), 1)
-        assert "yield (_v0,)" in walk_source(plan, interned=False)
-        walk = compile_walk(plan, interned=False)
-        assert set(walk([{(): [("a",), ("b",)]}], None)) == {("a",), ("b",)}
+        assert "yield (decode(_v0),)" in walk_source(plan)
+        walk = compile_walk(plan)
+        assert set(walk([{(): [("a",), ("b",)]}], DECODE)) == {("A",), ("B",)}
 
     def test_depth_zero_and_too_deep_fall_back(self):
-        assert walk_source(((), (), (), 0), interned=False) is None
+        assert walk_source(((), (), (), 0)) is None
         deep = MAX_WALK_DEPTH + 1
         plan = (
             tuple(() for _ in range(deep)),
@@ -107,33 +99,28 @@ class TestWalkSource:
             (0,),
             deep,
         )
-        assert walk_source(plan, interned=False) is None
-        assert compile_walk(plan, interned=False) is None
+        assert walk_source(plan) is None
+        assert compile_walk(plan) is None
 
 
 class TestPlanCodegen:
     def test_walks_compile_once_then_hit(self):
         cache = PlanCodegen()
         compiled_before, hits_before = CODEGEN_STATS.snapshot()
-        first = cache.walk_for(PATH_PLAN, interned=False)
-        second = cache.walk_for(PATH_PLAN, interned=False)
+        first = cache.walk_for(PATH_PLAN)
+        second = cache.walk_for(PATH_PLAN)
         compiled_after, hits_after = CODEGEN_STATS.snapshot()
         assert first is second and first is not None
         assert compiled_after == compiled_before + 1
         assert hits_after == hits_before + 1
         assert len(cache) == 1
 
-    def test_interned_and_plain_walks_are_distinct_entries(self):
-        cache = PlanCodegen()
-        assert cache.walk_for(PATH_PLAN, True) is not cache.walk_for(PATH_PLAN, False)
-        assert len(cache) == 2
-
     def test_uncovered_plans_cache_the_fallback(self):
         cache = PlanCodegen()
         plan = ((), (), (), 0)
-        assert cache.walk_for(plan, False) is None
+        assert cache.walk_for(plan) is None
         _, hits_before = CODEGEN_STATS.snapshot()
-        assert cache.walk_for(plan, False) is None  # cached None, no recompile
+        assert cache.walk_for(plan) is None  # cached None, no recompile
         _, hits_after = CODEGEN_STATS.snapshot()
         assert hits_after == hits_before + 1
 

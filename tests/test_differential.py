@@ -7,10 +7,11 @@ identical to ``repro.baselines.naive`` — the materialise-everything
 reference implementation:
 
 * CD∘Lin enumeration (:class:`CompleteAnswerEnumerator`),
+* minimal partial answers with one wildcard and with multi-wildcards
+  (:class:`MinimalPartialAnswerEnumerator`, :class:`MultiWildcardEnumerator`),
+* single-testing and all-testing on every candidate over the active domain,
 * the prepared-query engine, cold, cached, and incremental after database
   mutations,
-* the interned (dictionary-encoded, columnar) store and the
-  ``REPRO_NO_INTERN`` term-object store,
 * per-plan code generation (compiled walks/kernels/matchers) and the
   ``REPRO_NO_CODEGEN`` interpreted paths,
 * the cost-based plan choice (candidate decompositions + per-edge kernel
@@ -19,23 +20,43 @@ reference implementation:
   worker-pool batch enumeration, and pool re-forks across mutations — the
   cross-process differential harness of ``docs/parallel.md``.
 
-The tier-1 ``fast`` profile runs 60 examples per property (≥200 cases per
-run across the four properties); the ``slow``-marked sweep runs a larger
-budget and rides the nightly ``-m slow`` job.
+Every path stores rows as dense term ids and decodes at answer emission, so
+the constant pool mixes strings with integers far above any dense id: an id
+that escaped undecoded is an oracle mismatch, an id decoded twice an
+``IndexError``.
+
+The tier-1 ``fast`` profile runs 60 examples per property; the
+``slow``-marked sweep runs a larger budget and rides the nightly ``-m slow``
+job.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.naive import naive_certain_answers
-from repro.core import OMQ
+from repro.baselines.naive import (
+    naive_certain_answers,
+    naive_minimal_partial_answers,
+    naive_minimal_partial_answers_multi,
+    naive_single_test,
+)
+from repro.core import (
+    OMQ,
+    WILDCARD,
+    MinimalPartialAnswerEnumerator,
+    MultiWildcardEnumerator,
+    OMQAllTester,
+    OMQSingleTester,
+    Wildcard,
+)
 from repro.core.enumeration import CompleteAnswerEnumerator
 from repro.cq.parser import parse_query
 from repro.config import use_codegen, use_planner
-from repro.data import Database, Fact, use_interning
+from repro.data import Database, Fact
 from repro.engine import QueryEngine
 from repro.parallel import active_segments
 from repro.parallel import supported as parallel_supported
@@ -90,7 +111,11 @@ QUERY_TEMPLATES = (
     "q() :- R(x, y)",
 )
 
-CONSTANTS = ("c0", "c1", "c2", "c3", "c4")
+#: Integers far above any dense term id the process will ever mint: as a
+#: leaked id they cannot be mistaken for a constant, and decoding one as if
+#: it were an id raises ``IndexError``.
+INTEGER_CONSTANTS = tuple(10**9 + i for i in range(5))
+CONSTANTS = ("c0", "c1", "c2", "c3", "c4") + INTEGER_CONSTANTS[:3]
 UNARY = ("A", "B", "C")
 BINARY = ("R", "S")
 
@@ -187,22 +212,71 @@ def test_engine_incremental_after_mutation_matches_naive(
 
 
 @given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
-def test_interned_and_term_stores_agree(templates, query_text, facts):
-    """The interned columnar store and the REPRO_NO_INTERN path are
-    answer-identical (and both equal the naive baseline)."""
+def test_minimal_partial_enumeration_matches_naive(templates, query_text, facts):
+    """Algorithm 1 (progress trees over the reduced query) == naive ``Q(D)*``."""
     omq = _build_omq(templates, query_text)
-    with use_interning(True):
-        interned_db = Database(facts)
-        assert interned_db.interned
-        interned_answers = set(CompleteAnswerEnumerator(omq, interned_db))
-        interned_engine = QueryEngine(omq.ontology, interned_db).execute(omq.query)
-    with use_interning(False):
-        term_db = Database(facts)
-        assert not term_db.interned
-        term_answers = set(CompleteAnswerEnumerator(omq, term_db))
-        expected = naive_certain_answers(omq, term_db)
-    assert interned_answers == term_answers == expected
-    assert interned_engine == expected
+    database = Database(facts)
+    enumerated = list(MinimalPartialAnswerEnumerator(omq, database))
+    assert len(enumerated) == len(set(enumerated))
+    assert set(enumerated) == naive_minimal_partial_answers(omq, database)
+
+
+@given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
+def test_multiwildcard_enumeration_matches_naive(templates, query_text, facts):
+    """Algorithm 2 (balls and cones over Algorithm 1) == naive ``Q(D)^W``."""
+    omq = _build_omq(templates, query_text)
+    database = Database(facts)
+    enumerated = list(MultiWildcardEnumerator(omq, database))
+    assert len(enumerated) == len(set(enumerated))
+    assert set(enumerated) == naive_minimal_partial_answers_multi(omq, database)
+
+
+@given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
+def test_testers_match_naive_on_every_candidate(templates, query_text, facts):
+    """Single-testing and all-testing == naive on all of ``adom^arity``."""
+    omq = _build_omq(templates, query_text)
+    database = Database(facts)
+    single = OMQSingleTester(omq, database)
+    tester = OMQAllTester(omq, database)
+    for candidate in product(sorted(database.adom(), key=repr), repeat=omq.arity):
+        expected = naive_single_test(omq, database, candidate)
+        assert single.test_complete(candidate) == expected, candidate
+        assert tester.test(candidate) == expected, candidate
+
+
+def test_integer_constants_come_back_as_themselves():
+    """The id-leak guard: over an all-integer database every output value is
+    an original constant or a wildcard, on every path that decodes."""
+    c = INTEGER_CONSTANTS
+    omq = _build_omq(
+        ["R(x, y) -> B(y)", "B(x) -> S(x, y)"], "q(x, y, z) :- R(x, y), S(y, z)"
+    )
+    database = Database(
+        [Fact("R", (c[0], c[1])), Fact("S", (c[1], c[2])), Fact("R", (c[3], c[4]))]
+    )
+    constants = set(c)
+
+    complete = set(CompleteAnswerEnumerator(omq, database))
+    assert complete == naive_certain_answers(omq, database) == {(c[0], c[1], c[2])}
+    assert QueryEngine(omq.ontology, database).execute(omq.query) == complete
+
+    partial = set(MinimalPartialAnswerEnumerator(omq, database))
+    assert partial == naive_minimal_partial_answers(omq, database)
+    assert partial == complete | {(c[3], c[4], WILDCARD)}
+
+    multi = set(MultiWildcardEnumerator(omq, database))
+    assert multi == naive_minimal_partial_answers_multi(omq, database)
+    assert multi == complete | {(c[3], c[4], Wildcard(1))}
+
+    for answer in complete | partial | multi:
+        for value in answer:
+            assert value in constants or value is WILDCARD or isinstance(value, Wildcard)
+
+    tester = OMQAllTester(omq, database)
+    accepted = {
+        candidate for candidate in product(sorted(constants), repeat=3) if tester(candidate)
+    }
+    assert accepted == complete
 
 
 @given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
@@ -280,7 +354,9 @@ def test_parallel_workers_match_naive(templates, query_text, facts):
 
 @pytest.mark.slow
 @settings(
-    max_examples=400,
+    # Four combinations per example (eight before the storage axis went):
+    # 600 examples cost what 400 did, generation overhead included.
+    max_examples=600,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
@@ -291,25 +367,19 @@ def test_parallel_workers_match_naive(templates, query_text, facts):
     extra=st.lists(fact_strategy, min_size=1, max_size=3),
 )
 def test_differential_sweep_slow(templates, query_text, facts, extra):
-    """Nightly sweep: all paths, both stores, both codegen modes, both
-    planner modes, across a mutation."""
+    """Nightly sweep: all paths, both codegen modes, both planner modes,
+    across a mutation."""
     omq = _build_omq(templates, query_text)
-    for interned in (True, False):
-        for codegen in (True, False):
-            for planner in (True, False):
-                with (
-                    use_interning(interned),
-                    use_codegen(codegen),
-                    use_planner(planner),
-                ):
-                    database = Database(facts)
-                    expected = naive_certain_answers(omq, database)
-                    assert set(CompleteAnswerEnumerator(omq, database)) == expected
-                    engine = QueryEngine(omq.ontology, database)
-                    assert engine.execute(omq.query) == expected
-                    database.add_facts(extra)
-                    mutated_expected = naive_certain_answers(omq, database)
-                    assert engine.execute(omq.query) == mutated_expected
+    for codegen, planner in product((True, False), repeat=2):
+        with use_codegen(codegen), use_planner(planner):
+            database = Database(facts)
+            expected = naive_certain_answers(omq, database)
+            assert set(CompleteAnswerEnumerator(omq, database)) == expected
+            engine = QueryEngine(omq.ontology, database)
+            assert engine.execute(omq.query) == expected
+            database.add_facts(extra)
+            mutated_expected = naive_certain_answers(omq, database)
+            assert engine.execute(omq.query) == mutated_expected
 
 
 @pytest.mark.slow

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.cq import parse_query
 from repro.cq.homomorphism import evaluate
-from repro.data import Fact, Instance
-from repro.data.terms import Null, is_null
+from repro.data import TERMS, Fact, Instance
+from repro.data.terms import Null
 from repro.enumeration import (
     CDLinEnumerator,
     FreeConnexAllTester,
@@ -56,7 +56,7 @@ class TestReducedQuery:
         for block in reduced.blocks:
             relation = reduced.relations[block.atom]
             for row in relation.tuples:
-                assignment = dict(zip(relation.variables, row))
+                assignment = dict(zip(relation.variables, TERMS.decode_tuple(row)))
                 assert any(
                     all(
                         answer[query.answer_variables.index(v)] == value
@@ -85,7 +85,7 @@ class TestReducedQuery:
         assert not with_nulls.is_empty
         assert without.is_empty
         assert any(
-            any(is_null(v) for v in row)
+            any(TERMS.is_null_id(v) for v in row)
             for block in with_nulls.blocks
             for row in with_nulls.relations[block.atom].tuples
         )

@@ -12,9 +12,6 @@ from repro.data import (
     Instance,
     Null,
     TermDictionary,
-    interning_enabled,
-    set_interning,
-    use_interning,
 )
 from repro.data.columns import merge_intersect
 from repro.config import _env_disabled
@@ -56,41 +53,13 @@ class TestTermDictionary:
         dictionary = TermDictionary()
         assert dictionary.intern(3) != dictionary.intern("3")
 
-    def test_toggle_and_context_manager(self):
-        before = interning_enabled()
-        try:
-            with use_interning(False):
-                assert not interning_enabled()
-                with use_interning(True):
-                    assert interning_enabled()
-                assert not interning_enabled()
-        finally:
-            set_interning(before)
-        assert interning_enabled() == before
-
     def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_INTERN", "1")
-        assert _env_disabled("REPRO_NO_INTERN")
-        monkeypatch.setenv("REPRO_NO_INTERN", "0")
-        assert not _env_disabled("REPRO_NO_INTERN")
-        monkeypatch.delenv("REPRO_NO_INTERN")
-        assert not _env_disabled("REPRO_NO_INTERN")
-
-    def test_deprecated_module_aliases_still_work(self):
-        import warnings
-
-        from repro.data import interning as legacy
-
-        before = interning_enabled()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with legacy.use_interning(not before):
-                assert interning_enabled() is (not before)
-            previous = legacy.set_interning(before)
-            legacy.set_interning(previous)
-        assert interning_enabled() is before
-        assert all(w.category is DeprecationWarning for w in caught)
-        assert len(caught) >= 2
+        monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
+        assert _env_disabled("REPRO_NO_CODEGEN")
+        monkeypatch.setenv("REPRO_NO_CODEGEN", "0")
+        assert not _env_disabled("REPRO_NO_CODEGEN")
+        monkeypatch.delenv("REPRO_NO_CODEGEN")
+        assert not _env_disabled("REPRO_NO_CODEGEN")
 
 
 class TestColumnarRelation:
@@ -158,36 +127,14 @@ class TestColumnarRelation:
 
 
 class TestInternedInstance:
-    def test_instance_captures_flag_at_construction(self):
-        with use_interning(True):
-            interned = Instance()
-        with use_interning(False):
-            plain = Instance()
-        assert interned.interned and not plain.interned
-
-    def test_copy_preserves_the_storage_mode(self):
-        with use_interning(True):
-            interned = Instance([Fact("R", ("a", "b"))])
-        with use_interning(False):
-            duplicate = interned.copy()
-            plain = Instance([Fact("R", ("a", "b"))])
-        assert duplicate.interned and not plain.interned
-        with use_interning(True):
-            assert not plain.copy().interned
-
-    def test_probe_agrees_across_modes(self):
+    def test_probe_takes_term_keys(self):
         facts = [Fact("R", ("a", "b")), Fact("R", ("a", "c")), Fact("R", ("b", "c"))]
-        with use_interning(True):
-            interned = Instance(facts)
-        with use_interning(False):
-            plain = Instance(facts)
-        for instance in (interned, plain):
-            assert set(instance.probe("R", (0,), ("a",))) == {facts[0], facts[1]}
-            assert len(instance.probe("R", (0,), ("zzz-never-seen",))) == 0
+        instance = Instance(facts)
+        assert set(instance.probe("R", (0,), ("a",))) == {facts[0], facts[1]}
+        assert len(instance.probe("R", (0,), ("zzz-never-seen",))) == 0
 
     def test_index_view_presents_term_keys(self):
-        with use_interning(True):
-            instance = Instance([Fact("R", ("a", "b")), Fact("R", ("b", "c"))])
+        instance = Instance([Fact("R", ("a", "b")), Fact("R", ("b", "c"))])
         index = instance.index("R", (0,))
         assert ("a",) in index and ("nope",) not in index
         assert "not-a-tuple" not in index
@@ -200,8 +147,7 @@ class TestInternedInstance:
             index[("never-interned-key",)]
 
     def test_columnar_store_and_invalidation(self):
-        with use_interning(True):
-            instance = Instance([Fact("R", ("a", "b"))])
+        instance = Instance([Fact("R", ("a", "b"))])
         store = instance.columnar("R", 2)
         assert len(store) == 1
         assert instance.columnar("R", 2) is store  # cached
@@ -213,18 +159,46 @@ class TestInternedInstance:
         assert len(instance.columnar("R", 2)) == 2
 
     def test_columnar_rows_decode_to_fact_args(self):
-        with use_interning(True):
-            instance = Instance([Fact("R", ("a", "b"))])
+        instance = Instance([Fact("R", ("a", "b"))])
         (row,) = instance.columnar("R", 2)
         assert TERMS.decode_tuple(row) == ("a", "b")
 
     def test_columnar_invalidation_inside_batch(self):
-        with use_interning(True):
-            database = Database([Fact("R", ("a", "b"))])
+        database = Database([Fact("R", ("a", "b"))])
         assert len(database.columnar("R", 2)) == 1
         with database.batch():
             database.add(Fact("R", ("c", "d")))
             assert len(database.columnar("R", 2)) == 2
+
+
+class TestOneRowFormat:
+    """Every consumer of the reduction holds dense-id rows; nobody decodes
+    before an answer is emitted."""
+
+    @staticmethod
+    def all_ids(rows) -> bool:
+        return all(type(value) is int for row in rows for value in row)
+
+    def test_every_enumerator_and_tester_holds_id_rows(self, office_omq, office_database):
+        from repro.core import CompleteAnswerEnumerator, MinimalPartialAnswerEnumerator
+        from repro.enumeration.alltesting import FreeConnexAllTester
+
+        partial = MinimalPartialAnswerEnumerator(office_omq, office_database)
+        relations = partial._inner.reduced.relations
+        assert relations and all(self.all_ids(r.tuples) for r in relations.values())
+        assert any(
+            TERMS.is_null_id(value) for r in relations.values() for row in r.tuples for value in row
+        ), "partial-answer mode keeps rows with nulls, as ids"
+
+        complete = CompleteAnswerEnumerator(office_omq, office_database)
+        relations = complete._enumerator.reduced.relations
+        assert relations and all(self.all_ids(r.tuples) for r in relations.values())
+
+        tester = FreeConnexAllTester(office_omq.query, partial.chase.instance)
+        assert tester._component_sets
+        assert all(self.all_ids(rows) for _, rows in tester._component_sets)
+        # The office constants are strings, so an id row cannot pass for one.
+        assert all(type(value) is str for answer in complete for value in answer)
 
 
 class TestFactCaches:

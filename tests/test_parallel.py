@@ -329,6 +329,20 @@ class TestWorkerPool:
 
 
 class TestParallelChase:
+    def test_delta_encoding_needs_pre_fork_ids(self):
+        """Nulls travel by label, constants by their pre-fork id; a constant
+        nobody interned before the fork breaks the invariant loudly."""
+        from repro.data.interning import TERMS
+        from repro.parallel.chase import _encode_delta
+
+        null = Null(7)
+        term_id = TERMS.intern("seen-before-fork")
+        records, names = _encode_delta([Fact("R", ("seen-before-fork", null))], {})
+        assert names == ["R"]
+        assert records == [(0, (term_id, encode_null(null)))]
+        with pytest.raises(KeyError):
+            _encode_delta([Fact("R", ("never-interned-constant", null))], {})
+
     def test_university_chase_matches_sequential(self):
         database = Database(generate_university_database(40, seed=7))
         ontology = university_ontology()
@@ -383,9 +397,7 @@ class TestParallelReduce:
             assert projections is not None
             instance = materialization.chase.instance
             for index, component in enumerate(prepared.decomposition.components):
-                expected = component_projection(
-                    component, instance, keep_nulls=False, interned=instance.interned
-                )
+                expected = component_projection(component, instance, keep_nulls=False)
                 assert projections[index] == expected
         finally:
             engine.shutdown()

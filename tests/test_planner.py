@@ -1,6 +1,6 @@
 """Unit tests for the cost-based planner and its satellite fixes.
 
-Covers the statistics collector (interned + term stores, version-keyed
+Covers the statistics collector (columnar stores, version-keyed
 caching), the cardinality/cost model, join-tree tie and candidate
 enumeration, the cheapest-plan choice and its tie-break contract, the
 per-edge semi-join kernel decision, the ``ExecutionOptions`` validation,
@@ -19,7 +19,7 @@ from repro.config import ExecutionOptions, use_planner
 from repro.cq.atoms import Atom, Variable
 from repro.cq.jointree import build_join_tree, enumerate_join_trees
 from repro.cq.parser import parse_query
-from repro.data import Database, Fact, use_interning
+from repro.data import Database, Fact
 from repro.data.columns import ColumnarRelation
 from repro.engine import LatencyHistogram, QueryEngine
 from repro.engine.engine import EngineStats
@@ -76,18 +76,6 @@ def test_collect_statistics_counts_and_distincts():
     assert statistics.get("S", 2).distinct == (5, 3)
     assert statistics.cardinality("missing", 2) == 0
     assert statistics.get("missing", 2) is None
-
-
-def test_statistics_agree_across_stores():
-    facts = _tie_facts()
-    with use_interning(True):
-        interned = collect_statistics(Database(facts))
-    with use_interning(False):
-        term_store = collect_statistics(Database(facts))
-    assert set(interned.relations) == set(term_store.relations)
-    for key, stats in interned.relations.items():
-        assert term_store.relations[key].cardinality == stats.cardinality
-        assert term_store.relations[key].distinct == stats.distinct
 
 
 def test_statistics_cached_until_version_bump():
