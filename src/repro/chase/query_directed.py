@@ -82,7 +82,8 @@ class QueryDirectedChase:
         return default_null_depth(target, query) <= self.null_depth_bound
 
     def database_constants(self) -> frozenset:
-        return self.result.base_constants
+        """The constants of the live database (computed on demand)."""
+        return frozenset(self.database.constants())
 
     def nulls(self) -> set[Null]:
         return self.result.nulls()

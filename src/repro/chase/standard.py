@@ -47,7 +47,6 @@ class ChaseResult:
     """The outcome of a chase run."""
 
     instance: Instance
-    base_constants: frozenset
     null_depth: dict[Null, int] = field(default_factory=dict)
     rounds: int = 0
     fired_triggers: int = 0
@@ -108,38 +107,34 @@ class ChaseResult:
 
 
 class ChaseRecorder:
-    """Observer protocol for provenance-aware chase runs.
+    """Append-only log protocol for provenance-aware chase runs.
 
-    :mod:`repro.incremental.provenance` implements it to capture, per fired
-    trigger, the supporting body facts and the created facts/nulls — and,
-    per *suppressed* trigger (body matched, head already satisfied), the
-    facts witnessing the satisfaction.  Those records are exactly what the
-    DRed-style delete/re-derive maintenance needs later.  The default
-    implementation records nothing, so a plain chase pays no bookkeeping.
+    The chase hands a recorder what its loop already holds — the trigger
+    key (``(tgd_index, frontier ids)``), the body map, the lists of created
+    facts and nulls, the facts witnessing a satisfied head — without
+    copying or rebuilding any of it; a recorder that keeps those references
+    pays one append per trigger.  :class:`repro.incremental.provenance.
+    ChaseMaintainer` is the recorder every incremental materialization
+    attaches; a run with ``recorder=None`` pays nothing.  ``compiled``, when
+    set, is reused by the run instead of compiling the ontology again.
     """
+
+    compiled: CompiledOntology | None = None
 
     def bind(self, instance: Instance, fired: set[tuple], fresh: NullFactory) -> None:
         """Called once at the start of the run with the live structures."""
 
-    def on_fire(
+    def log_fire(
         self,
-        tgd_index: int,
         key: tuple,
-        frontier_map: dict[Variable, object],
-        body_facts: tuple[Fact, ...],
-        created_facts: tuple[Fact, ...],
-        created_nulls: tuple[Null, ...],
+        body_map: dict[Variable, object],
+        created_facts: list[Fact],
+        created_nulls: list[Null],
     ) -> None:
         """A trigger fired: ``created_facts`` lists every head fact (new or
         pre-existing — both are justified by this firing)."""
 
-    def on_suppress(
-        self,
-        tgd_index: int,
-        key: tuple,
-        frontier_map: dict[Variable, object],
-        witness_facts: tuple[Fact, ...],
-    ) -> None:
+    def log_suppress(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:
         """A trigger was skipped because ``witness_facts`` satisfy its head."""
 
 
@@ -197,28 +192,27 @@ def _head_witness(
     head_query: ConjunctiveQuery,
     frontier_map: dict[Variable, object],
     instance: Instance,
-) -> dict[Variable, object] | None:
-    """A homomorphism satisfying the TGD head at this trigger, or ``None``.
+) -> tuple[Fact, ...] | None:
+    """The facts satisfying the TGD head at this trigger, or ``None``.
 
     Single-atom heads (the overwhelmingly common case in the guarded/ELI
     workloads) are answered with one index probe plus a match per candidate
-    instead of spinning up the full backtracking search; multi-atom heads
-    fall back to the generic homomorphism finder.
+    — the matched fact *is* the witness — instead of spinning up the full
+    backtracking search; multi-atom heads fall back to the generic
+    homomorphism finder and instantiate the head under it.
     """
     atoms = head_query.atoms
     if len(atoms) == 1:
         atom = next(iter(atoms))
         arity = atom.arity
         for fact in _candidate_pool(atom, frontier_map, instance):
-            if fact.arity != arity:
-                continue
-            extension = match_atom(atom, fact, frontier_map)
-            if extension is not None:
-                witness = dict(frontier_map)
-                witness.update(extension)
-                return witness
+            if fact.arity == arity and match_atom(atom, fact, frontier_map) is not None:
+                return (fact,)
         return None
-    return find_homomorphism(head_query, instance, partial=frontier_map)
+    witness = find_homomorphism(head_query, instance, partial=frontier_map)
+    if witness is None:
+        return None
+    return tuple(atom.to_fact(witness) for atom in atoms)
 
 
 def _trigger_key(
@@ -322,21 +316,20 @@ def chase(
     docstring (``truncated`` is set when at least one trigger was skipped for
     this reason); ``max_facts`` / ``max_rounds`` are hard safety budgets that
     raise :class:`ChaseNotTerminating` when exhausted.  ``recorder``, when
-    given, observes every fired and suppressed trigger (see
+    given, is handed every fired and suppressed trigger (see
     :class:`ChaseRecorder`); it is how the incremental-maintenance subsystem
-    captures provenance without slowing down plain runs.  ``codegen``
+    captures provenance for one append per trigger.  ``codegen``
     selects the generated single-atom-body matchers (``None`` → process
     default, see :mod:`repro.config`).
     """
     if codegen is None:
         codegen = codegen_enabled()
     instance = Instance(database)
-    base_constants = frozenset(instance.constants())
     null_depth: dict[Null, int] = {}
     # Draw labels from the instance's factory (process-globally unique), so
     # two independent chase runs can never hand out aliasing null labels.
     fresh = instance.null_factory
-    result = ChaseResult(instance, base_constants, null_depth)
+    result = ChaseResult(instance, null_depth)
     fired: set[tuple] = set()
     if recorder is not None:
         recorder.bind(instance, fired, fresh)
@@ -346,7 +339,9 @@ def chase(
             return null_depth.get(element, 0)
         return 0
 
-    compiled = compile_ontology(ontology)
+    compiled = recorder.compiled if recorder is not None else None
+    if compiled is None:
+        compiled = compile_ontology(ontology)
     tgds = compiled.tgds
     body_queries = compiled.body_queries
     head_queries = compiled.head_queries
@@ -412,14 +407,7 @@ def chase(
                     )
                     if witness is not None:
                         if recorder is not None:
-                            recorder.on_suppress(
-                                tgd_index,
-                                key,
-                                dict(frontier_map),
-                                tuple(
-                                    atom.to_fact(witness) for atom in tgd.head
-                                ),
-                            )
+                            recorder.log_suppress(key, witness)
                         continue
                 trigger_depth = max(
                     (depth_of(v) for v in frontier_map.values()), default=0
@@ -444,14 +432,7 @@ def chase(
                         new_facts.append(new_fact)
                 result.fired_triggers += 1
                 if recorder is not None:
-                    recorder.on_fire(
-                        tgd_index,
-                        key,
-                        dict(frontier_map),
-                        tuple(atom.to_fact(body_map) for atom in tgd.body),
-                        tuple(created_facts),
-                        tuple(created_nulls),
-                    )
+                    recorder.log_fire(key, body_map, created_facts, created_nulls)
                 if len(instance) > max_facts:
                     raise ChaseNotTerminating(
                         f"chase exceeded {max_facts} facts"

@@ -233,9 +233,17 @@ class Materialization:
         # Any mutation stales the worker replicas along with the chase.
         self._close_pool()
         with self._span("revalidate") as sp:
+            maintainer = self._maintainer
+            pending = maintainer.pending_rows if maintainer is not None else 0
             incremental = self._apply_incremental()
             if sp is not None:
                 sp.set("incremental", incremental)
+                # Non-zero exactly on the write that indexed the chase's
+                # provenance log: the one-off stall behind a first delta.
+                sp.set(
+                    "provenance_indexed",
+                    pending - maintainer.pending_rows if pending else 0,
+                )
             if incremental:
                 return
             self.chase = None

@@ -25,6 +25,6 @@ paper itself treats ``D`` as static.
 """
 
 from repro.incremental.delta import Delta, apply_delta
-from repro.incremental.provenance import ChaseMaintainer, Firing, Suppressed
+from repro.incremental.provenance import ChaseMaintainer
 
-__all__ = ["ChaseMaintainer", "Delta", "Firing", "Suppressed", "apply_delta"]
+__all__ = ["ChaseMaintainer", "Delta", "apply_delta"]

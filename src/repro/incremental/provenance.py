@@ -2,11 +2,25 @@
 
 A :class:`ChaseMaintainer` doubles as the :class:`~repro.chase.standard.
 ChaseRecorder` of the initial chase run and as the mutation engine that
-keeps the chased instance valid afterwards.  During the run it captures,
-per fired trigger, the supporting body facts and the created facts/nulls
-(a *firing*), and, per suppressed trigger (body matched but head already
-satisfied), one satisfaction witness.  These records support both update
-directions:
+keeps the chased instance valid afterwards.  Provenance has three stages:
+
+1. **Log** — during the run the maintainer appends what the chase loop
+   already holds: per fired trigger ``(key, body_map, created_facts,
+   created_nulls)``, per suppressed trigger (body matched, head already
+   satisfied) ``(key, witness_facts)``.  No copies, no new facts, no
+   indexes: a database that is only ever read pays one tuple per trigger.
+2. **Index on the first delta** — the first :meth:`ChaseMaintainer.apply`
+   replays the log, once, into the store (a one-off cost linear in the
+   number of triggers; ``revalidate`` spans report it as
+   ``provenance_indexed``).
+3. **Compact store** — ``firings[key] = (body_facts, created_facts,
+   created_nulls)`` and ``suppressed[key] = witness_facts`` as plain
+   tuples; the tgd index is ``key[0]`` and the frontier is decoded from the
+   key's term ids instead of stored; ``fact -> [key]`` buckets for support
+   and witness, and a ``fact -> int`` count of live creators.  Deltas
+   update the store directly, never the log.
+
+The store supports both update directions:
 
 * **Insertions** seed the existing semi-naive delta loop with only the new
   facts — cost proportional to the consequences of the delta.
@@ -43,12 +57,12 @@ via the recorded satisfaction witnesses.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import defaultdict, deque
 from typing import Iterable
 
 from repro.data.facts import Fact
 from repro.data.instance import Database, Instance
+from repro.data.interning import TERMS
 from repro.data.terms import Null, NullFactory, shared_null_factory
 from repro.chase.standard import (
     ChaseNotTerminating,
@@ -66,32 +80,14 @@ from repro.incremental.delta import Delta
 from repro.tgds.ontology import Ontology
 
 
-@dataclass(eq=False)
-class Firing:
-    """One fired trigger: its inputs (support) and outputs (products)."""
-
-    tgd_index: int
-    frontier: dict[Variable, object]
-    body_facts: tuple[Fact, ...]
-    created_facts: tuple[Fact, ...]
-    created_nulls: tuple[Null, ...]
-
-
-@dataclass(eq=False)
-class Suppressed:
-    """One suppressed trigger and the witness that satisfied its head."""
-
-    tgd_index: int
-    frontier: dict[Variable, object]
-    witness_facts: tuple[Fact, ...]
-
-
 class ChaseMaintainer(ChaseRecorder):
-    """Provenance store plus delta-application engine for one chase.
+    """Provenance log, maintained store and delta-application engine.
 
     Create it *before* the chase, pass it as the run's ``recorder``, then
     :meth:`attach` the :class:`ChaseResult`; afterwards :meth:`apply` keeps
-    the chased instance in sync with database mutations.
+    the chased instance in sync with database mutations.  The first
+    :meth:`apply` indexes the run's log into the store (see the module
+    docstring); until then the maintainer holds nothing but the log.
     """
 
     def __init__(
@@ -109,12 +105,19 @@ class ChaseMaintainer(ChaseRecorder):
         self.max_rounds = max_rounds
         self.compiled: CompiledOntology = compile_ontology(ontology)
         self.result: ChaseResult | None = None
-        self.firings: dict[tuple, Firing] = {}
-        self.suppressed: dict[tuple, Suppressed] = {}
-        # Inverted indexes: fact -> trigger keys that depend on it.
-        self._by_support: dict[Fact, set[tuple]] = {}
-        self._by_witness: dict[Fact, set[tuple]] = {}
-        self._by_creation: dict[Fact, set[tuple]] = {}
+        # The chase run's log, rows exactly as the loop handed them over.
+        self._fire_log: list[tuple] = []
+        self._suppress_log: list[tuple] = []
+        # The store: trigger key -> (body_facts, created_facts, created_nulls)
+        # and trigger key -> witness facts; the tgd index is ``key[0]`` and
+        # the frontier decodes from ``key[1]``.
+        self.firings: dict[tuple, tuple] = {}
+        self.suppressed: dict[tuple, tuple[Fact, ...]] = {}
+        # Inverted indexes: fact -> keys of the triggers that depend on it,
+        # and fact -> number of live firings that created it.
+        self._by_support: defaultdict[Fact, list[tuple]] = defaultdict(list)
+        self._by_witness: defaultdict[Fact, list[tuple]] = defaultdict(list)
+        self._creators: defaultdict[Fact, int] = defaultdict(int)
         self._fired: set[tuple] = set()
         # Placeholder until bind() hands over the chase run's own factory;
         # drawing from the shared counter keeps labels process-unique even
@@ -129,30 +132,17 @@ class ChaseMaintainer(ChaseRecorder):
         self._fired = fired
         self._fresh = fresh
 
-    def on_fire(
+    def log_fire(
         self,
-        tgd_index: int,
         key: tuple,
-        frontier_map: dict[Variable, object],
-        body_facts: tuple[Fact, ...],
-        created_facts: tuple[Fact, ...],
-        created_nulls: tuple[Null, ...],
+        body_map: dict[Variable, object],
+        created_facts: list[Fact],
+        created_nulls: list[Null],
     ) -> None:
-        self._record_firing(
-            key, Firing(tgd_index, frontier_map, body_facts, created_facts, created_nulls)
-        )
+        self._fire_log.append((key, body_map, created_facts, created_nulls))
 
-    def on_suppress(
-        self,
-        tgd_index: int,
-        key: tuple,
-        frontier_map: dict[Variable, object],
-        witness_facts: tuple[Fact, ...],
-    ) -> None:
-        self._drop_suppressed(key)
-        self.suppressed[key] = Suppressed(tgd_index, frontier_map, witness_facts)
-        for fact in set(witness_facts):
-            self._by_witness.setdefault(fact, set()).add(key)
+    def log_suppress(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:
+        self._suppress_log.append((key, witness_facts))
 
     def attach(self, result: ChaseResult) -> None:
         """Adopt the finished chase run this maintainer recorded."""
@@ -160,44 +150,78 @@ class ChaseMaintainer(ChaseRecorder):
             raise ValueError("maintainer was not the recorder of this chase run")
         self.result = result
 
+    @property
+    def pending_rows(self) -> int:
+        """Log rows not yet indexed (0 once the first delta replayed them)."""
+        return len(self._fire_log) + len(self._suppress_log)
+
     # -- bookkeeping helpers ----------------------------------------------
 
-    def _record_firing(self, key: tuple, firing: Firing) -> None:
+    def _index_log(self) -> None:
+        """Replay the chase run's log into the store (first delta only).
+
+        Suppressions first: the chase never re-examines a fired trigger, so
+        a key in both logs was suppressed *before* it fired and must end up
+        fired (``_record_firing`` drops the stale suppression).
+        """
+        fire_log, suppress_log = self._fire_log, self._suppress_log
+        self._fire_log, self._suppress_log = [], []
+        for key, witness_facts in suppress_log:
+            self._record_suppressed(key, witness_facts)
+        tgds = self.compiled.tgds
+        for key, body_map, created_facts, created_nulls in fire_log:
+            body_facts = tuple(atom.to_fact(body_map) for atom in tgds[key[0]].body)
+            self._record_firing(key, body_facts, created_facts, created_nulls)
+
+    def _record_firing(
+        self,
+        key: tuple,
+        body_facts: tuple[Fact, ...],
+        created_facts: list[Fact],
+        created_nulls: list[Null],
+    ) -> None:
         self._drop_suppressed(key)
-        self.firings[key] = firing
-        for fact in set(firing.body_facts):
-            self._by_support.setdefault(fact, set()).add(key)
-        for fact in set(firing.created_facts):
-            self._by_creation.setdefault(fact, set()).add(key)
+        self.firings[key] = (body_facts, created_facts, created_nulls)
+        for fact in body_facts:
+            self._by_support[fact].append(key)
+        for fact in created_facts:
+            self._creators[fact] += 1
+
+    def _record_suppressed(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:
+        self._drop_suppressed(key)
+        self.suppressed[key] = witness_facts
+        for fact in witness_facts:
+            self._by_witness[fact].append(key)
+
+    @staticmethod
+    def _unlink(index: dict[Fact, list[tuple]], facts: Iterable[Fact], key: tuple) -> None:
+        """Remove ``key`` from the buckets of ``facts`` (popped ones skipped)."""
+        for fact in facts:
+            bucket = index.get(fact)
+            if bucket is not None and key in bucket:
+                bucket.remove(key)
+                if not bucket:
+                    del index[fact]
 
     def _drop_suppressed(self, key: tuple) -> None:
-        entry = self.suppressed.pop(key, None)
-        if entry is None:
-            return
-        for fact in set(entry.witness_facts):
-            bucket = self._by_witness.get(fact)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_witness[fact]
+        witness_facts = self.suppressed.pop(key, None)
+        if witness_facts is not None:
+            self._unlink(self._by_witness, witness_facts, key)
 
-    def _retract_firing(self, key: tuple) -> Firing | None:
+    def _retract_firing(self, key: tuple) -> tuple | None:
         firing = self.firings.pop(key, None)
         if firing is None:
             return None
         self._fired.discard(key)
-        for index, facts in (
-            (self._by_support, firing.body_facts),
-            (self._by_creation, firing.created_facts),
-        ):
-            for fact in set(facts):
-                bucket = index.get(fact)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del index[fact]
+        body_facts, created_facts, created_nulls = firing
+        self._unlink(self._by_support, body_facts, key)
+        for fact in created_facts:
+            if self._creators[fact] == 1:
+                del self._creators[fact]
+            else:
+                self._creators[fact] -= 1
         assert self.result is not None
-        for null in firing.created_nulls:
+        for null in created_nulls:
             self.result.null_depth.pop(null, None)
         return firing
 
@@ -219,6 +243,8 @@ class ChaseMaintainer(ChaseRecorder):
         """
         if self.result is None:
             raise RuntimeError("maintainer has no attached chase result")
+        if self.pending_rows:
+            self._index_log()
         instance = self.result.instance
         chase_added: set[Fact] = set()
 
@@ -226,7 +252,7 @@ class ChaseMaintainer(ChaseRecorder):
         # deleted fact, retracting the firings along the way and collecting
         # every trigger that may need re-checking afterwards (retracted
         # firings, and suppressed triggers whose witness lost a fact).
-        recheck: dict[tuple, tuple[int, dict[Variable, object]]] = {}
+        recheck: dict[tuple, None] = {}
         overdeleted: list[Fact] = []
         queue: deque[Fact] = deque()
         for fact in removed:
@@ -237,28 +263,26 @@ class ChaseMaintainer(ChaseRecorder):
                 queue.append(fact)
         while queue:
             fact = queue.popleft()
-            for key in tuple(self._by_support.get(fact, ())):
+            for key in self._by_support.pop(fact, ()):
                 firing = self._retract_firing(key)
                 if firing is None:
-                    continue
-                recheck[key] = (firing.tgd_index, firing.frontier)
-                for product in firing.created_facts:
+                    continue  # the fact occurs twice in this firing's body
+                recheck[key] = None
+                for product in firing[1]:
                     if product in self.database:
                         continue
                     if instance.discard(product):
                         overdeleted.append(product)
                         queue.append(product)
-            for key in tuple(self._by_witness.get(fact, ())):
-                entry = self.suppressed.get(key)
-                if entry is not None:
-                    recheck[key] = (entry.tgd_index, entry.frontier)
+            for key in self._by_witness.pop(fact, ()):
+                recheck[key] = None
 
         # Phase 1b — re-derive: a firing that survived the cascade never
         # lost a body fact, so its products are still justified; restore
         # them.  (Everything a restored fact used to imply is re-checked in
         # phase 3 / re-closed in phase 4.)
         for fact in overdeleted:
-            if self._by_creation.get(fact):
+            if fact in self._creators:
                 instance.add(fact)
         chase_removed = {fact for fact in overdeleted if fact not in instance}
 
@@ -271,19 +295,20 @@ class ChaseMaintainer(ChaseRecorder):
 
         # Phase 3 — re-check the affected cone: a retracted trigger that
         # still has a body match, or a suppressed trigger whose witness
-        # died, either re-fires or records a fresh witness.
-        for key, (tgd_index, frontier) in recheck.items():
-            if key in self._fired:
-                continue
+        # died, either re-fires or records a fresh witness.  The frontier
+        # is not stored: the key's id tuple decodes back to it.
+        for key in recheck:
             self._drop_suppressed(key)
+            tgd_index, frontier_ids = key
+            order = self.compiled.frontier_orders[tgd_index]
+            frontier = dict(zip(order, TERMS.decode_tuple(frontier_ids)))
             body_query = self.compiled.body_queries[tgd_index]
-            if body_query is None:
-                body_map: dict[Variable, object] | None = dict(frontier)
-            else:
+            body_map: dict[Variable, object] | None = frontier
+            if body_query is not None:
                 body_map = find_homomorphism(body_query, instance, partial=frontier)
             if body_map is None:
                 continue  # the trigger itself vanished with the deletions
-            self._examine(tgd_index, key, body_map, seeds, chase_added)
+            self._examine(key, body_map, seeds, chase_added)
 
         # Phase 4 — close under the semi-naive delta loop, exactly as the
         # later rounds of the from-scratch chase would.
@@ -294,8 +319,6 @@ class ChaseMaintainer(ChaseRecorder):
         overlap = chase_added & chase_removed
         chase_added -= overlap
         chase_removed -= overlap
-        if chase_added or chase_removed:
-            self.result.base_constants = frozenset(self.database.constants())
         return Delta(frozenset(chase_added), frozenset(chase_removed))
 
     def apply_delta(self, delta: Delta) -> Delta:
@@ -306,7 +329,6 @@ class ChaseMaintainer(ChaseRecorder):
 
     def _examine(
         self,
-        tgd_index: int,
         key: tuple,
         body_map: dict[Variable, object],
         new_facts: list[Fact],
@@ -316,16 +338,12 @@ class ChaseMaintainer(ChaseRecorder):
         assert self.result is not None
         instance = self.result.instance
         compiled = self.compiled
+        tgd_index = key[0]
         tgd = compiled.tgds[tgd_index]
         frontier_map = {v: body_map[v] for v in compiled.frontiers[tgd_index]}
         witness = _head_witness(compiled.head_queries[tgd_index], frontier_map, instance)
         if witness is not None:
-            self.on_suppress(
-                tgd_index,
-                key,
-                dict(frontier_map),
-                tuple(atom.to_fact(witness) for atom in tgd.head),
-            )
+            self._record_suppressed(key, witness)
             return
         trigger_depth = max(
             (self._depth_of(v) for v in frontier_map.values()), default=0
@@ -353,13 +371,9 @@ class ChaseMaintainer(ChaseRecorder):
         self.result.fired_triggers += 1
         self._record_firing(
             key,
-            Firing(
-                tgd_index,
-                dict(frontier_map),
-                tuple(atom.to_fact(body_map) for atom in tgd.body),
-                tuple(created_facts),
-                tuple(created_nulls),
-            ),
+            tuple(atom.to_fact(body_map) for atom in tgd.body),
+            created_facts,
+            created_nulls,
         )
         if len(instance) > self.max_facts:
             raise ChaseNotTerminating(f"chase exceeded {self.max_facts} facts")
@@ -394,5 +408,5 @@ class ChaseMaintainer(ChaseRecorder):
                     )
                     if key in self._fired:
                         continue
-                    self._examine(tgd_index, key, body_map, new_facts, chase_added)
+                    self._examine(key, body_map, new_facts, chase_added)
             delta = new_facts

@@ -165,9 +165,8 @@ def parallel_chase(
     _pre_intern(ontology)
     instance = Instance(database)
     _pre_intern_instance(instance)
-    base_constants = frozenset(instance.constants())
     null_depth: dict = {}
-    result = ChaseResult(instance, base_constants, null_depth)
+    result = ChaseResult(instance, null_depth)
     fresh = instance.null_factory
     compiled = compile_ontology(ontology)
     fired: set[tuple] = set()

@@ -642,25 +642,28 @@ class QueryService:
         rejection = self._admit(tenant)
         if rejection is not None:
             return rejection
+        # Traced like a query, so the eager refresh's ``revalidate`` span
+        # (incremental or not, provenance rows indexed) lands in /traces.
+        scope = self._trace_scope(request, f"facts:{tenant.name}")
         started = time.perf_counter()
         try:
-            added, removed = await self._in_thread(
-                tenant, self._mutate_blocking, tenant, delta
-            )
+            with scope if scope is not None else contextlib.nullcontext() as trace:
+                added, removed = await self._in_thread(
+                    tenant, self._mutate_blocking, tenant, delta
+                )
         finally:
             tenant.inflight -= 1
         tenant.counters.bump("mutations")
         self._counters.bump("mutations")
-        return Response.json(
-            {
-                "tenant": tenant.name,
-                "added": added,
-                "removed": removed,
-                "db_version": tenant.database.version,
-                "db_facts": len(tenant.database),
-                "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
-            }
-        )
+        payload = {
+            "tenant": tenant.name,
+            "added": added,
+            "removed": removed,
+            "db_version": tenant.database.version,
+            "db_facts": len(tenant.database),
+            "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
+        }
+        return self._with_trace(Response.json(payload), trace)
 
     @staticmethod
     def _mutate_blocking(

@@ -10,6 +10,7 @@ byte-identical to a cold from-scratch evaluation, without ever rebuilding
 the chase.
 """
 
+import importlib
 import random
 
 import pytest
@@ -17,10 +18,11 @@ import pytest
 from repro import Database, Fact, parse_ontology, parse_query
 from repro.core import OMQ, CompleteAnswerEnumerator
 from repro.chase.query_directed import default_null_depth
-from repro.chase.standard import chase
+from repro.chase.standard import ChaseRecorder, _trigger_key, chase
 from repro.engine import QueryEngine
 from repro.enumeration.cdlin import CDLinEnumerator
 from repro.incremental import ChaseMaintainer, Delta
+from repro.obs import start_trace
 from repro.workloads import (
     generate_office_database,
     generate_university_database,
@@ -247,6 +249,159 @@ class TestChaseMaintainer:
         maintainer = ChaseMaintainer(database, ontology)
         with pytest.raises(RuntimeError):
             maintainer.apply([], [])
+        # Recording a run is not enough: the result must be attached.
+        chase(database, ontology, recorder=maintainer)
+        with pytest.raises(RuntimeError):
+            maintainer.apply([Fact("A", ("b",))], [])
+        assert maintainer.pending_rows > 0  # and the log was left alone
+
+
+def _first_delta(database, kind):
+    """A deterministic first delta of the given kind, applied as one batch."""
+    facts = sorted(database.facts(), key=repr)
+    with database.batch():
+        if kind in ("delete", "mixed"):
+            for victim in facts[::7]:
+                database.discard(victim)
+        if kind in ("insert", "mixed"):
+            for index, template in enumerate(facts[3::11]):
+                database.add(
+                    Fact(template.relation, (f"fresh{index}",) + template.args[1:])
+                )
+
+
+class TestProvenanceLog:
+    """The log -> index-on-first-delta -> compact store lifecycle."""
+
+    def test_reads_never_index_and_first_write_indexes_once(self):
+        omq = university_omq()
+        database = generate_university_database(30, seed=1)
+        engine = QueryEngine(omq.ontology, database)
+        engine.execute(omq.query)
+        maintainer = engine._materialization(database)._maintainer
+        rows = maintainer.pending_rows
+        assert rows > 0
+        for _ in range(3):
+            engine.execute(omq.query)
+        assert maintainer.pending_rows == rows
+        assert not maintainer.firings and not maintainer.suppressed
+        assert not maintainer._by_support and not maintainer._creators
+
+        indexed = []
+        store = maintainer.firings
+        for step in range(3):
+            database.add(Fact("HasAdvisor", (f"late{step}", "prof0")))
+            with start_trace("write", store=None) as trace:
+                engine.execute(omq.query)
+            (span,) = [s for s in trace.spans if s.name == "revalidate"]
+            assert span.attributes["incremental"] is True
+            indexed.append(span.attributes["provenance_indexed"])
+            assert maintainer.pending_rows == 0
+            # One store: the first write fills it, later writes update it.
+            assert maintainer.firings is store and store
+        assert indexed == [rows, 0, 0]
+        assert maintainer._by_support and maintainer._creators
+        assert engine.stats.chase_builds == 1
+
+    def test_suppressed_then_fired_replays_as_fired(self):
+        # The log holds an early suppression and a later firing of one
+        # trigger: replay must leave it fired, and losing the old witness
+        # must not re-check (and double-book) it.
+        ontology = parse_ontology("A(x) -> B(x)")
+        database = Database([Fact("A", ("a",)), Fact("C", ("a",))])
+        maintainer = ChaseMaintainer(database, ontology)
+        compiled = maintainer.compiled
+        (variable,) = compiled.frontier_orders[0]
+        key = _trigger_key(0, {variable: "a"}, compiled.frontier_orders[0])
+        maintainer.log_suppress(key, (Fact("C", ("a",)),))
+        result = chase(database, ontology, recorder=maintainer)
+        maintainer.attach(result)
+        assert result.fired_triggers == 1
+
+        database.discard(Fact("C", ("a",)))
+        delta = maintainer.apply([], [Fact("C", ("a",))])
+        assert key in maintainer.firings and key not in maintainer.suppressed
+        assert result.fired_triggers == 1
+        assert Fact("B", ("a",)) in result.instance
+        assert delta.removed == {Fact("C", ("a",))} and not delta.added
+
+    @pytest.mark.parametrize("kind", ["insert", "delete", "mixed"])
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            pytest.param(
+                lambda: (university_omq(), generate_university_database(40, seed=3)),
+                id="university",
+            ),
+            pytest.param(
+                lambda: (office_omq(), generate_office_database(40, seed=4)),
+                id="office",
+            ),
+        ],
+    )
+    def test_first_delta_equals_cold_engine(self, setup, kind):
+        omq, database = setup()
+        engine = QueryEngine(omq.ontology, database, incremental_fallback_ratio=1.0)
+        engine.execute(omq.query)
+        _first_delta(database, kind)
+        warm = engine.execute(omq.query)
+        assert engine.stats.chase_builds == 1
+        assert engine.stats.chase_increments == 1
+        assert warm == QueryEngine(omq.ontology, database).execute(omq.query)
+        assert sorted(warm) == sorted(set(CompleteAnswerEnumerator(omq, database)))
+
+    def test_integer_constants_survive_delete_and_refire(self):
+        # Frontiers are decoded from trigger keys (dense term ids): over an
+        # all-integer database a leaked id would be taken for a constant.
+        c = [10**9 + i for i in range(4)]
+        ontology = parse_ontology("P(x) -> Q(x, y)\nR(x, y), S(y) -> T(x)")
+        database = Database(
+            [
+                Fact("P", (c[0],)),
+                Fact("Q", (c[0], c[1])),  # suppresses P(x) -> Q(x, y) at c0
+                Fact("R", (c[0], c[1])),
+                Fact("S", (c[1],)),
+                Fact("R", (c[0], c[2])),
+                Fact("S", (c[2],)),
+            ]
+        )
+        maintainer, result = _maintained_chase(database, ontology, depth=3)
+        assert not result.nulls() and result.fired_triggers == 1
+        # Whichever R/S pair the T-firing matched, delete its S fact.
+        ((_, body_map, _, _),) = maintainer._fire_log
+        (used,) = [value for variable, value in body_map.items() if variable.name == "y"]
+        removed = [Fact("Q", (c[0], c[1])), Fact("S", (used,))]
+        for fact in removed:
+            database.discard(fact)
+        maintainer.apply([], removed)
+        # The suppressed trigger re-fired with a null, the retracted one
+        # re-fired on the surviving R/S pair.
+        (office,) = [f for f in result.instance if f.relation == "Q"]
+        assert office.args[0] == c[0] and office.has_null()
+        assert Fact("T", (c[0],)) in result.instance
+        assert result.fired_triggers == 3
+        reference = chase(database, ontology, max_null_depth=3)
+        assert _certain_facts(result) == _certain_facts(reference)
+
+    def test_run_reuses_the_recorders_compiled_ontology(self, monkeypatch):
+        # ``repro.chase`` the attribute is the function, not the package.
+        standard = importlib.import_module("repro.chase.standard")
+        calls = []
+        compile_ontology = standard.compile_ontology
+        monkeypatch.setattr(
+            standard,
+            "compile_ontology",
+            lambda ontology: calls.append(ontology) or compile_ontology(ontology),
+        )
+        ontology = parse_ontology("A(x) -> B(x)")
+        database = Database([Fact("A", ("a",))])
+        maintainer = ChaseMaintainer(database, ontology)  # compiles (own import)
+        chase(database, ontology, recorder=maintainer)
+        assert calls == []
+        # A recorder without a compiled form (the no-op base) changes nothing.
+        plain = chase(database, ontology, recorder=ChaseRecorder())
+        assert calls == [ontology]
+        assert Fact("B", ("a",)) in plain.instance
 
 
 class TestReductionMaintenance:

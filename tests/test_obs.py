@@ -312,6 +312,34 @@ class TestServerTracing:
         assert "X-Repro-Trace" not in response.headers
         assert "trace_id" not in json.loads(response.body)
 
+    def test_mutation_trace_attributes_the_first_write_indexing(self):
+        # The eager refresh behind POST /facts is traced like a query: its
+        # revalidate span says which write indexed the provenance log.
+        service = _service()
+        asyncio.run(
+            service.handle(_request("POST", "/tenants/t/query", {"query": QUERY}))
+        )
+        indexed = []
+        for step in range(2):
+            trace_id = f"fac7{step:012d}"
+            response = asyncio.run(
+                service.handle(
+                    _request(
+                        "POST",
+                        "/tenants/t/facts",
+                        {"add": [["HasAdvisor", [f"late{step}", "prof0"]]]},
+                        headers={"x-repro-trace": trace_id},
+                    )
+                )
+            )
+            assert response.status == 200
+            assert response.headers["X-Repro-Trace"] == trace_id
+            by_name = {s.name: s for s in TRACES.get(trace_id).spans}
+            assert "facts:t" in by_name
+            assert by_name["revalidate"].attributes["incremental"] is True
+            indexed.append(by_name["revalidate"].attributes["provenance_indexed"])
+        assert indexed[0] > 0 and indexed[1] == 0
+
     def test_timeout_closes_spans_with_error_status(self):
         """A cancelled execution must never leave an open span behind."""
         service = _service(query_timeout=0.05)
