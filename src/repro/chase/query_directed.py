@@ -104,7 +104,6 @@ def query_directed_chase(
     max_facts: int = 5_000_000,
     reuse: QueryDirectedChase | None = None,
     recorder: ChaseRecorder | None = None,
-    codegen: bool | None = None,
 ) -> QueryDirectedChase:
     """Compute ``ch^q_O(D)`` for the given database, ontology and query.
 
@@ -114,8 +113,7 @@ def query_directed_chase(
     preprocessing/enumeration split the engine relies on.  The returned
     wrapper still carries the new query.  ``recorder`` observes the
     underlying run for provenance capture (ignored on the reuse path, where
-    no run happens).  ``codegen`` selects the generated single-atom-body
-    matchers of the underlying run (``None`` → process default).
+    no run happens).
     """
     depth = null_depth if null_depth is not None else default_null_depth(ontology, query)
     if (
@@ -140,7 +138,6 @@ def query_directed_chase(
         max_null_depth=depth,
         max_facts=max_facts,
         recorder=recorder,
-        codegen=codegen,
     )
     return QueryDirectedChase(
         database=database,

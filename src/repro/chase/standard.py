@@ -14,14 +14,22 @@ depth ``d`` gets depth ``d + 1`` (database constants have depth 0), and
 triggers that would create nulls beyond ``max_null_depth`` are skipped.  The
 query-directed chase of :mod:`repro.chase.query_directed` chooses this bound
 from the query so that the truncation is invisible to query evaluation.
+
+A trigger is a TGD plus the dense term ids of its frontier variables, and
+its key is ``(tgd_index, frontier ids)`` everywhere — the ``fired`` set, the
+recorder's log, the delta chase.  :func:`compile_ontology` resolves each TGD
+into a :class:`TriggerPlan`; :func:`chase_round` finds a round's triggers
+(positionally off ``Fact.iargs`` where the plan allows, through the
+homomorphism search otherwise) and :func:`trigger_examiner` builds the one
+routine that suppresses or fires them.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.config import codegen_enabled
 from repro.data.facts import Fact
 from repro.data.instance import Instance
 from repro.data.interning import TERMS
@@ -110,9 +118,9 @@ class ChaseRecorder:
     """Append-only log protocol for provenance-aware chase runs.
 
     The chase hands a recorder what its loop already holds — the trigger
-    key (``(tgd_index, frontier ids)``), the body map, the lists of created
-    facts and nulls, the facts witnessing a satisfied head — without
-    copying or rebuilding any of it; a recorder that keeps those references
+    key (``(tgd_index, frontier ids)``), the matched body facts, the lists
+    of created facts and nulls, the facts witnessing a satisfied head —
+    without copying any of it; a recorder that keeps those references
     pays one append per trigger.  :class:`repro.incremental.provenance.
     ChaseMaintainer` is the recorder every incremental materialization
     attaches; a run with ``recorder=None`` pays nothing.  ``compiled``, when
@@ -127,7 +135,7 @@ class ChaseRecorder:
     def log_fire(
         self,
         key: tuple,
-        body_map: dict[Variable, object],
+        body_facts: tuple[Fact, ...],
         created_facts: list[Fact],
         created_nulls: list[Null],
     ) -> None:
@@ -139,13 +147,80 @@ class ChaseRecorder:
 
 
 @dataclass(frozen=True)
+class TriggerPlan:
+    """One TGD's trigger pipeline on dense term ids, resolved once.
+
+    A trigger is its TGD plus the ids of the frontier variables in
+    ``frontier_orders[index]`` order; the plan says how to read those ids
+    off a matched fact and how to test and build the head from them, with
+    no variable dictionary in between.  Each half is positional only for
+    the shape every ELI rule has — one atom whose arguments are distinct
+    variables — and ``None`` otherwise, which routes that half through the
+    term-level homomorphism search:
+
+    * body: ``frontier_positions[k]`` is where the matched
+      ``body_relation`` fact (of ``body_arity``) carries frontier id ``k``;
+    * head (non-empty frontier only): the ``head_relation`` index on
+      ``probe_positions`` holds the witnesses under the frontier ids
+      (reordered by ``probe_slots`` unless ``None`` = already in order), and
+      ``head_slots[p]`` picks argument ``p`` of the head fact out of
+      ``frontier ids + ids of the fresh nulls``.
+    """
+
+    index: int
+    body_relation: str | None = None
+    body_arity: int = 0
+    frontier_positions: tuple[int, ...] = ()
+    head_relation: str | None = None
+    probe_positions: tuple[int, ...] = ()
+    probe_slots: tuple[int, ...] | None = None
+    head_slots: tuple[int, ...] = ()
+
+
+def _plain_atom(atoms: frozenset[Atom]) -> Atom | None:
+    """The single atom of ``atoms`` if its arguments are distinct variables."""
+    if len(atoms) != 1:
+        return None
+    (atom,) = atoms
+    if len(atom.variables()) != atom.arity:
+        return None  # a constant or a repeated variable
+    return atom
+
+
+def _trigger_plan(
+    index: int, tgd: TGD, order: tuple[Variable, ...], existentials: tuple[Variable, ...]
+) -> TriggerPlan:
+    fields: dict[str, object] = {}
+    body = _plain_atom(tgd.body)
+    if body is not None:
+        fields.update(
+            body_relation=body.relation,
+            body_arity=body.arity,
+            frontier_positions=tuple(body.args.index(v) for v in order),
+        )
+    head = _plain_atom(tgd.head)
+    if head is not None and order:
+        slot_of = {v: slot for slot, v in enumerate(order + existentials)}
+        probe = sorted((head.args.index(v), slot_of[v]) for v in order)
+        probe_slots = tuple(slot for _, slot in probe)
+        fields.update(
+            head_relation=head.relation,
+            probe_positions=tuple(position for position, _ in probe),
+            probe_slots=None if probe_slots == tuple(range(len(order))) else probe_slots,
+            head_slots=tuple(slot_of[v] for v in head.args),
+        )
+    return TriggerPlan(index, **fields)
+
+
+@dataclass(frozen=True)
 class CompiledOntology:
     """The per-TGD structures every chase round reuses.
 
     ``frontier_orders`` / ``body_orders`` fix, once per TGD, the
     sorted-by-name variable order that trigger keys are built in, so the
     per-trigger key is a plain value tuple in that order instead of a
-    freshly sorted item list.
+    freshly sorted item list.  ``plans`` holds each TGD's
+    :class:`TriggerPlan`.
     """
 
     tgds: tuple[TGD, ...]
@@ -155,35 +230,34 @@ class CompiledOntology:
     existentials: tuple[tuple[Variable, ...], ...]
     frontier_orders: tuple[tuple[Variable, ...], ...]
     body_orders: tuple[tuple[Variable, ...], ...]
-    single_bodies: tuple["Atom | None", ...]
+    plans: tuple[TriggerPlan, ...]
 
 
 def compile_ontology(ontology: Ontology) -> CompiledOntology:
     """Precompile the body/head queries and variable partitions of ``ontology``."""
     tgds = tuple(ontology)
+    existentials = tuple(tuple(tgd.existential_variables()) for tgd in tgds)
+    frontier_orders = tuple(
+        tuple(sorted(tgd.frontier_variables(), key=lambda v: v.name)) for tgd in tgds
+    )
     return CompiledOntology(
         tgds=tgds,
         body_queries=tuple(
             ConjunctiveQuery([], tgd.body) if tgd.body else None for tgd in tgds
         ),
         head_queries=tuple(
-            ConjunctiveQuery(
-                sorted(tgd.frontier_variables(), key=lambda v: v.name), tgd.head
-            )
-            for tgd in tgds
+            ConjunctiveQuery(order, tgd.head) for tgd, order in zip(tgds, frontier_orders)
         ),
         frontiers=tuple(tuple(tgd.frontier_variables()) for tgd in tgds),
-        existentials=tuple(tuple(tgd.existential_variables()) for tgd in tgds),
-        frontier_orders=tuple(
-            tuple(sorted(tgd.frontier_variables(), key=lambda v: v.name))
-            for tgd in tgds
-        ),
+        existentials=existentials,
+        frontier_orders=frontier_orders,
         body_orders=tuple(
             tuple(sorted(tgd.body_variables(), key=lambda v: v.name))
             for tgd in tgds
         ),
-        single_bodies=tuple(
-            next(iter(tgd.body)) if len(tgd.body) == 1 else None for tgd in tgds
+        plans=tuple(
+            _trigger_plan(index, tgd, frontier_orders[index], existentials[index])
+            for index, tgd in enumerate(tgds)
         ),
     )
 
@@ -195,11 +269,12 @@ def _head_witness(
 ) -> tuple[Fact, ...] | None:
     """The facts satisfying the TGD head at this trigger, or ``None``.
 
-    Single-atom heads (the overwhelmingly common case in the guarded/ELI
-    workloads) are answered with one index probe plus a match per candidate
-    — the matched fact *is* the witness — instead of spinning up the full
-    backtracking search; multi-atom heads fall back to the generic
-    homomorphism finder and instantiate the head under it.
+    The term-level route, for the heads a :class:`TriggerPlan` does not
+    cover and for :mod:`repro.parallel`.  Single-atom heads are answered
+    with one index probe plus a match per candidate — the matched fact *is*
+    the witness — instead of spinning up the full backtracking search;
+    multi-atom heads fall back to the generic homomorphism finder and
+    instantiate the head under it.
     """
     atoms = head_query.atoms
     if len(atoms) == 1:
@@ -224,24 +299,13 @@ def _trigger_key(
 
     ``order`` is the precompiled sorted variable order of the TGD's frontier
     (restricted chase) or body (oblivious chase) from
-    :class:`CompiledOntology` — callers must pass the same order for keys to
-    compare across rounds and across the provenance-maintained delta chase.
-    The values are dictionary-encoded, so the ``fired`` set hashes machine
-    ints instead of term objects — the id-matching half of the chase loop.
+    :class:`CompiledOntology`.  The values are dictionary-encoded, so the
+    ``fired`` set hashes machine ints instead of term objects; a positional
+    :class:`TriggerPlan` builds the same ``(tgd_index, ids)`` straight from
+    ``Fact.iargs``, so keys compare across both routes, across rounds and
+    across the provenance-maintained delta chase.
     """
     return (tgd_index, TERMS.intern_tuple(mapping[v] for v in order))
-
-
-def _single_body_matcher(atom: Atom, codegen: bool | None = None):
-    """The generated per-fact matcher of ``atom``, or ``None`` (generic path).
-
-    Lazy import: :mod:`repro.engine.codegen` sits in a higher layer.  The
-    generated function is exactly ``match_atom(atom, fact, {})`` with the
-    arity check, constant comparisons and repeated-variable checks unrolled.
-    """
-    from repro.engine.codegen import maybe_single_body_matcher
-
-    return maybe_single_body_matcher(atom, codegen)
 
 
 def _delta_body_maps(
@@ -249,7 +313,6 @@ def _delta_body_maps(
     body_query: ConjunctiveQuery,
     instance: Instance,
     delta: Sequence[Fact],
-    codegen: bool | None = None,
 ) -> list[dict[Variable, object]]:
     """Body homomorphisms of ``tgd`` that use at least one fact of ``delta``.
 
@@ -259,28 +322,18 @@ def _delta_body_maps(
     the index-driven homomorphism search complete the rest against the full
     instance.  The result is materialised (and de-duplicated, since one match
     can touch the delta through several atoms) so the caller is free to
-    mutate ``instance`` while firing triggers.  Single-atom bodies (the
-    common case in guarded/ELI ontologies) skip the search entirely: the
-    atom-fact match *is* the body homomorphism.
+    mutate ``instance`` while firing triggers.  Single-atom bodies skip the
+    search entirely: the atom-fact match *is* the body homomorphism.
     """
     body = tuple(tgd.body)
     if len(body) == 1:
         atom = body[0]
-        matcher = _single_body_matcher(atom, codegen)
         maps: list[dict[Variable, object]] = []
-        seen_single: set[Fact] = set()
         for fact in delta:
-            if (
-                fact.relation != atom.relation
-                or fact in seen_single
-            ):
-                continue
-            seen_single.add(fact)
-            partial = (
-                matcher(fact) if matcher is not None else match_atom(atom, fact, {})
-            )
-            if partial is not None:
-                maps.append(partial)
+            if fact.relation == atom.relation:
+                partial = match_atom(atom, fact, {})
+                if partial is not None:
+                    maps.append(partial)
         return maps
     maps = []
     seen: set[frozenset] = set()
@@ -299,6 +352,162 @@ def _delta_body_maps(
     return maps
 
 
+def trigger_examiner(
+    compiled: CompiledOntology,
+    result: ChaseResult,
+    fired: set[tuple],
+    fresh: NullFactory,
+    max_null_depth: int | None,
+    max_facts: int,
+    on_fire=None,
+    on_suppress=None,
+    oblivious: bool = False,
+):
+    """The routine that suppresses or fires one trigger, bound to one run.
+
+    Returns ``examine(plan, key, ids, body, new_facts)``: ``ids`` are the
+    frontier ids, ``key`` the dedup key (``(plan.index, ids)`` unless
+    ``oblivious``), ``body`` the matched fact — or, off the positional
+    route, the body homomorphism — which is only read to hand ``on_fire``
+    the body facts, and ``new_facts`` receives the head facts that were not
+    in the instance yet.  It is the one place the restricted chase decides:
+    already fired → nothing; head satisfied → ``on_suppress(key,
+    witness_facts)``; too deep → ``result.truncated``; otherwise fresh
+    nulls, head facts and ``on_fire(key, body_facts, created_facts,
+    created_nulls)``.  Both :func:`chase` and the delta chase of
+    :class:`repro.incremental.provenance.ChaseMaintainer` drive it.
+    """
+    instance = result.instance
+    null_depth = result.null_depth
+    tgds = compiled.tgds
+    decode = TERMS.decoder()
+    null_flags = TERMS.null_flags()
+    intern = TERMS.intern
+    from_ids = Fact.from_ids
+    add = instance.add
+    # The raw id-keyed head indexes, fetched on a TGD's first trigger: the
+    # instance keeps one dict per index and maintains it in place.
+    head_indexes: list[dict | None] = [None] * len(tgds)
+
+    def examine(plan: TriggerPlan, key: tuple, ids: tuple, body, new_facts: list) -> None:
+        if key in fired:
+            return
+        index = plan.index
+        head_relation = plan.head_relation
+        witness = frontier_map = None
+        if head_relation is None:
+            frontier_map = dict(zip(compiled.frontier_orders[index], TERMS.decode_tuple(ids)))
+            if not oblivious:
+                witness = _head_witness(compiled.head_queries[index], frontier_map, instance)
+        elif not oblivious:
+            head_index = head_indexes[index]
+            if head_index is None:
+                head_index = head_indexes[index] = instance._raw_index(
+                    head_relation, plan.probe_positions
+                )
+            slots = plan.probe_slots
+            bucket = head_index.get(ids if slots is None else tuple([ids[s] for s in slots]))
+            if bucket is not None:
+                # Every fact filed here agrees on the frontier positions and
+                # the other arguments are distinct existentials, so only a
+                # fact of another arity can fail to be a witness.
+                arity = len(plan.head_slots)
+                for fact in bucket:
+                    if len(fact.args) == arity:
+                        witness = (fact,)
+                        break
+        if witness is not None:
+            if on_suppress is not None:
+                on_suppress(key, witness)
+            return
+        depth = 0
+        for term_id in ids:
+            if null_flags[term_id]:
+                depth = max(depth, null_depth.get(decode(term_id), 0))
+        existentials = compiled.existentials[index]
+        if existentials and max_null_depth is not None and depth >= max_null_depth:
+            result.truncated = True
+            return
+        fired.add(key)
+        created_nulls = [fresh() for _ in existentials]
+        for null in created_nulls:
+            null_depth[null] = depth + 1
+        if head_relation is None:
+            frontier_map.update(zip(existentials, created_nulls))
+            created_facts = [atom.to_fact(frontier_map) for atom in tgds[index].head]
+        else:
+            slots = ids + tuple([intern(null) for null in created_nulls])
+            created_facts = [
+                from_ids(head_relation, tuple([slots[slot] for slot in plan.head_slots]))
+            ]
+        for fact in created_facts:
+            if add(fact):
+                new_facts.append(fact)
+        result.fired_triggers += 1
+        if on_fire is not None:
+            if body.__class__ is Fact:
+                body_facts = (body,)
+            else:
+                body_facts = tuple([atom.to_fact(body) for atom in tgds[index].body])
+            on_fire(key, body_facts, created_facts, created_nulls)
+        if len(instance) > max_facts:
+            raise ChaseNotTerminating(f"chase exceeded {max_facts} facts")
+
+    return examine
+
+
+def chase_round(
+    compiled: CompiledOntology,
+    instance: Instance,
+    delta: Sequence[Fact] | None,
+    examine,
+    new_facts: list[Fact],
+    oblivious: bool = False,
+) -> None:
+    """Feed ``examine`` every trigger of one semi-naive round.
+
+    ``delta=None`` is the first round: bodies are matched against the whole
+    instance.  Every later round only matches bodies that use a fact of
+    ``delta`` (the facts added in the previous round), grouped by relation
+    once so that a TGD reads its own relation's share instead of scanning
+    the delta.  The matches of a TGD are materialised before its triggers
+    fire, so the indexes stay consistent while new facts are added.
+    """
+    by_relation: dict[str, list[Fact]] = defaultdict(list)
+    for fact in delta or ():
+        by_relation[fact.relation].append(fact)
+    for plan in compiled.plans:
+        index = plan.index
+        if plan.body_relation is not None and not oblivious:
+            if delta is None:
+                matched: Sequence[Fact] = list(instance.relation(plan.body_relation))
+            else:
+                matched = by_relation.get(plan.body_relation, ())
+            arity, positions = plan.body_arity, plan.frontier_positions
+            for fact in matched:
+                iargs = fact.iargs
+                if len(iargs) == arity:
+                    ids = tuple([iargs[p] for p in positions])
+                    examine(plan, (index, ids), ids, fact, new_facts)
+            continue
+        body_query = compiled.body_queries[index]
+        if body_query is None:
+            # An empty body can only trigger once, in the first round.
+            if delta is not None:
+                continue
+            body_maps: list[dict[Variable, object]] = [{}]
+        elif delta is None:
+            body_maps = list(all_homomorphisms(body_query, instance))
+        else:
+            body_maps = _delta_body_maps(compiled.tgds[index], body_query, instance, delta)
+        order = compiled.frontier_orders[index]
+        for body_map in body_maps:
+            key = frontier_key = _trigger_key(index, body_map, order)
+            if oblivious:
+                key = _trigger_key(index, body_map, compiled.body_orders[index])
+            examine(plan, key, frontier_key[1], body_map, new_facts)
+
+
 def chase(
     database: Instance,
     ontology: Ontology,
@@ -307,7 +516,6 @@ def chase(
     max_rounds: int = 10_000,
     oblivious: bool = False,
     recorder: ChaseRecorder | None = None,
-    codegen: bool | None = None,
 ) -> ChaseResult:
     """Run the chase of ``database`` with ``ontology``.
 
@@ -318,125 +526,43 @@ def chase(
     raise :class:`ChaseNotTerminating` when exhausted.  ``recorder``, when
     given, is handed every fired and suppressed trigger (see
     :class:`ChaseRecorder`); it is how the incremental-maintenance subsystem
-    captures provenance for one append per trigger.  ``codegen``
-    selects the generated single-atom-body matchers (``None`` → process
-    default, see :mod:`repro.config`).
+    captures provenance for one append per trigger.
     """
-    if codegen is None:
-        codegen = codegen_enabled()
     instance = Instance(database)
-    null_depth: dict[Null, int] = {}
+    result = ChaseResult(instance)
     # Draw labels from the instance's factory (process-globally unique), so
     # two independent chase runs can never hand out aliasing null labels.
     fresh = instance.null_factory
-    result = ChaseResult(instance, null_depth)
     fired: set[tuple] = set()
+    compiled = None
+    on_fire = on_suppress = None
     if recorder is not None:
         recorder.bind(instance, fired, fresh)
-
-    def depth_of(element: object) -> int:
-        if is_null(element):
-            return null_depth.get(element, 0)
-        return 0
-
-    compiled = recorder.compiled if recorder is not None else None
+        compiled = recorder.compiled
+        on_fire, on_suppress = recorder.log_fire, recorder.log_suppress
     if compiled is None:
         compiled = compile_ontology(ontology)
-    tgds = compiled.tgds
-    body_queries = compiled.body_queries
-    head_queries = compiled.head_queries
-    frontiers = compiled.frontiers
-    existentials = compiled.existentials
-    # Semi-naive (delta-driven) rounds: the first round matches bodies against
-    # the whole database; every later round only seeds the body search with
-    # facts added in the previous round.  Trigger lists are materialised
-    # before firing, so the positional indexes stay consistent while new
-    # facts are added.
+    examine = trigger_examiner(
+        compiled,
+        result,
+        fired,
+        fresh,
+        max_null_depth,
+        max_facts,
+        on_fire,
+        on_suppress,
+        oblivious,
+    )
+    # Semi-naive (delta-driven) rounds: the first matches bodies against the
+    # whole database, every later one only against the facts the previous
+    # round added.
     delta: list[Fact] | None = None
     while True:
         result.rounds += 1
         if result.rounds > max_rounds:
             raise ChaseNotTerminating(f"chase exceeded {max_rounds} rounds")
         new_facts: list[Fact] = []
-        for tgd_index, tgd in enumerate(tgds):
-            body_query = body_queries[tgd_index]
-            if body_query is None:
-                # An empty body can only trigger once, in the first round.
-                if delta is not None:
-                    continue
-                body_maps: list[dict[Variable, object]] = [{}]
-            elif delta is None:
-                single = compiled.single_bodies[tgd_index]
-                if single is not None:
-                    # Single-atom body: every matching fact is a body map,
-                    # no search machinery needed (the dominant TGD shape).
-                    matcher = _single_body_matcher(single, codegen)
-                    body_maps = []
-                    if matcher is not None:
-                        for fact in instance.relation(single.relation):
-                            body_map = matcher(fact)
-                            if body_map is not None:
-                                body_maps.append(body_map)
-                    else:
-                        for fact in instance.relation(single.relation):
-                            body_map = match_atom(single, fact, {})
-                            if body_map is not None:
-                                body_maps.append(body_map)
-                else:
-                    body_maps = list(all_homomorphisms(body_query, instance))
-            else:
-                body_maps = _delta_body_maps(
-                    tgd, body_query, instance, delta, codegen
-                )
-            for body_map in body_maps:
-                frontier_map = {v: body_map[v] for v in frontiers[tgd_index]}
-                if oblivious:
-                    key = _trigger_key(
-                        tgd_index, body_map, compiled.body_orders[tgd_index]
-                    )
-                    if key in fired:
-                        continue
-                else:
-                    key = _trigger_key(
-                        tgd_index, frontier_map, compiled.frontier_orders[tgd_index]
-                    )
-                    if key in fired:
-                        continue
-                    witness = _head_witness(
-                        head_queries[tgd_index], frontier_map, instance
-                    )
-                    if witness is not None:
-                        if recorder is not None:
-                            recorder.log_suppress(key, witness)
-                        continue
-                trigger_depth = max(
-                    (depth_of(v) for v in frontier_map.values()), default=0
-                )
-                if max_null_depth is not None and existentials[tgd_index]:
-                    if trigger_depth + 1 > max_null_depth:
-                        result.truncated = True
-                        continue
-                fired.add(key)
-                head_map = dict(frontier_map)
-                created_nulls: list[Null] = []
-                for variable in existentials[tgd_index]:
-                    null = fresh()
-                    null_depth[null] = trigger_depth + 1
-                    head_map[variable] = null
-                    created_nulls.append(null)
-                created_facts: list[Fact] = []
-                for atom in tgd.head:
-                    new_fact = atom.to_fact(head_map)
-                    created_facts.append(new_fact)
-                    if instance.add(new_fact):
-                        new_facts.append(new_fact)
-                result.fired_triggers += 1
-                if recorder is not None:
-                    recorder.log_fire(key, body_map, created_facts, created_nulls)
-                if len(instance) > max_facts:
-                    raise ChaseNotTerminating(
-                        f"chase exceeded {max_facts} facts"
-                    )
+        chase_round(compiled, instance, delta, examine, new_facts, oblivious)
         if not new_facts:
             break
         delta = new_facts

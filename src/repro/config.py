@@ -94,7 +94,7 @@ def codegen_enabled() -> bool:
     """Whether per-plan code generation is on (default on).
 
     Controls both the process-wide arity-specialised kernels (columnar
-    semi-joins, null filters, chase matchers) and the default for engines
+    semi-joins, null filters) and the default for engines
     and enumerators that were not given an explicit ``codegen`` setting.
     """
     return _CODEGEN
@@ -255,8 +255,8 @@ class ExecutionOptions:
     moment the option is consumed, so a context manager like
     :func:`use_codegen` still wins over an unset field.
 
-    * ``codegen`` — compile per-plan closures for the enumeration walk,
-      semi-join kernels and single-atom chase rounds.
+    * ``codegen`` — compile per-plan closures for the enumeration walk
+      and the semi-join kernels.
     * ``incremental`` — maintain materializations in place under mutations.
     * ``incremental_fallback_ratio`` — delta size (fraction of the database)
       above which a full rebuild beats in-place maintenance.

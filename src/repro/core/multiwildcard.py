@@ -9,12 +9,13 @@ multi-wildcards by combining
 * the ball / cone machinery of Section 6 with a pruning table that makes
   sure dominated tuples are never emitted.
 
-Our ``A2`` substitute (:class:`MultiWildcardOracle`) answers each distinct
-test by a homomorphism search over the chase with the wildcard pattern's
-equality constraints and memoises the result; the paper's appendix algorithm
-achieves O(1) per test after linear preprocessing, so the delay guarantee of
-our implementation is O(||D||) per answer in the worst case (documented in
-DESIGN.md), while the produced answer set is exactly ``Q(D)^W``.
+Our ``A2`` is a substitute, not the paper's: :class:`MultiWildcardOracle`
+answers each distinct test by a homomorphism search over the chase with the
+wildcard pattern's equality constraints and memoises the result, where the
+paper's appendix algorithm achieves O(1) per test after linear
+preprocessing.  The produced answer set is exactly ``Q(D)^W``, but the delay
+of this implementation is O(||D||) per answer in the worst case, not the
+``DelayC_lin`` of Theorem 6.1.
 """
 
 from __future__ import annotations

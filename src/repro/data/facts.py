@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.data.interning import TERMS
-from repro.data.terms import is_null
+from repro.data.terms import Null, is_null
 
 
 class Fact:
@@ -31,6 +31,20 @@ class Fact:
         # created in bulk on the chase hot path; two setattrs, not four).
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "args", tuple(args))
+
+    @classmethod
+    def from_ids(cls, relation: str, iargs: tuple[int, ...]) -> "Fact":
+        """The fact whose arguments are the terms behind ``iargs``.
+
+        The id-level constructor of the chase: the fact is born with
+        :attr:`iargs` filled in, so no index it is filed under interns its
+        arguments again.
+        """
+        fact = cls.__new__(cls)
+        object.__setattr__(fact, "relation", relation)
+        object.__setattr__(fact, "args", TERMS.decode_tuple(iargs))
+        object.__setattr__(fact, "_iargs", iargs)
+        return fact
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Fact is immutable (cannot set {name!r})")
@@ -74,7 +88,9 @@ class Fact:
 
     def has_null(self) -> bool:
         """True if at least one argument is a labelled null."""
-        return any(is_null(a) for a in self.args)
+        # The argument classes, compared at C level: this runs once per fact
+        # a database loads (``Null`` has no subclasses).
+        return Null in map(type, self.args)
 
     def nulls(self) -> set:
         """The set of labelled nulls occurring in the fact."""

@@ -2,8 +2,12 @@
 
 An :class:`Instance` may contain labelled nulls (it is the object produced by
 the chase); a :class:`Database` is an instance that is promised to be
-null-free.  Both maintain per-relation indexes and per-constant adjacency so
-that the algorithms in the rest of the library get the (amortised) constant
+null-free.  Both maintain the fact set and per-relation sets eagerly;
+everything else — positional indexes, the per-element adjacency behind
+:meth:`Instance.facts_with` / :meth:`Instance.adom`, columnar stores — is
+built on first request and maintained from then on, so an instance that is
+only ever chased and joined pays for no structure nobody reads.  Together
+they give the algorithms in the rest of the library the (amortised) constant
 time lookups the paper's RAM model assumes.
 
 Index API
@@ -85,6 +89,9 @@ from repro.data.terms import Null, NullFactory, is_null, shared_null_factory
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.incremental.delta import Delta
 
+#: One positional index: id-tuple key -> bucket of facts.
+_Index = dict[tuple, list[Fact]]
+
 _EMPTY: frozenset = frozenset()
 _EMPTY_BUCKET: tuple = ()
 
@@ -132,7 +139,7 @@ class _DecodedIndexView(AbstractMapping):
 
     __slots__ = ("_raw",)
 
-    def __init__(self, raw: dict[tuple, list[Fact]]):
+    def __init__(self, raw: _Index):
         self._raw = raw
 
     def __getitem__(self, key: tuple) -> Sequence[Fact]:
@@ -166,12 +173,15 @@ class Instance:
     def __init__(self, facts: Iterable[Fact] = ()):
         self._facts: set[Fact] = set()
         self._by_relation: dict[str, set[Fact]] = defaultdict(set)
-        self._by_constant: dict[object, set[Fact]] = defaultdict(set)
+        # Per-element adjacency (element -> facts mentioning it): None until
+        # _adjacency() builds it, maintained by add()/discard() from then on.
+        self._by_constant: dict[object, set[Fact]] | None = None
         # Positional indexes, keyed by (relation, positions), buckets keyed
         # by dense term ids (Fact.iargs); built lazily by index()/probe() and
-        # maintained incrementally by add()/discard().
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Fact]]] = {}
-        self._indexes_by_relation: dict[str, list[tuple[int, ...]]] = defaultdict(list)
+        # maintained incrementally by add()/discard(), which walk the
+        # per-relation (positions, index) lists.
+        self._indexes: dict[tuple[str, tuple[int, ...]], _Index] = {}
+        self._indexes_by_relation: dict[str, list[tuple[tuple, _Index]]] = defaultdict(list)
         # Columnar per-(relation, arity) stores; built lazily, invalidated
         # per relation by _record() on every effective mutation.
         self._columnar: dict[tuple[str, int], ColumnarRelation] = {}
@@ -186,8 +196,19 @@ class Instance:
         self._change_floor = 0
         self._batch_depth = 0
         self._batch_pending: list[tuple[bool, Fact]] = []
-        for fact in facts:
-            self.add(fact)
+        if isinstance(facts, type(self)):
+            # Another instance of (at least) this class: copy its sets at C
+            # level — stored hashes are reused, no fact is hashed or checked
+            # again — and leave the version where per-fact adds would.  (A
+            # Database built from a plain Instance takes the loop below,
+            # which is what rejects nulls.)
+            self._facts = set(facts._facts)
+            for name, bucket in facts._by_relation.items():
+                self._by_relation[name] = set(bucket)
+            self._version = len(self._facts)
+        else:
+            for fact in facts:
+                self.add(fact)
 
     @property
     def version(self) -> int:
@@ -236,14 +257,30 @@ class Instance:
 
     def add(self, fact: Fact) -> bool:
         """Add ``fact``; return True if it was not already present."""
-        if fact in self._facts:
+        facts = self._facts
+        size = len(facts)
+        facts.add(fact)
+        if len(facts) == size:
             return False
-        self._facts.add(fact)
-        self._by_relation[fact.relation].add(fact)
-        for arg in set(fact.args):
-            self._by_constant[arg].add(fact)
-        for positions in self._indexes_by_relation.get(fact.relation, ()):
-            self._index_insert(self._indexes[(fact.relation, positions)], positions, fact)
+        relation = fact.relation
+        self._by_relation[relation].add(fact)
+        adjacency = self._by_constant
+        if adjacency is not None:
+            for arg in set(fact.args):
+                adjacency[arg].add(fact)
+        indexes = self._indexes_by_relation.get(relation)
+        if indexes:
+            iargs = fact.iargs
+            for positions, index in indexes:
+                try:
+                    key = tuple([iargs[p] for p in positions])
+                except IndexError:
+                    continue  # arity too short for this index
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [fact]
+                else:
+                    bucket.append(fact)
         self._record(True, fact)
         return True
 
@@ -275,13 +312,23 @@ class Instance:
         relation_bucket.discard(fact)
         if not relation_bucket:
             del self._by_relation[fact.relation]
-        for arg in set(fact.args):
-            bucket = self._by_constant[arg]
-            bucket.discard(fact)
-            if not bucket:
-                del self._by_constant[arg]
-        for positions in self._indexes_by_relation.get(fact.relation, ()):
-            self._index_remove(self._indexes[(fact.relation, positions)], positions, fact)
+        adjacency = self._by_constant
+        if adjacency is not None:
+            for arg in set(fact.args):
+                bucket = adjacency[arg]
+                bucket.discard(fact)
+                if not bucket:
+                    del adjacency[arg]
+        for positions, index in self._indexes_by_relation.get(fact.relation, ()):
+            key = self._index_key(positions, fact)
+            entries = index.get(key) if key is not None else None
+            if entries is not None:
+                try:
+                    entries.remove(fact)
+                except ValueError:
+                    pass
+                if not entries:
+                    del index[key]
         self._record(False, fact)
         return True
 
@@ -350,40 +397,14 @@ class Instance:
         Keys are dense term ids (``Fact.iargs``), which hash and compare as
         machine ints.
         """
-        args = fact.iargs
-        if all(p < len(args) for p in positions):
-            return tuple(args[p] for p in positions)
-        return None
-
-    def _index_insert(
-        self, index: dict[tuple, list[Fact]], positions: tuple[int, ...], fact: Fact
-    ) -> None:
-        key = self._index_key(positions, fact)
-        if key is None:
-            return
-        bucket = index.get(key)
-        if bucket is None:
-            index[key] = [fact]
-        else:
-            bucket.append(fact)
-
-    def _index_remove(
-        self, index: dict[tuple, list[Fact]], positions: tuple[int, ...], fact: Fact
-    ) -> None:
-        key = self._index_key(positions, fact)
-        if key is None:
-            return
-        entries = index.get(key)
-        if entries is not None:
-            try:
-                entries.remove(fact)
-            except ValueError:
-                pass
-            if not entries:
-                del index[key]
+        iargs = fact.iargs
+        try:
+            return tuple([iargs[p] for p in positions])
+        except IndexError:
+            return None
 
     def copy(self) -> "Instance":
-        duplicate = type(self)(self._facts)
+        duplicate = type(self)(self)
         # Continuation, not a restart: the copy draws fresh-null labels from
         # the same factory, so chase runs over original and copy never alias.
         duplicate._null_factory = self._null_factory
@@ -425,24 +446,41 @@ class Instance:
         """The relation symbols that actually occur in the instance."""
         return {name for name, bucket in self._by_relation.items() if bucket}
 
+    def _adjacency(self) -> dict[object, set[Fact]]:
+        """The element -> facts map, built on first use, then maintained."""
+        adjacency = self._by_constant
+        if adjacency is None:
+            adjacency = defaultdict(set)
+            for fact in self._facts:
+                for arg in set(fact.args):
+                    adjacency[arg].add(fact)
+            self._by_constant = adjacency
+        return adjacency
+
     def facts_with(self, element: object) -> FactSetView:
         """All facts mentioning the domain element ``element`` (a view)."""
-        return FactSetView(lambda: self._by_constant.get(element, _EMPTY))
+        adjacency = self._adjacency()
+        return FactSetView(lambda: adjacency.get(element, _EMPTY))
 
     # -- positional indexes ----------------------------------------------
 
-    def _raw_index(
-        self, relation: str, positions: tuple[int, ...]
-    ) -> dict[tuple, list[Fact]]:
+    def _raw_index(self, relation: str, positions: tuple[int, ...]) -> _Index:
         """The backing id-keyed index dict, built lazily."""
         key = (relation, positions)
         index = self._indexes.get(key)
         if index is None:
             index = {}
             for fact in self._by_relation.get(relation, _EMPTY):
-                self._index_insert(index, positions, fact)
+                ikey = self._index_key(positions, fact)
+                if ikey is None:
+                    continue
+                bucket = index.get(ikey)
+                if bucket is None:
+                    index[ikey] = [fact]
+                else:
+                    bucket.append(fact)
             self._indexes[key] = index
-            self._indexes_by_relation[relation].append(positions)
+            self._indexes_by_relation[relation].append((positions, index))
         return index
 
     def index(
@@ -506,7 +544,7 @@ class Instance:
 
     def adom(self) -> set:
         """The active domain: every constant or null used in some fact."""
-        return {element for element, bucket in self._by_constant.items() if bucket}
+        return {element for element, bucket in self._adjacency().items() if bucket}
 
     def nulls(self) -> set:
         """All labelled nulls occurring in the instance."""
@@ -547,7 +585,7 @@ class Instance:
         if not wanted:
             return True
         anchor = next(iter(wanted))
-        return any(wanted <= set(f.args) for f in self._by_constant.get(anchor, _EMPTY))
+        return any(wanted <= set(f.args) for f in self._adjacency().get(anchor, _EMPTY))
 
     def gaifman_graph(self) -> dict[object, set]:
         """The Gaifman graph as an adjacency dictionary."""
@@ -559,7 +597,7 @@ class Instance:
         return graph
 
     def union(self, other: "Instance") -> "Instance":
-        merged = Instance(self._facts)
+        merged = Instance(self)
         merged.update(other)
         return merged
 

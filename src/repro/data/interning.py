@@ -116,8 +116,7 @@ class TermDictionary:
 
     def decode_tuple(self, ids: Iterable[int]) -> tuple:
         """Decode an id tuple back to the original terms."""
-        terms = self._terms
-        return tuple(terms[tid] for tid in ids)
+        return tuple(map(self._terms.__getitem__, ids))
 
     def is_null_id(self, tid: int) -> bool:
         """True if ``tid`` encodes a labelled null (one flag load)."""

@@ -1,4 +1,4 @@
-"""Per-plan code generation for the enumeration/chase inner loops.
+"""Per-plan code generation for the enumeration inner loops.
 
 The paper's constant-delay guarantee assumes the per-answer work is a fixed
 sequence of array reads and tuple writes.  PR 5's slot plans got close — a
@@ -10,7 +10,7 @@ LPOD/CR-Prolog² compilation line: keep the declarative plan as the spec,
 emit a lower-level program (plain Python source, ``compile()``/``exec``-ed
 once) that an existing fast evaluator — CPython's own bytecode loop — runs.
 
-Three families of generated code:
+Two families of generated code:
 
 * :func:`compile_walk` — the CD∘Lin enumeration walk of one slot plan as a
   single generator function: one ``for`` loop per join-tree level, unrolled
@@ -24,11 +24,6 @@ Three families of generated code:
   :func:`nullfree_kernel` — the answer-position null filter of the
   reduction specialised the same way.  Cached per arity (bounded by the
   largest key arity any query uses).
-* :func:`single_body_matcher` — the per-fact body match of single-atom-body
-  TGDs in the semi-naive chase loop, with the atom's constants, repeated
-  variables and arity burned into straight-line code.  Cached per atom in a
-  bounded LRU (atoms are value objects, so the cache is shared across chase
-  runs of the same ontology).
 
 Everything here is **semantics-preserving by construction**: each generator
 mirrors one interpreted loop statement-for-statement, the differential suite
@@ -38,10 +33,9 @@ locks codegen-on against codegen-off byte-identical, and the
 Rows are dense term-id tuples throughout; the generated walk decodes at
 emit, like the interpreted one.
 
-This module deliberately imports only :mod:`repro.config` and
-:mod:`repro.obs.trace` (which itself stops at :mod:`repro.config`), so the
-data, chase and enumeration layers can all call into it without import
-cycles.
+This module deliberately imports only :mod:`repro.obs.trace` (which itself
+stops at :mod:`repro.config`), so the data and enumeration layers can call
+into it without import cycles.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, NamedTuple
 
-from repro.config import codegen_enabled
 from repro.obs.trace import add_event
 
 __all__ = [
@@ -59,9 +52,7 @@ __all__ = [
     "PlanCodegen",
     "compile_walk",
     "key_kernels",
-    "maybe_single_body_matcher",
     "nullfree_kernel",
-    "single_body_matcher",
     "walk_source",
 ]
 
@@ -71,10 +62,6 @@ MAX_WALK_DEPTH = 16
 
 #: Key arities beyond this use the generic kernels.
 MAX_KERNEL_ARITY = 8
-
-#: Bound on the per-atom chase-matcher cache (value-keyed, shared across
-#: chase runs; real ontologies have tens of atoms, never thousands).
-MAX_MATCHER_CACHE = 1024
 
 
 class CodegenStats:
@@ -321,84 +308,3 @@ def nullfree_kernel(arity: int) -> Callable | None:
             kernel = _compile(source, f"_nullfree{arity}")
             _NULLFREE[arity] = kernel
     return kernel
-
-
-# -- (c) single-atom-body chase matchers -----------------------------------
-
-_MATCHER_LOCK = threading.Lock()
-_MATCHERS: dict[object, Callable] = {}
-
-
-def _matcher_source_and_namespace(atom) -> tuple[str, dict]:
-    """Straight-line source equivalent to ``match_atom(atom, fact, {})``.
-
-    Constants and the atom's :class:`~repro.cq.atoms.Variable` objects are
-    closed over through the exec namespace; the generated function takes one
-    fact and returns the full body map (or ``None``), exactly like the
-    generic matcher seeded with an empty assignment.
-    """
-    namespace: dict = {}
-    lines = [
-        "def _match(fact):",
-        "    args = fact.args",
-        f"    if len(args) != {len(atom.args)}:",
-        "        return None",
-    ]
-    first_position: dict[object, int] = {}
-    entries: list[str] = []
-    for position, term, is_var in atom.term_plan:
-        if is_var:
-            seen = first_position.get(term)
-            if seen is None:
-                first_position[term] = position
-                name = f"_k{len(first_position) - 1}"
-                namespace[name] = term
-                entries.append(f"{name}: args[{position}]")
-            else:
-                lines.append(f"    if args[{position}] != args[{seen}]:")
-                lines.append("        return None")
-        else:
-            name = f"_c{position}"
-            namespace[name] = term
-            lines.append(f"    if args[{position}] != {name}:")
-            lines.append("        return None")
-    lines.append("    return {" + ", ".join(entries) + "}")
-    return "\n".join(lines) + "\n", namespace
-
-
-def single_body_matcher(atom) -> Callable:
-    """The compiled matcher for ``atom`` (bounded value-keyed cache).
-
-    Atoms hash and compare by value, so structurally identical atoms from
-    re-parsed ontologies share one compiled matcher; the cache is cleared
-    wholesale at :data:`MAX_MATCHER_CACHE` entries, which bounds memory
-    without a per-entry LRU on the hot path.
-    """
-    matcher = _MATCHERS.get(atom)
-    if matcher is not None:
-        CODEGEN_STATS.hit()
-        return matcher
-    with _MATCHER_LOCK:
-        matcher = _MATCHERS.get(atom)
-        if matcher is None:
-            if len(_MATCHERS) >= MAX_MATCHER_CACHE:
-                _MATCHERS.clear()
-            source, namespace = _matcher_source_and_namespace(atom)
-            matcher = _compile(source, "_match", namespace)
-            _MATCHERS[atom] = matcher
-    return matcher
-
-
-def maybe_single_body_matcher(atom, enabled: bool | None = None) -> Callable | None:
-    """``single_body_matcher`` gated on the codegen switch.
-
-    ``enabled=None`` consults the process default
-    (:func:`repro.config.codegen_enabled`), which is how call sites that
-    were not handed an explicit :class:`~repro.config.ExecutionOptions`
-    resolve the switch.
-    """
-    if enabled is None:
-        enabled = codegen_enabled()
-    if not enabled:
-        return None
-    return single_body_matcher(atom)

@@ -506,7 +506,6 @@ class Materialization:
                         null_depth=depth,
                         reuse=self.chase,
                         recorder=recorder,
-                        codegen=self.codegen,
                     )
                     if recorder is not None:
                         recorder.attach(self.chase.result)

@@ -5,7 +5,7 @@ ChaseRecorder` of the initial chase run and as the mutation engine that
 keeps the chased instance valid afterwards.  Provenance has three stages:
 
 1. **Log** — during the run the maintainer appends what the chase loop
-   already holds: per fired trigger ``(key, body_map, created_facts,
+   already holds: per fired trigger ``(key, body_facts, created_facts,
    created_nulls)``, per suppressed trigger (body matched, head already
    satisfied) ``(key, witness_facts)``.  No copies, no new facts, no
    indexes: a database that is only ever read pays one tuple per trigger.
@@ -22,8 +22,13 @@ keeps the chased instance valid afterwards.  Provenance has three stages:
 
 The store supports both update directions:
 
-* **Insertions** seed the existing semi-naive delta loop with only the new
-  facts — cost proportional to the consequences of the delta.
+* **Insertions** seed the chase's own semi-naive rounds
+  (:func:`~repro.chase.standard.chase_round`) with only the new facts —
+  cost proportional to the consequences of the delta.  Every trigger, in
+  the delta rounds and in the re-check after a deletion, goes through the
+  run's one suppress-or-fire routine
+  (:func:`~repro.chase.standard.trigger_examiner`), which writes straight
+  into the store.
 * **Deletions** run DRed-style over-delete + re-derive: the full support
   cone of every deleted fact is removed (retracting its firings), facts
   justified by a *surviving* firing — or by database membership — are put
@@ -69,10 +74,9 @@ from repro.chase.standard import (
     ChaseRecorder,
     ChaseResult,
     CompiledOntology,
-    _delta_body_maps,
-    _head_witness,
-    _trigger_key,
+    chase_round,
     compile_ontology,
+    trigger_examiner,
 )
 from repro.cq.atoms import Variable
 from repro.cq.homomorphism import find_homomorphism
@@ -135,11 +139,11 @@ class ChaseMaintainer(ChaseRecorder):
     def log_fire(
         self,
         key: tuple,
-        body_map: dict[Variable, object],
+        body_facts: tuple[Fact, ...],
         created_facts: list[Fact],
         created_nulls: list[Null],
     ) -> None:
-        self._fire_log.append((key, body_map, created_facts, created_nulls))
+        self._fire_log.append((key, body_facts, created_facts, created_nulls))
 
     def log_suppress(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:
         self._suppress_log.append((key, witness_facts))
@@ -168,10 +172,8 @@ class ChaseMaintainer(ChaseRecorder):
         self._fire_log, self._suppress_log = [], []
         for key, witness_facts in suppress_log:
             self._record_suppressed(key, witness_facts)
-        tgds = self.compiled.tgds
-        for key, body_map, created_facts, created_nulls in fire_log:
-            body_facts = tuple(atom.to_fact(body_map) for atom in tgds[key[0]].body)
-            self._record_firing(key, body_facts, created_facts, created_nulls)
+        for row in fire_log:
+            self._record_firing(*row)
 
     def _record_firing(
         self,
@@ -225,11 +227,6 @@ class ChaseMaintainer(ChaseRecorder):
             self.result.null_depth.pop(null, None)
         return firing
 
-    def _depth_of(self, element: object) -> int:
-        assert self.result is not None
-        depth = self.result.null_depth.get(element)
-        return depth if depth is not None else 0
-
     # -- delta application -------------------------------------------------
 
     def apply(self, added: Iterable[Fact], removed: Iterable[Fact]) -> Delta:
@@ -246,7 +243,6 @@ class ChaseMaintainer(ChaseRecorder):
         if self.pending_rows:
             self._index_log()
         instance = self.result.instance
-        chase_added: set[Fact] = set()
 
         # Phase 1a — over-delete: remove the full support cone of every
         # deleted fact, retracting the firings along the way and collecting
@@ -287,32 +283,51 @@ class ChaseMaintainer(ChaseRecorder):
         chase_removed = {fact for fact in overdeleted if fact not in instance}
 
         # Phase 2 — insert the new base facts (they seed the delta loop).
-        seeds: list[Fact] = []
-        for fact in added:
-            if instance.add(fact):
-                chase_added.add(fact)
-                seeds.append(fact)
+        seeds = [fact for fact in added if instance.add(fact)]
 
         # Phase 3 — re-check the affected cone: a retracted trigger that
         # still has a body match, or a suppressed trigger whose witness
-        # died, either re-fires or records a fresh witness.  The frontier
-        # is not stored: the key's id tuple decodes back to it.
+        # died, either re-fires or records a fresh witness (straight into
+        # the store).  The frontier is not stored: the key's id tuple
+        # decodes back to it.
+        compiled = self.compiled
+        examine = trigger_examiner(
+            compiled,
+            self.result,
+            self._fired,
+            self._fresh,
+            self.max_null_depth,
+            self.max_facts,
+            self._record_firing,
+            self._record_suppressed,
+        )
         for key in recheck:
             self._drop_suppressed(key)
             tgd_index, frontier_ids = key
-            order = self.compiled.frontier_orders[tgd_index]
+            order = compiled.frontier_orders[tgd_index]
             frontier = dict(zip(order, TERMS.decode_tuple(frontier_ids)))
-            body_query = self.compiled.body_queries[tgd_index]
+            body_query = compiled.body_queries[tgd_index]
             body_map: dict[Variable, object] | None = frontier
             if body_query is not None:
                 body_map = find_homomorphism(body_query, instance, partial=frontier)
             if body_map is None:
                 continue  # the trigger itself vanished with the deletions
-            self._examine(key, body_map, seeds, chase_added)
+            examine(compiled.plans[tgd_index], key, frontier_ids, body_map, seeds)
+        chase_added = set(seeds)
 
-        # Phase 4 — close under the semi-naive delta loop, exactly as the
-        # later rounds of the from-scratch chase would.
-        self._saturate(seeds, chase_added)
+        # Phase 4 — close under the chase's own semi-naive rounds (empty
+        # bodies fired in the initial run and never match a delta).
+        delta = seeds
+        rounds = 0
+        while delta:
+            rounds += 1
+            if rounds > self.max_rounds:
+                raise ChaseNotTerminating(f"delta chase exceeded {self.max_rounds} rounds")
+            self.result.rounds += 1
+            new_facts: list[Fact] = []
+            chase_round(compiled, instance, delta, examine, new_facts)
+            chase_added.update(new_facts)
+            delta = new_facts
 
         # A fact removed and re-created in the same delta nets to nothing
         # for downstream consumers.
@@ -324,89 +339,3 @@ class ChaseMaintainer(ChaseRecorder):
     def apply_delta(self, delta: Delta) -> Delta:
         """Convenience wrapper over :meth:`apply` for a :class:`Delta`."""
         return self.apply(delta.added, delta.removed)
-
-    # -- the delta chase loop ----------------------------------------------
-
-    def _examine(
-        self,
-        key: tuple,
-        body_map: dict[Variable, object],
-        new_facts: list[Fact],
-        chase_added: set[Fact],
-    ) -> None:
-        """Suppress or fire one trigger against the current instance."""
-        assert self.result is not None
-        instance = self.result.instance
-        compiled = self.compiled
-        tgd_index = key[0]
-        tgd = compiled.tgds[tgd_index]
-        frontier_map = {v: body_map[v] for v in compiled.frontiers[tgd_index]}
-        witness = _head_witness(compiled.head_queries[tgd_index], frontier_map, instance)
-        if witness is not None:
-            self._record_suppressed(key, witness)
-            return
-        trigger_depth = max(
-            (self._depth_of(v) for v in frontier_map.values()), default=0
-        )
-        existentials = compiled.existentials[tgd_index]
-        if self.max_null_depth is not None and existentials:
-            if trigger_depth + 1 > self.max_null_depth:
-                self.result.truncated = True
-                return
-        self._fired.add(key)
-        head_map: dict[Variable, object] = dict(frontier_map)
-        created_nulls: list[Null] = []
-        for variable in existentials:
-            null = self._fresh()
-            self.result.null_depth[null] = trigger_depth + 1
-            head_map[variable] = null
-            created_nulls.append(null)
-        created_facts: list[Fact] = []
-        for atom in tgd.head:
-            product = atom.to_fact(head_map)
-            created_facts.append(product)
-            if instance.add(product):
-                new_facts.append(product)
-                chase_added.add(product)
-        self.result.fired_triggers += 1
-        self._record_firing(
-            key,
-            tuple(atom.to_fact(body_map) for atom in tgd.body),
-            created_facts,
-            created_nulls,
-        )
-        if len(instance) > self.max_facts:
-            raise ChaseNotTerminating(f"chase exceeded {self.max_facts} facts")
-
-    def _saturate(self, seeds: list[Fact], chase_added: set[Fact]) -> None:
-        """Semi-naive rounds seeded with ``seeds``, mirroring the chase."""
-        assert self.result is not None
-        instance = self.result.instance
-        compiled = self.compiled
-        delta = list(seeds)
-        rounds = 0
-        while delta:
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise ChaseNotTerminating(
-                    f"delta chase exceeded {self.max_rounds} rounds"
-                )
-            self.result.rounds += 1
-            new_facts: list[Fact] = []
-            for tgd_index, tgd in enumerate(compiled.tgds):
-                body_query = compiled.body_queries[tgd_index]
-                if body_query is None:
-                    continue  # empty bodies fired in the initial run
-                for body_map in _delta_body_maps(tgd, body_query, instance, delta):
-                    frontier_map = {
-                        v: body_map[v] for v in compiled.frontiers[tgd_index]
-                    }
-                    # Key-compatible with the original run: same precompiled
-                    # variable order, same id encoding as the recorded keys.
-                    key = _trigger_key(
-                        tgd_index, frontier_map, compiled.frontier_orders[tgd_index]
-                    )
-                    if key in self._fired:
-                        continue
-                    self._examine(key, body_map, new_facts, chase_added)
-            delta = new_facts

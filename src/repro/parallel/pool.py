@@ -175,7 +175,6 @@ def _task_chase_round(state: dict, payload: dict):  # pragma: no cover - worker 
     if compiled is None:
         compiled = state["compiled"] = compile_ontology(state["ontology"])
     fired = state["fired"]
-    codegen = state["codegen"]
     proposals: list[tuple[int, tuple]] = []
     suppressed = 0
     for tgd_index, tgd in enumerate(compiled.tgds):
@@ -186,7 +185,7 @@ def _task_chase_round(state: dict, payload: dict):  # pragma: no cover - worker 
         order = compiled.frontier_orders[tgd_index]
         head_query = compiled.head_queries[tgd_index]
         seen_keys: set[tuple] = set()
-        for body_map in _delta_body_maps(tgd, body_query, instance, mine, codegen):
+        for body_map in _delta_body_maps(tgd, body_query, instance, mine):
             frontier_map = {v: body_map[v] for v in frontier}
             key = (tgd_index, tuple(frontier_map[v] for v in order))
             if key in fired or key in seen_keys:

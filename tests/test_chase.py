@@ -209,3 +209,280 @@ class TestHornSaturation:
         database = Database([Fact("Researcher", ("mary",))])
         saturated = horn_saturation(database, ontology)
         assert Fact("Employed", ("mary",)) in saturated
+
+
+# -- what the chase computes, pinned --------------------------------------
+
+
+def _null_free(instance):
+    return {fact for fact in instance if not fact.has_null()}
+
+
+class TestChaseIsPinned:
+    """Counts from the commit before the id-level trigger pipeline: the
+    pipeline may get faster, what it computes may not move."""
+
+    @pytest.mark.parametrize(
+        "workload, size, expected",
+        [
+            ("lubm", 600, (6495, 6, 4134)),
+            ("office", 400, (1600, 2, 716)),
+        ],
+    )
+    def test_counts_and_determinism(self, workload, size, expected):
+        from repro import workloads
+        from repro.data.interning import TERMS
+
+        omq = getattr(workloads, f"{workload}_omq")()
+        database = getattr(workloads, f"generate_{workload}_database")(size)
+        first = omq.chase(database)
+        assert (len(first.instance), first.result.rounds, first.result.fired_triggers) == expected
+        # Run twice, compare: same counts, same null-free facts, and the
+        # database itself untouched by either run.
+        before = len(database)
+        second = omq.chase(database)
+        assert len(database) == before
+        assert len(second.instance) == len(first.instance)
+        assert second.result.rounds == first.result.rounds
+        assert second.result.fired_triggers == first.result.fired_triggers
+        assert _null_free(second.instance) == _null_free(first.instance)
+        for fact in first.instance:
+            assert fact.iargs == TERMS.intern_tuple(fact.args)
+
+    def test_integer_constants_keep_their_ids_apart(self):
+        # An all-integer database: a dense id written where a term belongs
+        # (or the reverse) would show up as a wrong argument here.
+        from repro.data.interning import TERMS
+
+        c = [10**9 + i for i in range(6)]
+        ontology = parse_ontology(
+            "A(x) -> R(x, y)\nR(x, y) -> B(y)\nB(x) -> S(x, y)\nS(x, y) -> T(y, x)"
+        )
+        database = Database(
+            [Fact("A", (c[0],)), Fact("A", (c[1],)), Fact("R", (c[1], c[2])), Fact("B", (c[3],))]
+        )
+        result = chase(database, ontology)
+        constants = set(c)
+        for fact in result.instance:
+            assert fact.iargs == TERMS.intern_tuple(fact.args)
+            for arg in fact.args:
+                assert is_null(arg) or arg in constants
+        assert Fact("B", (c[2],)) in result.instance
+        assert result.fired_triggers == 9 and len(result.nulls()) == 4
+
+
+# -- trigger plan vs. the term-level route ---------------------------------
+
+
+def _reference_chase(database, ontology, max_rounds=50):
+    """The restricted chase by the book: every round, every body
+    homomorphism, fire unless the head already has a homomorphism."""
+    from repro.cq.homomorphism import all_homomorphisms
+    from repro.data.instance import Instance
+
+    instance = Instance(database)
+    for _ in range(max_rounds):
+        fired = False
+        for tgd in ontology:
+            matches = (
+                list(all_homomorphisms(tgd.body_query().boolean_version(), instance))
+                if tgd.body
+                else [{}]
+            )
+            for match in matches:
+                frontier = {v: match[v] for v in tgd.frontier_variables()}
+                if find_homomorphism(tgd.head_query(), instance, partial=frontier):
+                    continue
+                for variable in tgd.existential_variables():
+                    frontier[variable] = instance.fresh_null()
+                for atom in tgd.head:
+                    instance.add(atom.to_fact(frontier))
+                fired = True
+        if not fired:
+            return instance
+    raise AssertionError("reference chase did not terminate")
+
+
+def _maps_into(source, target) -> bool:
+    """True if ``source`` maps homomorphically into ``target`` (nulls move,
+    constants stay)."""
+    from repro.cq.atoms import Atom, Variable
+    from repro.cq.query import ConjunctiveQuery
+
+    def term(arg):
+        return Variable(f"n{arg.label}") if is_null(arg) else arg
+
+    atoms = [Atom(f.relation, [term(a) for a in f.args]) for f in source]
+    return find_homomorphism(ConjunctiveQuery([], atoms), target) is not None
+
+
+def _reference_answers(query, instance):
+    from repro.core.wildcards import (
+        collapse_nulls,
+        collapse_nulls_multi,
+        minimal_multi_tuples,
+        minimal_partial_tuples,
+    )
+
+    answers = evaluate(query, instance)
+    return (
+        {a for a in answers if not any(is_null(v) for v in a)},
+        minimal_partial_tuples({collapse_nulls(a) for a in answers}),
+        minimal_multi_tuples({collapse_nulls_multi(a) for a in answers}),
+    )
+
+
+class _Log:
+    """A recorder that keeps the rows, in the shape the chase hands them."""
+
+    compiled = None
+
+    def __init__(self):
+        self.fired, self.suppressed = [], []
+
+    def bind(self, instance, fired, fresh):
+        self.instance = instance
+
+    def log_fire(self, key, body_facts, created_facts, created_nulls):
+        self.fired.append((key, body_facts, created_facts, created_nulls))
+
+    def log_suppress(self, key, witness_facts):
+        self.suppressed.append((key, witness_facts))
+
+
+#: One ontology per shape a positional ``TriggerPlan`` must leave to the
+#: homomorphism search, plus the plain shape as the control: (rules, facts,
+#: query, the TGD whose body half / head half must be generic).
+SHAPES = {
+    "plain": (
+        "A(x) -> R(x, y)\nR(x, y) -> B(y)",
+        [("A", ("a",)), ("A", ("b",)), ("R", ("b", "c"))],
+        "q(x, y) :- R(x, y), B(y)",
+        None,
+    ),
+    "repeated-body-variable": (
+        "R(x, x) -> A(x)\nA(x) -> S(x, y)",
+        [("R", ("a", "a")), ("R", ("a", "b")), ("R", ("b", "b")), ("S", ("b", "c"))],
+        "q(x, y) :- S(x, y)",
+        "body",
+    ),
+    "repeated-existential": (
+        "A(x) -> S(x, y, y)",
+        [("A", ("a",)), ("A", ("b",)), ("S", ("a", "d", "e")), ("S", ("b", "d", "d"))],
+        "q(x) :- S(x, y, z)",
+        "head",
+    ),
+    "repeated-frontier-in-head": (
+        "R(x, y) -> T(x, x, y)",
+        [("R", ("a", "b")), ("R", ("c", "d")), ("T", ("a", "a", "b")), ("T", ("c", "e", "d"))],
+        "q(x, y) :- T(x, z, y)",
+        "head",
+    ),
+    "multi-atom-body": (
+        "R(x, y), A(x) -> B(y)\nB(x) -> S(x, y)",
+        [("R", ("a", "b")), ("A", ("a",)), ("R", ("c", "d")), ("B", ("e",)), ("S", ("e", "f"))],
+        "q(x, y) :- S(x, y)",
+        "body",
+    ),
+    "multi-atom-head": (
+        "A(x) -> R(x, y), B(y)",
+        [("A", ("a",)), ("A", ("b",)), ("R", ("a", "c")), ("B", ("c",)), ("R", ("b", "d"))],
+        "q(x, y) :- R(x, y), B(y)",
+        "head",
+    ),
+    "empty-frontier": (
+        "A(x) -> B(y)\nB(x) -> S(x, y)",
+        [("A", ("a",)), ("A", ("b",))],
+        "q(x, y) :- S(x, y)",
+        "head",
+    ),
+}
+
+
+class TestTriggerPlanParity:
+    @staticmethod
+    def _setup(shape):
+        from repro.core import OMQ
+
+        rules, facts, query, generic = SHAPES[shape]
+        ontology = parse_ontology(rules)
+        database = Database(Fact(name, args) for name, args in facts)
+        return OMQ.from_parts(ontology, parse_query(query)), database, generic
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_plan_takes_only_the_shapes_it_can_express(self, shape):
+        from repro.chase.standard import compile_ontology
+
+        omq, _, generic = self._setup(shape)
+        plan = compile_ontology(omq.ontology).plans[0]
+        assert (plan.body_relation is None) == (generic == "body")
+        assert (plan.head_relation is None) == (generic == "head")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_chase_is_equivalent_to_the_reference(self, shape):
+        omq, database, _ = self._setup(shape)
+        log = _Log()
+        result = chase(database, omq.ontology, recorder=log)
+        reference = _reference_chase(database, omq.ontology)
+        assert _null_free(result.instance) == _null_free(reference)
+        assert _maps_into(result.instance, reference)
+        assert _maps_into(reference, result.instance)
+        # What the recorder is handed is what the loop matched.
+        assert len(log.fired) == result.fired_triggers
+        for _, body_facts, created_facts, created_nulls in log.fired:
+            assert all(fact in result.instance for fact in body_facts)
+            assert all(fact in result.instance for fact in created_facts)
+            assert set(created_nulls) <= {n for f in created_facts for n in f.nulls()}
+        for (tgd_index, _), witness_facts in log.suppressed:
+            head = omq.ontology.tgds[tgd_index].head
+            assert len(witness_facts) == len(head)
+            assert {f.relation for f in witness_facts} == {a.relation for a in head}
+            assert all(fact in result.instance for fact in witness_facts)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_answers_match_the_reference_chase(self, shape):
+        from repro.core import MinimalPartialAnswerEnumerator, MultiWildcardEnumerator
+        from repro.core.enumeration import CompleteAnswerEnumerator
+
+        omq, database, _ = self._setup(shape)
+        complete, partial, multi = _reference_answers(
+            omq.query, _reference_chase(database, omq.ontology)
+        )
+        assert set(CompleteAnswerEnumerator(omq, database)) == complete
+        assert set(MinimalPartialAnswerEnumerator(omq, database)) == partial
+        assert set(MultiWildcardEnumerator(omq, database)) == multi
+
+    def test_a_longer_fact_in_the_probed_bucket_is_no_witness(self):
+        # R is used at two arities: R(a) and R(b, c, d) sit in the buckets
+        # the head probe of A(x) -> R(x, y) reads, and neither satisfies it.
+        ontology = parse_ontology("A(x) -> R(x, y)")
+        database = Database(
+            [
+                Fact("A", ("a",)),
+                Fact("A", ("b",)),
+                Fact("A", ("c",)),
+                Fact("R", ("a",)),
+                Fact("R", ("b", "c", "d")),
+                Fact("R", ("c", "e")),
+            ]
+        )
+        log = _Log()
+        result = chase(database, ontology, recorder=log)
+        assert result.fired_triggers == 2
+        (suppressed,) = log.suppressed
+        assert suppressed[1] == (Fact("R", ("c", "e")),)
+        created = {row[2][0].args[0] for row in log.fired}
+        assert created == {"a", "b"}
+        reference = _reference_chase(database, ontology)
+        assert _maps_into(result.instance, reference)
+        assert _maps_into(reference, result.instance)
+
+    def test_constants_in_rules_cannot_reach_the_plan(self):
+        # The remaining shape a positional plan could not take — a constant
+        # inside a body atom — is rejected where TGDs are built.
+        from repro.cq.atoms import Atom, Variable
+        from repro.tgds.tgd import TGD, TGDError
+
+        x = Variable("x")
+        with pytest.raises(TGDError):
+            TGD([Atom("R", (x, "c"))], [Atom("A", (x,))])

@@ -1,8 +1,8 @@
 """Tests for per-plan code generation (`repro.engine.codegen`).
 
 Covers the generated-source shape and caching of the enumeration walk, the
-arity-specialised columnar kernels, the single-atom chase matchers, every
-escape hatch (``REPRO_NO_CODEGEN``, :func:`repro.set_codegen`,
+arity-specialised columnar kernels, every escape hatch
+(``REPRO_NO_CODEGEN``, :func:`repro.set_codegen`,
 ``ExecutionOptions(codegen=False)``), and the eviction guarantee: compiled
 closures never outlive their :class:`PreparedQuery`.
 """
@@ -18,8 +18,6 @@ import weakref
 import pytest
 
 from repro import Database, ExecutionOptions, Fact, QueryEngine, use_codegen
-from repro.cq.atoms import Atom, Variable
-from repro.cq.homomorphism import match_atom
 from repro.data import ColumnarRelation
 from repro.engine import CODEGEN_STATS, PlanCodegen
 from repro.engine.codegen import (
@@ -27,17 +25,11 @@ from repro.engine.codegen import (
     MAX_WALK_DEPTH,
     compile_walk,
     key_kernels,
-    maybe_single_body_matcher,
     nullfree_kernel,
-    single_body_matcher,
     walk_source,
 )
 from repro.tgds.ontology import Ontology
 from repro.tgds.parser import parse_ontology
-
-
-def _x():
-    return Variable("x")
 
 
 #: A depth-2 slot plan shaped like ``CDLinEnumerator._build_plan`` output:
@@ -164,48 +156,6 @@ class TestKeyKernels:
         kernel = nullfree_kernel(2)
         expected = {row for row in rows if not any(flags[v] for v in row)}
         assert kernel(rows, flags) == expected == {(0, 2), (2, 3)}
-
-
-class TestSingleBodyMatcher:
-    CASES = [
-        Atom("R", (_x(), Variable("y"))),
-        Atom("R", (_x(), _x())),  # repeated variable
-        Atom("R", (_x(), "c")),  # constant in the body
-        Atom("T", ("c", _x(), _x(), "d")),  # both, arity 4
-        Atom("P", ()),  # 0-ary body atom
-    ]
-
-    FACTS = [
-        Fact("R", ("a", "b")),
-        Fact("R", ("a", "a")),
-        Fact("R", ("a", "c")),
-        Fact("R", ("c", "c")),
-        Fact("T", ("c", "a", "a", "d")),
-        Fact("T", ("c", "a", "b", "d")),
-        Fact("T", ("x", "a", "a", "d")),
-        Fact("P", ()),
-        Fact("R", ("only", "one", "extra")),  # arity mismatch
-    ]
-
-    @pytest.mark.parametrize("atom", CASES, ids=lambda a: str(a))
-    def test_matcher_agrees_with_match_atom(self, atom):
-        matcher = single_body_matcher(atom)
-        for fact in self.FACTS:
-            assert matcher(fact) == match_atom(atom, fact, {}), fact
-
-    def test_matchers_are_shared_across_equal_atoms(self):
-        left = single_body_matcher(Atom("Q", (_x(), "k")))
-        right = single_body_matcher(Atom("Q", (_x(), "k")))
-        assert left is right
-
-    def test_maybe_matcher_respects_the_switch(self):
-        atom = Atom("R", (_x(), Variable("y")))
-        with use_codegen(False):
-            assert maybe_single_body_matcher(atom) is None
-            assert maybe_single_body_matcher(atom, enabled=True) is not None
-        with use_codegen(True):
-            assert maybe_single_body_matcher(atom) is not None
-            assert maybe_single_body_matcher(atom, enabled=False) is None
 
 
 OFFICE_RULES = """

@@ -297,3 +297,116 @@ class TestMutationEdgeCases:
         assert view == {Fact("R", ("a", "c"))}
         assert constant_view == {Fact("R", ("a", "c"))}
         assert missing_view == {Fact("S", ("s",))}
+
+
+class TestLazyAdjacency:
+    """The element -> facts map exists only once somebody asked for it."""
+
+    FACTS = [Fact("R", ("a", "b")), Fact("R", ("b", "b")), Fact("A", ("a",))]
+
+    @staticmethod
+    def _rebuilt(instance):
+        return {
+            element: set(bucket)
+            for element, bucket in Instance(list(instance))._adjacency().items()
+        }
+
+    def test_absent_until_first_asked_for(self):
+        instance = Instance(self.FACTS)
+        instance.add(Fact("A", ("c",)))
+        instance.discard(Fact("A", ("c",)))
+        instance.probe("R", (0,), ("a",))
+        instance.columnar("R", 2)
+        list(instance.relation("R"))
+        assert instance._by_constant is None
+        assert instance.copy()._by_constant is None
+        assert instance.adom() == {"a", "b"}
+        assert instance._by_constant is not None
+
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda i: i.facts_with("a"),
+            lambda i: i.adom(),
+            lambda i: i.nulls(),
+            lambda i: i.constants(),
+            lambda i: i.is_guarded_set(["a", "b"]),
+        ],
+    )
+    def test_every_reader_builds_it(self, ask):
+        instance = Instance(self.FACTS)
+        ask(instance)
+        assert instance._by_constant == self._rebuilt(instance)
+
+    def test_maintained_like_a_rebuild_once_built(self):
+        instance = Instance(self.FACTS)
+        view = instance.facts_with("c")  # taken before any fact mentions c
+        only_c = Fact("S", ("c", "c"))
+        assert instance.add(only_c)
+        assert view == {only_c}
+        assert instance.discard(only_c)  # c's bucket empties and is dropped
+        assert view == set() and "c" not in instance._by_constant
+        assert instance.add(only_c)
+        assert instance.discard(Fact("R", ("b", "b")))
+        assert instance.add(Fact("T", ("a", "c", Null(7))))
+        assert view == {only_c, Fact("T", ("a", "c", Null(7)))}
+        assert instance._by_constant == self._rebuilt(instance)
+        assert instance.adom() == {"a", "b", "c", Null(7)}
+
+
+class TestBulkCopy:
+    """``Instance(instance)`` / ``.copy()`` against the per-fact build."""
+
+    FACTS = [
+        Fact("R", ("a", "b")),
+        Fact("R", ("a", "c")),
+        Fact("R", ("only",)),
+        Fact("A", ("a",)),
+    ]
+
+    @pytest.mark.parametrize("source_type", [Instance, Database])
+    @pytest.mark.parametrize(
+        "duplicate", [Instance, lambda source: source.copy()], ids=["init", "copy"]
+    )
+    def test_equals_the_per_fact_build(self, source_type, duplicate):
+        source = source_type(self.FACTS)
+        source.probe("R", (0,), ("a",))  # an index on the source is not shared
+        built = Instance(list(self.FACTS))
+        copied = duplicate(source)
+        assert copied == built and copied == source
+        assert copied.version == built.version == len(self.FACTS)
+        assert copied.relations() == built.relations()
+        for name in ("R", "A", "Missing"):
+            assert copied.relation(name) == built.relation(name)
+            assert copied.relation_size(name) == built.relation_size(name)
+        assert copied.probe("R", (0,), ("a",)) != ()
+        assert set(copied.probe("R", (0,), ("a",))) == set(built.probe("R", (0,), ("a",)))
+        assert sorted(copied.index("R", (0, 1))) == sorted(built.index("R", (0, 1)))
+        assert sorted(copied.columnar("R", 2)) == sorted(built.columnar("R", 2))
+
+    def test_independent_of_later_mutations_either_way(self):
+        source = Instance(self.FACTS)
+        copied = Instance(source)
+        source.add(Fact("A", ("late",)))
+        source.discard(Fact("R", ("a", "b")))
+        copied.add(Fact("R", ("mine", "x")))
+        assert Fact("A", ("late",)) not in copied
+        assert Fact("R", ("a", "b")) in copied.relation("R")
+        assert Fact("R", ("mine", "x")) not in source.relation("R")
+        assert copied.relation_size("R") == 4 and source.relation_size("R") == 2
+        assert copied.version == len(self.FACTS) + 1
+
+    def test_copy_shares_the_null_factory_and_the_class(self):
+        database = Database(self.FACTS)
+        clone = database.copy()
+        assert type(clone) is Database
+        assert clone.null_factory is database.null_factory
+        assert Instance(database).null_factory is not database.null_factory
+        # A copied database still diffs from its own construction onwards.
+        clone.add(Fact("A", ("new",)))
+        assert clone.changes_since(len(self.FACTS)).added == {Fact("A", ("new",))}
+
+    def test_database_of_an_instance_with_nulls_still_raises(self):
+        with pytest.raises(ValueError):
+            Database(Instance([Fact("R", ("a", Null(1)))]))
+        assert Database(Instance([Fact("A", ("a",))])) == Instance([Fact("A", ("a",))])

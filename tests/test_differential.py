@@ -12,7 +12,7 @@ reference implementation:
 * single-testing and all-testing on every candidate over the active domain,
 * the prepared-query engine, cold, cached, and incremental after database
   mutations,
-* per-plan code generation (compiled walks/kernels/matchers) and the
+* per-plan code generation (compiled walks/kernels) and the
   ``REPRO_NO_CODEGEN`` interpreted paths,
 * the cost-based plan choice (candidate decompositions + per-edge kernel
   selection) and the ``REPRO_NO_PLANNER`` default-plan path,
@@ -281,7 +281,7 @@ def test_integer_constants_come_back_as_themselves():
 
 @given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
 def test_codegen_on_and_off_agree(templates, query_text, facts):
-    """Compiled walks/kernels/matchers == the interpreted paths == naive."""
+    """Compiled walks/kernels == the interpreted paths == naive."""
     omq = _build_omq(templates, query_text)
     with use_codegen(True):
         database = Database(facts)

@@ -270,6 +270,21 @@ def _first_delta(database, kind):
                 )
 
 
+def _large_office(researchers):
+    """Example 2.2's shape: office plus a rule joining two body atoms."""
+    ontology = parse_ontology(
+        "Researcher(x) -> HasOffice(x, y)\n"
+        "Prof(x), HasOffice(x, y) -> LargeOffice(y)\n"
+        "LargeOffice(x) -> InBuilding(x, y)"
+    )
+    database = generate_office_database(researchers, seed=4)
+    database.add_facts(
+        Fact("Prof", fact.args) for fact in sorted(database.relation("Researcher"), key=repr)[::2]
+    )
+    query = parse_query("q(x, y, z) :- HasOffice(x, y), LargeOffice(y), InBuilding(y, z)")
+    return OMQ.from_parts(ontology, query), database
+
+
 class TestProvenanceLog:
     """The log -> index-on-first-delta -> compact store lifecycle."""
 
@@ -337,6 +352,9 @@ class TestProvenanceLog:
                 lambda: (office_omq(), generate_office_database(40, seed=4)),
                 id="office",
             ),
+            # A two-atom body: its delta rounds reach the shared examine
+            # through the homomorphism search, not the positional plan.
+            pytest.param(lambda: _large_office(40), id="multi-atom-body"),
         ],
     )
     def test_first_delta_equals_cold_engine(self, setup, kind):
@@ -368,8 +386,8 @@ class TestProvenanceLog:
         maintainer, result = _maintained_chase(database, ontology, depth=3)
         assert not result.nulls() and result.fired_triggers == 1
         # Whichever R/S pair the T-firing matched, delete its S fact.
-        ((_, body_map, _, _),) = maintainer._fire_log
-        (used,) = [value for variable, value in body_map.items() if variable.name == "y"]
+        ((_, body_facts, _, _),) = maintainer._fire_log
+        (used,) = [fact.args[0] for fact in body_facts if fact.relation == "S"]
         removed = [Fact("Q", (c[0], c[1])), Fact("S", (used,))]
         for fact in removed:
             database.discard(fact)
