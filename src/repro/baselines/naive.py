@@ -48,12 +48,14 @@ def naive_minimal_partial_answers(omq: OMQ, database: Database) -> set[tuple]:
     return minimal_partial_tuples(naive_partial_answers(omq, database))
 
 
+def naive_partial_answers_multi(omq: OMQ, database: Database) -> set[tuple]:
+    """All (not necessarily minimal) multi-wildcard collapses of chase answers."""
+    return {collapse_nulls_multi(answer) for answer in _chased_answers(omq, database)}
+
+
 def naive_minimal_partial_answers_multi(omq: OMQ, database: Database) -> set[tuple]:
     """``Q(D)^W``: minimal partial answers with multi-wildcards."""
-    collapsed = {
-        collapse_nulls_multi(answer) for answer in _chased_answers(omq, database)
-    }
-    return minimal_multi_tuples(collapsed)
+    return minimal_multi_tuples(naive_partial_answers_multi(omq, database))
 
 
 def naive_single_test(omq: OMQ, database: Database, candidate: Sequence) -> bool:

@@ -41,7 +41,6 @@ from repro.core.progress import (
 )
 from repro.core.multiwildcard import (
     MultiWildcardEnumerator,
-    MultiWildcardOracle,
     enumerate_multiwildcard_answers,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "CompleteAnswerEnumerator",
     "MinimalPartialAnswerEnumerator",
     "MultiWildcardEnumerator",
-    "MultiWildcardOracle",
     "PartialAnswerEnumerator",
     "ProgressTree",
     "ball",

@@ -21,11 +21,13 @@ progress tree from the appropriate list, and after emitting an answer prune
 every progress tree that is strictly more wildcarded than the one just used
 — which is exactly what makes later answers that would be dominated by the
 current one unreachable, so that only minimal partial answers are produced.
+Pruning is compiled per subtree, so after an answer it is locator lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Iterator
 
@@ -47,20 +49,21 @@ from repro.enumeration.reduction import ReducedQuery, build_reduced_query
 class ProgressTree:
     """A progress tree ``(p, g)``: a subtree of ``T1`` plus an assignment.
 
-    ``atoms`` is the (frozen) set of covered block atoms, ``root`` its root
-    and ``assignment`` maps every variable of the covered atoms to the dense
-    term id of a database constant, or to the wildcard.
+    ``atoms`` is the (frozen) set of covered block atoms, ``root`` its root;
+    ``values`` assigns to ``variables`` (the atoms' variables in name order,
+    shared by all trees over the same atoms) constant ids or the wildcard.
     """
 
     root: Atom
     atoms: frozenset[Atom]
-    assignment: tuple[tuple[Variable, object], ...]
+    variables: tuple[Variable, ...]
+    values: tuple
 
     def mapping(self) -> dict[Variable, object]:
-        return dict(self.assignment)
+        return dict(zip(self.variables, self.values))
 
     def star_count(self) -> int:
-        return sum(1 for _, value in self.assignment if value is WILDCARD)
+        return sum(1 for value in self.values if value is WILDCARD)
 
     def sort_key(self) -> tuple[int, int]:
         """A linear extension of the database-preferring order ``≺db``."""
@@ -110,23 +113,24 @@ class _TreeList:
         node.next.prev = node.prev
         # node.next is intentionally left untouched.
 
-    def __iter__(self) -> Iterator[ProgressTree]:
-        node = self.head.next
-        while node is not self.tail:
-            if not node.removed:
-                yield node.tree
-            node = node.next
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
 
 @dataclass(frozen=True)
 class _Subtree:
-    """A connected subtree of the block join tree (root plus atom set)."""
+    """A connected subtree of the block join tree, compiled for pruning:
+    ``variables`` in name order, the order of the locator keys."""
 
     root: Atom
     atoms: frozenset[Atom]
+    pred: tuple[Variable, ...]
+    variables: tuple[Variable, ...]
+
+
+@cache
+def _wildcard_subsets(width: int, mask: int) -> tuple[tuple[int, ...], ...]:
+    """Every non-empty set of positions below ``width`` outside the bit mask
+    ``mask`` (the positions already holding the wildcard)."""
+    free = [p for p in range(width) if not mask >> p & 1]
+    return tuple(c for size in range(1, len(free) + 1) for c in combinations(free, size))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,7 @@ class PartialAnswerEnumerator:
 
     def _build_progress_trees(self) -> None:
         null_flags = self._null_flags
+        name_order: dict[frozenset[Atom], tuple[Variable, ...]] = {}
         for atom in self._preorder:
             relation = self.reduced.relations[atom]
             pred = self._pred_vars[atom]
@@ -236,23 +241,21 @@ class PartialAnswerEnumerator:
                     continue  # condition (1): roots need constant predecessors
                 key = (atom, tuple(assignment[x] for x in pred))
                 for atoms, mapping in self._extend_tree(atom, assignment):
-                    wildcarded = tuple(
-                        sorted(
-                            (
-                                (variable, WILDCARD if null_flags[value] else value)
-                                for variable, value in mapping.items()
-                            ),
-                            key=lambda item: item[0].name,
-                        )
+                    variables = name_order.setdefault(
+                        atoms, tuple(sorted(mapping, key=lambda v: v.name))
                     )
-                    tree = ProgressTree(root=atom, atoms=atoms, assignment=wildcarded)
-                    pending.setdefault(key, {})[(atoms, wildcarded)] = tree
+                    values = tuple(
+                        WILDCARD if null_flags[value] else value
+                        for value in map(mapping.__getitem__, variables)
+                    )
+                    tree = ProgressTree(atom, atoms, variables, values)
+                    pending.setdefault(key, {})[(atoms, values)] = tree
             for key, candidates in pending.items():
                 ordered = sorted(candidates.values(), key=ProgressTree.sort_key)
                 tree_list = self._trees.setdefault(key, _TreeList())
                 for tree in ordered:
                     node = tree_list.append(tree)
-                    self._locator[(key, tree.atoms, tree.assignment)] = node
+                    self._locator[(key, tree.atoms, tree.values)] = node
 
     def _enumerate_subtrees(self) -> None:
         """All connected subtrees of the block join tree (data independent)."""
@@ -274,18 +277,18 @@ class PartialAnswerEnumerator:
 
         for atom in self._preorder:
             for atoms in rooted_at(atom):
-                self._subtrees.append(_Subtree(root=atom, atoms=atoms))
+                variables = sorted(
+                    {v for a in atoms for v in self.reduced.relations[a].variables},
+                    key=lambda v: v.name,
+                )
+                self._subtrees.append(
+                    _Subtree(atom, atoms, self._pred_vars[atom], tuple(variables))
+                )
 
     # -- enumeration ----------------------------------------------------------
 
     def is_empty(self) -> bool:
         return self.reduced.is_empty
-
-    def _emit(self, assignment: dict[Variable, object]) -> tuple:
-        """The answer tuple of a complete assignment: ids decoded, once."""
-        decode = self._decode
-        values = map(assignment.__getitem__, self.original_query.answer_variables)
-        return tuple([v if v is WILDCARD else decode(v) for v in values])
 
     def _next_atom(self, start: int, assignment: dict[Variable, object]) -> int | None:
         for index in range(start, len(self._preorder)):
@@ -296,38 +299,35 @@ class PartialAnswerEnumerator:
         return None
 
     def _prune(self, assignment: dict[Variable, object]) -> None:
+        """Remove the trees strictly more wildcarded than the answer just
+        emitted: locator ``get``s only."""
+        get = assignment.__getitem__
+        locator = self._locator
         for subtree in self._subtrees:
-            pred = self._pred_vars[subtree.root]
-            if any(assignment.get(x) is WILDCARD or x not in assignment for x in pred):
-                continue
-            pred_key = tuple(assignment[x] for x in pred)
+            pred_key = tuple(map(get, subtree.pred))
+            if WILDCARD in pred_key:
+                continue  # roots need constant predecessors
             list_key = (subtree.root, pred_key)
             if list_key not in self._trees:
                 continue
-            variables: set[Variable] = set()
-            for atom in subtree.atoms:
-                variables |= set(self.reduced.relations[atom].variables)
-            if any(variable not in assignment for variable in variables):
-                continue
-            base = {variable: assignment[variable] for variable in variables}
-            non_star = sorted(
-                (v for v in variables if base[v] is not WILDCARD),
-                key=lambda v: v.name,
-            )
-            for size in range(1, len(non_star) + 1):
-                for chosen in combinations(non_star, size):
-                    candidate = dict(base)
-                    for variable in chosen:
-                        candidate[variable] = WILDCARD
-                    frozen = tuple(
-                        sorted(candidate.items(), key=lambda item: item[0].name)
-                    )
-                    node = self._locator.get((list_key, subtree.atoms, frozen))
-                    if node is not None and not node.removed:
-                        self._trees[list_key].remove(node)
+            values = list(map(get, subtree.variables))
+            mask = sum(1 << p for p, value in enumerate(values) if value is WILDCARD)
+            for chosen in _wildcard_subsets(len(values), mask):
+                candidate = values.copy()
+                for position in chosen:
+                    candidate[position] = WILDCARD
+                node = locator.get((list_key, subtree.atoms, tuple(candidate)))
+                if node is not None and not node.removed:
+                    self._trees[list_key].remove(node)
 
     def enumerate(self) -> Iterator[tuple]:
         """Yield exactly the minimal partial answers, without repetition."""
+        decode = self._decode
+        for answer in self.id_answers():
+            yield tuple([v if v is WILDCARD else decode(v) for v in answer])
+
+    def id_answers(self) -> Iterator[tuple]:
+        """The walk: each answer over the original head as ids and ``*``."""
         if self.reduced.is_empty:
             return
         if not self._preorder:
@@ -335,10 +335,11 @@ class PartialAnswerEnumerator:
             return
 
         assignment: dict[Variable, object] = {}
+        head = self.original_query.answer_variables
 
         def walk(index: int | None) -> Iterator[tuple]:
             if index is None:
-                yield self._emit(assignment)
+                yield tuple(map(assignment.__getitem__, head))
                 self._prune(assignment)
                 return
             atom = self._preorder[index]

@@ -16,6 +16,7 @@ null and distinct wildcards may or may not.  This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -50,14 +51,6 @@ class Wildcard:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"*{self.index}"
-
-
-def is_single_wildcard(value: object) -> bool:
-    return value is WILDCARD
-
-
-def is_multi_wildcard(value: object) -> bool:
-    return isinstance(value, Wildcard)
 
 
 def is_wildcard(value: object) -> bool:
@@ -215,6 +208,44 @@ def set_partitions(items: Sequence) -> Iterator[list[list]]:
         yield [[first]] + partition
 
 
+def shape_of(candidate: Sequence) -> tuple[tuple, list]:
+    """The *shape* of a tuple — constants replaced by the placeholders
+    ``0, 1, ...`` in order of first occurrence, wildcards kept — and the
+    constants: ``constants[k]`` is the value behind placeholder ``k``."""
+    slots: dict[object, int] = {}
+    constants: list = []
+    shape = []
+    for value in candidate:
+        if value is WILDCARD or value.__class__ is Wildcard:
+            shape.append(value)
+            continue
+        slot = slots.get(value)
+        if slot is None:
+            slot = slots[value] = len(constants)
+            constants.append(value)
+        shape.append(slot)
+    return tuple(shape), constants
+
+
+def _per_shape(definition):
+    """Evaluate ``definition`` once per shape (memo: ``.templates``) and
+    substitute the constants for the placeholders.  Exact: the definitions
+    compare constants only for equality and the renaming is a bijection."""
+    templates: dict[tuple, tuple] = {}
+
+    @wraps(definition)
+    def per_shape(candidate: Sequence) -> set[tuple]:
+        shape, constants = shape_of(candidate)
+        found = templates.get(shape)
+        if found is None:
+            found = templates[shape] = tuple(definition(shape))
+        return {tuple([constants[v] if v.__class__ is int else v for v in t]) for t in found}
+
+    per_shape.templates = templates
+    return per_shape
+
+
+@_per_shape
 def ball(candidate: Sequence) -> set[tuple]:
     """``B^W(ā*)``: multi-wildcard tuples that collapse to the given
     single-wildcard tuple.
@@ -234,6 +265,7 @@ def ball(candidate: Sequence) -> set[tuple]:
     return result
 
 
+@_per_shape
 def cone(candidate: Sequence) -> set[tuple]:
     """``cone^W(ā*)``: the union of the balls of all ``b̄* ⪰ ā*``."""
     candidate = tuple(candidate)
@@ -250,6 +282,7 @@ def cone(candidate: Sequence) -> set[tuple]:
     return result
 
 
+@_per_shape
 def strictly_less_informative_multi(candidate: Sequence) -> set[tuple]:
     """All normalized multi-wildcard tuples ``b̄`` with ``candidate ≺ b̄``.
 

@@ -42,6 +42,7 @@ from repro.baselines.naive import (
     naive_certain_answers,
     naive_minimal_partial_answers,
     naive_minimal_partial_answers_multi,
+    naive_partial_answers_multi,
     naive_single_test,
 )
 from repro.core import (
@@ -54,6 +55,7 @@ from repro.core import (
     Wildcard,
 )
 from repro.core.enumeration import CompleteAnswerEnumerator
+from repro.core.wildcards import is_normalized_multi
 from repro.cq.parser import parse_query
 from repro.config import use_codegen, use_planner
 from repro.data import Database, Fact
@@ -109,6 +111,12 @@ QUERY_TEMPLATES = (
     "q(x, y, z) :- R(x, y), S(y, z)",
     "q(x) :- A(x), B(x)",
     "q() :- R(x, y)",
+    # Two blocks whose wildcards may land on one null: (c, *1, *1) vs (c, *1, *2).
+    "q(x, y, z) :- R(x, y), R(x, z)",
+    # No shared variable: distinct nulls across blocks, all-wildcard candidates.
+    "q(x, y) :- A(x), B(y)",
+    # A repeated head variable.
+    "q(x, x) :- R(x, y)",
 )
 
 #: Integers far above any dense term id the process will ever mint: as a
@@ -229,6 +237,56 @@ def test_multiwildcard_enumeration_matches_naive(templates, query_text, facts):
     enumerated = list(MultiWildcardEnumerator(omq, database))
     assert len(enumerated) == len(set(enumerated))
     assert set(enumerated) == naive_minimal_partial_answers_multi(omq, database)
+
+
+@given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
+def test_multiwildcard_tester_matches_naive_on_every_candidate(
+    templates, query_text, facts
+):
+    """Theorem 6.1's all-tester ``A2`` == membership in the naive set of
+    (not necessarily minimal) multi-wildcard answers, for every normalized
+    tuple over ``adom ∪ {*1..*n}``."""
+    omq = _build_omq(templates, query_text)
+    database = Database(facts)
+    expected = naive_partial_answers_multi(omq, database)
+    tester = MultiWildcardEnumerator(omq, database).tester
+    values = sorted(database.adom(), key=repr)
+    values += [Wildcard(i) for i in range(1, omq.arity + 1)]
+    for candidate in product(values, repeat=omq.arity):
+        if is_normalized_multi(candidate):
+            assert tester.test(candidate) == (candidate in expected), candidate
+
+
+@pytest.mark.parametrize(
+    "rules, query_text, facts, accepted, rejected",
+    [
+        # One null below c: both wildcards land on it, so they are equal.
+        (
+            ["A(x) -> R(x, y)"],
+            "q(x, y, z) :- R(x, y), R(x, z)",
+            [Fact("A", ("c0",))],
+            ("c0", Wildcard(1), Wildcard(1)),
+            ("c0", Wildcard(1), Wildcard(2)),
+        ),
+        # One null that is both A and B: no two distinct nulls across blocks.
+        (
+            ["C(x) -> R(x, y)", "R(x, y) -> A(y)", "R(x, y) -> B(y)"],
+            "q(x, y) :- A(x), B(y)",
+            [Fact("C", ("c0",))],
+            (Wildcard(1), Wildcard(1)),
+            (Wildcard(1), Wildcard(2)),
+        ),
+    ],
+)
+def test_multiwildcard_tester_tells_equal_from_distinct_nulls(
+    rules, query_text, facts, accepted, rejected
+):
+    omq = _build_omq(rules, query_text)
+    database = Database(facts)
+    expected = naive_partial_answers_multi(omq, database)
+    assert accepted in expected and rejected not in expected
+    tester = MultiWildcardEnumerator(omq, database).tester
+    assert tester.test(accepted) and not tester.test(rejected)
 
 
 @given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)

@@ -18,8 +18,10 @@ from repro.core import (
     MultiWildcardEnumerator,
     Wildcard,
 )
+from repro.core import wildcards
 from repro.core.progress import PartialAnswerEnumerator
 from repro.workloads import (
+    generate_office_database,
     generate_university_database,
     office_omq,
     university_omq,
@@ -202,6 +204,32 @@ class TestMultiWildcardEnumeration:
         database = generate_university_database(25, seed=3)
         got = set(MultiWildcardEnumerator(omq, database))
         assert got == naive_minimal_partial_answers_multi(omq, database)
+
+    def test_tester_work_and_templates_do_not_grow_with_the_data(self):
+        """Theorem 6.1's constant-time all-tester as an assertion: the most
+        bucket rows one ``A2`` test visits is the same on office-N and
+        office-4N, and so is the number of per-shape templates, which is
+        bounded by the arity alone."""
+        work, memo_sizes = [], []
+        for size in (250, 1000):
+            enumerator = MultiWildcardEnumerator(
+                office_omq(), generate_office_database(size, seed=0)
+            )
+            assert sum(1 for _ in enumerator) == size
+            work.append(enumerator.tester.max_rows_per_test)
+            memo_sizes.append(
+                (
+                    len(enumerator._cones),
+                    len(enumerator.tester._plans),
+                    len(wildcards.cone.templates),
+                    len(wildcards.ball.templates),
+                )
+            )
+        assert 0 < work[0] == work[1]
+        assert memo_sizes[0] == memo_sizes[1]
+        # Single-wildcard shapes of arity 3: set partitions of the three
+        # positions plus one optional wildcard block = Bell(4).
+        assert memo_sizes[0][0] <= 15
 
 
 class TestCQLevelPartialEnumerator:

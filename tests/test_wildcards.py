@@ -1,5 +1,7 @@
 """Tests for wildcard tuples, multi-wildcard tuples, orders, balls and cones."""
 
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,3 +212,85 @@ def test_minimal_partial_tuples_are_minimal_and_cover(tuples):
         assert not any(lt_partial(other, candidate) for other in pool)
     for candidate in pool:
         assert any(leq_partial(m, candidate) for m in minimal)
+
+
+# -- per-shape templates == the set-partition definitions ----------------------
+
+
+def _ball_by_definition(candidate):
+    positions = [i for i, value in enumerate(candidate) if value is WILDCARD]
+    result = set()
+    for partition in set_partitions(positions):
+        draft = list(candidate)
+        for number, group in enumerate(partition, start=1):
+            for position in group:
+                draft[position] = Wildcard(number)
+        result.add(normalize_multi(draft))
+    return result
+
+
+def _cone_by_definition(candidate):
+    result = set()
+    for mask in product((False, True), repeat=len(candidate)):
+        if all(value is not WILDCARD or not promote for value, promote in zip(candidate, mask)):
+            weakened = [WILDCARD if promote else v for v, promote in zip(candidate, mask)]
+            result |= _ball_by_definition(weakened)
+    return result
+
+
+def _weaker_by_definition(candidate):
+    return {
+        weaker
+        for weaker in _cone_by_definition(multi_to_single(candidate))
+        if lt_multi(candidate, weaker)
+    }
+
+
+def _tuples_up_to_arity(values, arity=4):
+    for length in range(arity + 1):
+        yield from product(values, repeat=length)
+
+
+class TestShapeTemplates:
+    """``ball``, ``cone`` and ``strictly_less_informative_multi`` are computed
+    once per shape (constants renamed to placeholders) and instantiated; they
+    must equal the definitions on every shape up to arity 4."""
+
+    SINGLE_ALPHABETS = (
+        ("a", "b", "c", "d", WILDCARD),  # every shape, repeated constants included
+        tuple(10**9 + i for i in range(4)) + (WILDCARD,),  # integer constants
+        ("a", "b", WILDCARD, Wildcard(1), Wildcard(2)),  # numbered wildcards as input
+        (0, 1, WILDCARD, Wildcard(1)),  # constants that look like placeholders
+    )
+    MULTI_ALPHABETS = (
+        ("a", "b", Wildcard(1), Wildcard(2), Wildcard(3)),
+        (10**9, 10**9 + 1, Wildcard(1), Wildcard(2), Wildcard(4)),
+    )
+
+    def test_ball_and_cone_equal_the_definitions(self):
+        for alphabet in self.SINGLE_ALPHABETS:
+            for candidate in _tuples_up_to_arity(alphabet):
+                assert ball(candidate) == _ball_by_definition(candidate), candidate
+                assert cone(candidate) == _cone_by_definition(candidate), candidate
+
+    def test_strictly_less_informative_equals_the_definition(self):
+        for alphabet in self.MULTI_ALPHABETS:
+            for candidate in _tuples_up_to_arity(alphabet):
+                assert strictly_less_informative_multi(
+                    candidate
+                ) == _weaker_by_definition(candidate), candidate
+
+    def test_repeated_constants_keep_their_identity(self):
+        assert ball(("a", "a", WILDCARD)) == {("a", "a", Wildcard(1))}
+        assert ("a", Wildcard(1), Wildcard(1)) in cone(("a", "a", WILDCARD))
+        merged = (Wildcard(1), Wildcard(1), Wildcard(2))
+        assert merged in strictly_less_informative_multi(("a", "a", Wildcard(1)))
+        assert merged not in strictly_less_informative_multi(("a", "b", Wildcard(1)))
+        big = 10**9
+        assert cone((big, big + 1)) == {
+            (big, big + 1),
+            (Wildcard(1), big + 1),
+            (big, Wildcard(1)),
+            (Wildcard(1), Wildcard(1)),
+            (Wildcard(1), Wildcard(2)),
+        }
