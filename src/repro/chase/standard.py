@@ -270,11 +270,10 @@ def _head_witness(
     """The facts satisfying the TGD head at this trigger, or ``None``.
 
     The term-level route, for the heads a :class:`TriggerPlan` does not
-    cover and for :mod:`repro.parallel`.  Single-atom heads are answered
-    with one index probe plus a match per candidate — the matched fact *is*
-    the witness — instead of spinning up the full backtracking search;
-    multi-atom heads fall back to the generic homomorphism finder and
-    instantiate the head under it.
+    cover.  Single-atom heads are answered with one index probe plus a
+    match per candidate — the matched fact *is* the witness — instead of
+    spinning up the full backtracking search; multi-atom heads fall back to
+    the generic homomorphism finder and instantiate the head under it.
     """
     atoms = head_query.atoms
     if len(atoms) == 1:

@@ -213,7 +213,6 @@ def _run_command(args: argparse.Namespace) -> int:
             incremental=not args.no_incremental,
             strict=not args.no_strict,
             tracing=True if args.trace else None,
-            workers=args.workers,
         ),
     )
     slow_log = SlowQueryLog(args.slow_query_ms)
@@ -229,7 +228,7 @@ def _run_command(args: argparse.Namespace) -> int:
     exec_started = time.perf_counter()
     if args.batch:
         batch = [query for _, query in queries] * args.repeat
-        answer_sets = engine.execute_batch(batch, max_workers=args.workers)
+        answer_sets = engine.execute_batch(batch)
         per_query = answer_sets[: len(queries)]
     else:
         per_query = []
@@ -454,7 +453,6 @@ def _serve(args: argparse.Namespace) -> int:
         planner=False if args.no_planner else None,
         tracing=True if args.trace else None,
         slow_query_ms=args.slow_query_ms,
-        workers=args.workers,
     )
     tenants: list[tuple[str, str, int, int]] = []
     for spec in args.tenant:
@@ -566,18 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action="store_true",
         help="evaluate through engine.execute_batch instead of per-query calls",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for the sharded parallel backend (chase, "
-            "semi-join reduce, batch fan-out), as with REPRO_WORKERS=N; "
-            "1 is fully sequential, and the same N sizes the --batch "
-            "thread pool (default: REPRO_WORKERS, else 1)"
-        ),
     )
     run.add_argument("--show", type=int, default=0, help="sample answers to print")
     run.add_argument("--json", action="store_true", help="emit one JSON report")
@@ -797,17 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MS",
         help="log queries/pages slower than MS milliseconds as JSON lines on stderr",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes per tenant engine for the sharded parallel "
-            "backend, as with REPRO_WORKERS=N (default: REPRO_WORKERS, "
-            "else 1 = sequential)"
-        ),
     )
     serve.set_defaults(func=_serve)
     return parser

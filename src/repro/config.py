@@ -4,8 +4,8 @@ The tuning knobs accumulated as the engine grew — the
 incremental-maintenance kwargs of the prepared-query engine
 (``incremental``, ``incremental_fallback_ratio``, ``plan_cache_size``,
 ``strict``), the per-plan code generation of :mod:`repro.engine.codegen`
-(``REPRO_NO_CODEGEN`` / ``set_codegen``), the planner, tracing and the
-worker count.  This module is their single home:
+(``REPRO_NO_CODEGEN`` / ``set_codegen``), the planner and tracing.  This
+module is their single home:
 
 * :class:`ExecutionOptions` — one frozen dataclass carrying every knob, the
   object :class:`repro.engine.QueryEngine`, :class:`repro.server.QueryService`
@@ -21,8 +21,8 @@ worker count.  This module is their single home:
 2. the :class:`ExecutionOptions` object passed to that component
    (``QueryEngine(..., options=ExecutionOptions(strict=False))``);
 3. the process default — the environment variables (``REPRO_NO_CODEGEN``,
-   ``REPRO_NO_PLANNER``, ``REPRO_TRACE``, ``REPRO_WORKERS``) read at import
-   time, as later adjusted by the matching ``set_*`` function.
+   ``REPRO_NO_PLANNER``, ``REPRO_TRACE``) read at import time, as later
+   adjusted by the matching ``set_*`` function.
 
 There is no storage-format switch: rows are tuples of dense term ids
 (:mod:`repro.data.interning`) on every path, decoded once at answer
@@ -41,18 +41,15 @@ from typing import Iterator
 __all__ = [
     "ExecutionOptions",
     "codegen_enabled",
-    "default_workers",
     "planner_enabled",
     "resolve_option",
     "set_codegen",
     "set_planner",
     "set_tracing",
-    "set_workers",
     "tracing_enabled",
     "use_codegen",
     "use_planner",
     "use_tracing",
-    "use_workers",
 ]
 
 
@@ -72,22 +69,6 @@ _PLANNER = not _env_disabled("REPRO_NO_PLANNER")
 # Tracing has the opposite polarity: it is *off* unless asked for, because
 # it is diagnostic machinery, not an execution strategy.
 _TRACING = _env_disabled("REPRO_TRACE")
-
-
-def _env_workers(variable: str) -> int:
-    """The worker-count default from ``variable`` (anything invalid → 1)."""
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-# Process-worker default: 1 means sequential; REPRO_WORKERS=N opts every
-# engine without an explicit ``workers`` setting into N-process execution.
-_WORKERS = _env_workers("REPRO_WORKERS")
 
 
 def codegen_enabled() -> bool:
@@ -129,11 +110,10 @@ def planner_enabled() -> bool:
 
     With the planner on, materializations pick the cheapest candidate
     free-connex decomposition from the columnar statistics of the chased
-    instance (and auto-tune the incremental fallback threshold); with it
-    off they run the first valid plan with the configured threshold —
-    the pre-planner behaviour, kept as the ``REPRO_NO_PLANNER`` /
-    ``--no-planner`` A/B escape hatch.  Answers are byte-identical either
-    way (plan choice only moves preprocessing constants).
+    instance; with it off they run the first valid plan — the pre-planner
+    behaviour, kept as the ``REPRO_NO_PLANNER`` / ``--no-planner`` A/B
+    escape hatch.  Answers are byte-identical either way (plan choice only
+    moves preprocessing constants).
     """
     return _PLANNER
 
@@ -196,41 +176,6 @@ def use_tracing(enabled: bool) -> Iterator[None]:
         set_tracing(previous)
 
 
-def default_workers() -> int:
-    """The process-wide worker-count default (1 = sequential, default).
-
-    Captured from ``REPRO_WORKERS`` at import time and adjusted by
-    :func:`set_workers`.  This is the fallback behind
-    ``ExecutionOptions.workers = None``; values above 1 enable the
-    process-parallel chase/reduce/batch paths of :mod:`repro.parallel`
-    (sequential fallback on platforms without ``fork``).
-    """
-    return _WORKERS
-
-
-def set_workers(count: int) -> int:
-    """Set the process-wide worker default; returns the previous setting.
-
-    Only engines/materializations that resolve their worker count *after*
-    the call are affected (worker pools already forked keep running).
-    """
-    global _WORKERS
-    with _STATE_LOCK:
-        previous = _WORKERS
-        _WORKERS = max(1, int(count))
-    return previous
-
-
-@contextmanager
-def use_workers(count: int) -> Iterator[None]:
-    """Context manager scoping :func:`set_workers` (A/B test helper)."""
-    previous = set_workers(count)
-    try:
-        yield
-    finally:
-        set_workers(previous)
-
-
 def resolve_option(explicit, options_value, default):
     """Apply the documented precedence: explicit arg > options > default.
 
@@ -266,23 +211,15 @@ class ExecutionOptions:
       every execution, ``False`` hard-disables all instrumentation (spans
       are never even looked for), ``None`` joins ambient traces and
       otherwise follows the ``REPRO_TRACE`` process default.
-    * ``workers`` — process-parallel execution: ``N > 1`` shards the chase,
-      the Yannakakis reduce passes and ``execute_batch`` across ``N``
-      forked worker processes (:mod:`repro.parallel`); ``1`` forces the
-      sequential paths and ``None`` follows the ``REPRO_WORKERS`` process
-      default.  Enumeration always streams from one merged cursor in the
-      calling process, so the constant-delay contract is unchanged.
     * ``planner`` — cost-based plan choice: pick the cheapest candidate
-      join tree / free-connex decomposition from columnar statistics,
-      choose semi-join kernels per edge and auto-tune the incremental
-      fallback threshold.  ``False`` runs the first valid plan (the
-      pre-planner behaviour); ``None`` follows the ``REPRO_NO_PLANNER``
-      process default.
+      join tree / free-connex decomposition from columnar statistics and
+      choose semi-join kernels per edge.  ``False`` runs the first valid
+      plan (the pre-planner behaviour); ``None`` follows the
+      ``REPRO_NO_PLANNER`` process default.
 
     Invalid values are rejected at construction: ``plan_cache_size`` must
-    be at least 1, ``workers`` at least 1 when given, and
-    ``incremental_fallback_ratio`` a finite number in ``[0, 1]`` (``0.0``
-    means "always rebuild on mutation").
+    be at least 1 and ``incremental_fallback_ratio`` a finite number in
+    ``[0, 1]`` (``0.0`` means "always rebuild on mutation").
     """
 
     codegen: bool | None = None
@@ -291,19 +228,12 @@ class ExecutionOptions:
     plan_cache_size: int = 64
     strict: bool = True
     tracing: bool | None = None
-    workers: int | None = None
     planner: bool | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.plan_cache_size, int) or self.plan_cache_size < 1:
             raise ValueError(
                 f"plan_cache_size must be an integer >= 1, got {self.plan_cache_size!r}"
-            )
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < 1
-        ):
-            raise ValueError(
-                f"workers must be None or an integer >= 1, got {self.workers!r}"
             )
         ratio = self.incremental_fallback_ratio
         if (
@@ -324,10 +254,6 @@ class ExecutionOptions:
     def resolved_tracing(self) -> bool:
         """The tracing flag with the process default filled in."""
         return tracing_enabled() if self.tracing is None else self.tracing
-
-    def resolved_workers(self) -> int:
-        """The worker count with the process default filled in (min 1)."""
-        return default_workers() if self.workers is None else max(1, self.workers)
 
     def resolved_planner(self) -> bool:
         """The planner flag with the process default filled in."""

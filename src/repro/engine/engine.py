@@ -80,16 +80,6 @@ class EngineStats:
     functions compiled, and lookups served from a codegen cache without
     compiling.
 
-    The ``parallel_*`` / shard counters cover the process-parallel paths of
-    :mod:`repro.parallel`: ``parallel_chases`` counts chases that ran
-    sharded across worker processes (per materialization),
-    ``parallel_tasks`` every task shipped to a worker, ``parallel_rounds``
-    the chase rounds driven through the pool, ``boundary_facts`` the facts
-    exchanged between rounds, ``shard_segments`` the shared-memory segments
-    created, and ``worker_crashes`` the worker deaths that forced a
-    sequential fallback (the process-wide readings of
-    :data:`repro.parallel.PARALLEL_STATS`).
-
     The ``planner_*`` counters cover the cost-based plan choice:
     ``planner_choices`` counts state builds that went through it,
     ``planner_candidates`` the candidate decompositions costed across
@@ -113,12 +103,6 @@ class EngineStats:
     cursors_open: int = 0
     plans_compiled: int = 0
     codegen_cache_hits: int = 0
-    parallel_chases: int = 0
-    parallel_tasks: int = 0
-    parallel_rounds: int = 0
-    boundary_facts: int = 0
-    shard_segments: int = 0
-    worker_crashes: int = 0
     planner_choices: int = 0
     planner_candidates: int = 0
     planner_estimated_rows: int = 0
@@ -279,7 +263,6 @@ class QueryEngine:
         codegen: bool | None = None,
         plan_cache: LRUCache[PreparedQuery] | None = None,
         tracing: bool | None = None,
-        workers: int | None = None,
         planner: bool | None = None,
     ) -> None:
         resolved = options if options is not None else ExecutionOptions()
@@ -308,10 +291,6 @@ class QueryEngine:
         # resolved per execution, not frozen here, so a scoped
         # ``use_tracing`` applies to an already-built engine.
         self.tracing = resolve_option(tracing, resolved.tracing, _OPTION_DEFAULTS.tracing)
-        # ``None`` follows the REPRO_WORKERS process default dynamically
-        # (resolved at each pool decision); >1 enables the process-parallel
-        # chase/reduce/batch paths of :mod:`repro.parallel`.
-        self.workers = resolve_option(workers, resolved.workers, _OPTION_DEFAULTS.workers)
         # Same tri-state shape as codegen: ``None`` defers to the
         # REPRO_NO_PLANNER / ``set_planner`` process default at each plan
         # decision, so a scoped ``use_planner`` applies to a live engine.
@@ -447,7 +426,6 @@ class QueryEngine:
                 fallback_ratio=self.incremental_fallback_ratio,
                 codegen=self.codegen,
                 tracing=self.tracing,
-                workers=self.workers,
                 planner=self.planner,
             )
             self._materializations.put(id(database), materialization)
@@ -488,19 +466,6 @@ class QueryEngine:
                 materialization = self._materializations.get(id(database))
                 if materialization is not None and materialization.database is database:
                     materialization.invalidate()
-
-    def shutdown(self) -> None:
-        """Terminate every worker pool; materialized state is kept.
-
-        Only meaningful with ``workers >= 2`` — pools also die with the
-        engine (finalizers) and at interpreter exit, but tests and
-        long-running embedders can reclaim the processes deterministically.
-        The engine remains fully usable; the next parallel operation forks
-        fresh workers from the current chase.
-        """
-        with self._lock:
-            for materialization in self._materializations.values():
-                materialization.close()
 
     # -- tracing -----------------------------------------------------------
 
@@ -565,26 +530,13 @@ class QueryEngine:
         Plans and materialized states are built sequentially under the
         engine lock (they mutate shared structures); the enumeration phase
         — read-only by construction — then fans out over a thread pool.
-        ``max_workers=0`` or ``1`` forces the sequential worker loop (and
-        skips the process fan-out below — an explicit request for a
-        single worker wins over the engine's ``workers`` option).
-
-        When the engine's ``workers`` option resolves above 1 (and the
-        platform supports ``fork``), the batch instead fans out across the
-        materialization's worker-process pool: enumerable queries are
-        evaluated on the workers' chased replicas, non-enumerable ones
-        locally, and any pool failure falls back to the thread path.  The
-        answer sets are byte-identical either way.
+        ``max_workers=0`` or ``1`` forces the sequential worker loop.
         """
         with self._trace_scope("execute_batch"):
             resolved = self._resolve_database(database)
             plans = [self.prepare(query) for query in queries]
             if not plans:
                 return []
-            if max_workers is None or max_workers > 1:
-                process_results = self._execute_batch_processes(plans, resolved)
-                if process_results is not None:
-                    return process_results
             states = [self._materialized_state(plan, resolved) for plan in plans]
             if max_workers is None:
                 max_workers = min(len(states), os.cpu_count() or 1, 8)
@@ -607,68 +559,6 @@ class QueryEngine:
                     return [future.result() for future in futures]
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
                 return list(pool.map(self._evaluate_state, states))
-
-    def _effective_workers(self) -> int:
-        """The resolved process-worker count (``None`` → process default)."""
-        from repro.config import default_workers
-
-        return default_workers() if self.workers is None else max(1, self.workers)
-
-    def _execute_batch_processes(
-        self, plans: list[PreparedQuery], database: Database
-    ) -> list[set[tuple]] | None:
-        """Fan a batch out across the materialization's worker processes.
-
-        Returns ``None`` whenever the process path does not apply — workers
-        resolve to 1, no ``fork``, the pool could not be (re)forked, or a
-        worker failed mid-batch — and the caller runs the thread path
-        instead.  Enumerable plans scatter round-robin to workers (each
-        builds its enumerator against its chased replica and returns the
-        decoded answer set); fallback plans evaluate locally.
-        """
-        if self._effective_workers() < 2:
-            return None
-        # Traced batches keep the thread path: its per-query enumerate
-        # spans come from the calling process and join the ambient trace,
-        # which worker processes cannot do.
-        if self.tracing is not False and current_trace() is not None:
-            return None
-        from repro.parallel import PARALLEL_STATS, ParallelExecutionError, supported
-
-        if not supported():
-            return None
-        results: list[set[tuple] | None] = [None] * len(plans)
-        local_slots: list[int] = []
-        with self._lock:
-            materialization = self._materialization(database)
-            # One chase covers the whole batch: deepen to the most demanding
-            # plan first so no later state build re-chases (and re-forks).
-            deepest = max(plans, key=lambda plan: plan.null_depth)
-            materialization.chase_for(deepest)
-            pool = materialization.ensure_pool()
-            if pool is None:
-                return None
-            assignments: list[list] = [[] for _ in range(pool.worker_count)]
-            for slot, plan in enumerate(plans):
-                if plan.supports_enumeration:
-                    assignments[slot % pool.worker_count].append(
-                        (slot, plan.omq.query)
-                    )
-                else:
-                    local_slots.append(slot)
-            try:
-                responses = pool.scatter("execute", assignments)
-            except ParallelExecutionError:
-                return None
-        for response in responses:
-            for slot, answers in response:
-                results[slot] = answers
-                self._counters.bump("executions")
-        PARALLEL_STATS.bump("batch_queries", len(plans) - len(local_slots))
-        for slot in local_slots:
-            state = self._materialized_state(plans[slot], database)
-            results[slot] = self._evaluate_state(state)
-        return results  # type: ignore[return-value]
 
     def open(
         self,
@@ -719,9 +609,6 @@ class QueryEngine:
         """
         counters = self._counters.snapshot()
         plans_compiled, codegen_cache_hits = CODEGEN_STATS.snapshot()
-        from repro.parallel import PARALLEL_STATS
-
-        parallel = PARALLEL_STATS.snapshot()
         with self._lock:
             materializations = list(self._materializations.values())
             return EngineStats(
@@ -742,12 +629,6 @@ class QueryEngine:
                 cursors_open=counters.get("cursors_open", 0),
                 plans_compiled=plans_compiled,
                 codegen_cache_hits=codegen_cache_hits,
-                parallel_chases=sum(m.parallel_chases for m in materializations),
-                parallel_tasks=parallel.get("tasks", 0),
-                parallel_rounds=parallel.get("chase_rounds", 0),
-                boundary_facts=parallel.get("boundary_facts", 0),
-                shard_segments=parallel.get("segments", 0),
-                worker_crashes=parallel.get("worker_crashes", 0),
                 planner_choices=sum(m.planner_choices for m in materializations),
                 planner_candidates=sum(m.planner_candidates for m in materializations),
                 planner_estimated_rows=sum(

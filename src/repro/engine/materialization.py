@@ -34,7 +34,6 @@ it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
@@ -49,7 +48,6 @@ from repro.engine.cache import LRUCache
 from repro.engine.plan import PreparedQuery
 from repro.incremental.provenance import ChaseMaintainer
 from repro.obs.trace import NULL_SPAN, current_trace, span, traced_answers
-from repro.parallel.runtime import sharded_semijoins
 from repro.planner.kernels import semijoin_planning
 from repro.tgds.ontology import Ontology
 
@@ -133,20 +131,9 @@ class Materialization:
     ``planner`` is the cost-based plan-choice tri-state (``None`` follows
     the ``REPRO_NO_PLANNER`` process default at each decision).  With it
     on, :meth:`state_for` picks the cheapest candidate decomposition from
-    the columnar statistics of the chased instance, semi-joins choose
-    their kernel per edge, and the *effective* fallback threshold is
-    auto-tuned from the observed increment/fallback history
-    (:attr:`fallback_history`): an over-budget fallback raises it (capped
-    at 0.5 — rebuilds were being forced on deltas maintenance could
-    absorb), successful increments decay it back towards the configured
-    base.  With the planner off, the configured ratio applies unchanged.
+    the columnar statistics of the chased instance and semi-joins choose
+    their kernel per edge.
     """
-
-    #: Auto-tune bounds: the effective ratio never exceeds the cap, growth
-    #: on an over-budget fallback and decay per successful increment.
-    TUNE_CAP = 0.5
-    TUNE_GROWTH = 1.5
-    TUNE_DECAY = 0.9
 
     def __init__(
         self,
@@ -157,7 +144,6 @@ class Materialization:
         fallback_ratio: float = 0.1,
         codegen: bool | None = None,
         tracing: bool | None = None,
-        workers: int | None = None,
         planner: bool | None = None,
     ) -> None:
         self.ontology = ontology
@@ -167,31 +153,14 @@ class Materialization:
         self.codegen = codegen
         self.tracing = tracing
         self.planner = planner
-        # Recent revalidation outcomes (True = in-place increment, False =
-        # over-budget fallback) — the history the auto-tuner reads.
-        self.fallback_history: deque[bool] = deque(maxlen=32)
-        self._tuned_ratio: float | None = None
-        # ``None`` follows the REPRO_WORKERS process default at each pool
-        # decision; values > 1 enable the process-parallel chase (when
-        # ``incremental`` is off — provenance capture is worker-side-blind)
-        # and the parallel reduce/batch paths (always).
-        self.workers = workers
         self.chase: QueryDirectedChase | None = None
         self._maintainer: ChaseMaintainer | None = None
-        # The persistent worker pool of the current chase epoch: forked by
-        # the parallel chase (replicas kept in sync by the boundary
-        # exchange) or on demand post-chase (fork snapshots the chased
-        # instance).  Closed whenever the chased instance changes — any
-        # revalidation, invalidation or deepening re-fork.
-        self._pool = None
         self._states: LRUCache[QueryState] = LRUCache(state_cache_size)
         self.chase_builds = 0
         self.chase_increments = 0
         self.incremental_fallbacks = 0
         self.state_builds = 0
         self.invalidations = 0
-        self.parallel_chases = 0
-        self.parallel_fallbacks = 0
         self.planner_choices = 0
         self.planner_candidates = 0
         self.planner_estimated_rows = 0
@@ -230,8 +199,6 @@ class Materialization:
         """
         if self.chase is None or self.chase.is_current():
             return
-        # Any mutation stales the worker replicas along with the chase.
-        self._close_pool()
         with self._span("revalidate") as sp:
             maintainer = self._maintainer
             pending = maintainer.pending_rows if maintainer is not None else 0
@@ -262,36 +229,6 @@ class Materialization:
         from repro.config import planner_enabled
 
         return planner_enabled() if self.planner is None else bool(self.planner)
-
-    def effective_fallback_ratio(self) -> float:
-        """The fallback threshold actually applied to the next delta.
-
-        The configured :attr:`fallback_ratio` unless the planner has tuned
-        it from the increment/fallback history; ``0.0`` (always rebuild)
-        is never tuned away from — it is an explicit contract, not a
-        starting point.
-        """
-        if self.fallback_ratio <= 0.0 or not self._planner_enabled():
-            return self.fallback_ratio
-        if self._tuned_ratio is None:
-            return self.fallback_ratio
-        return self._tuned_ratio
-
-    def _record_over_budget(self) -> None:
-        """An over-budget fallback: grow the tuned threshold (planner only)."""
-        self.fallback_history.append(False)
-        if self.fallback_ratio <= 0.0 or not self._planner_enabled():
-            return
-        current = self._tuned_ratio if self._tuned_ratio is not None else self.fallback_ratio
-        self._tuned_ratio = min(self.TUNE_CAP, current * self.TUNE_GROWTH)
-
-    def _record_increment(self) -> None:
-        """A successful increment: decay the tuned threshold towards base."""
-        self.fallback_history.append(True)
-        if self._tuned_ratio is None:
-            return
-        decayed = self._tuned_ratio * self.TUNE_DECAY
-        self._tuned_ratio = None if decayed <= self.fallback_ratio else decayed
 
     def _choose_plan(self, prepared: PreparedQuery, chase: QueryDirectedChase):
         """Cost the candidate decompositions against the chased instance.
@@ -325,25 +262,23 @@ class Materialization:
 
         Every False on a maintainable materialization counts as an
         ``incremental_fallbacks`` tick: the delta was unreconstructable
-        (log trimmed), too large for the effective fallback threshold
+        (log trimmed), too large for the fallback threshold
         (``fallback_ratio == 0.0`` forces this branch unconditionally —
         the documented "always rebuild" contract), or blew the chase
         budget mid-application.
         """
         if not self.incremental or self._maintainer is None or self.chase is None:
             return False
-        ratio = self.effective_fallback_ratio()
-        if ratio <= 0.0:
+        if self.fallback_ratio <= 0.0:
             self.incremental_fallbacks += 1
             return False
         delta = self.database.changes_since(self.chase.database_version)
         if delta is None:
             self.incremental_fallbacks += 1
             return False
-        budget = max(1, int(ratio * len(self.database)))
+        budget = max(1, int(self.fallback_ratio * len(self.database)))
         if len(delta) > budget:
             self.incremental_fallbacks += 1
-            self._record_over_budget()
             return False
         try:
             chase_delta = self._maintainer.apply_delta(delta)
@@ -353,7 +288,6 @@ class Materialization:
             return False
         self.chase.database_version = self.database.version
         self.chase_increments += 1
-        self._record_increment()
         touched = chase_delta.relations()
         if touched:
             for state in self._states.values():
@@ -381,70 +315,9 @@ class Materialization:
         """Unconditionally drop the chase and every query state."""
         if self.chase is not None or self._states:
             self.invalidations += 1
-        self._close_pool()
         self.chase = None
         self._maintainer = None
         self._states.clear()
-
-    # -- process-parallel execution ----------------------------------------
-
-    def _worker_count(self) -> int:
-        """The effective worker count (``None`` → process default)."""
-        from repro.config import default_workers
-
-        return default_workers() if self.workers is None else max(1, self.workers)
-
-    def _parallel_available(self) -> bool:
-        if self._worker_count() < 2:
-            return False
-        from repro.parallel import supported
-
-        return supported()
-
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def close(self) -> None:
-        """Release process-level resources (the worker pool), keep state.
-
-        Safe to call at any time: the next parallel operation simply forks
-        a fresh pool from the current chase.  ``QueryEngine.shutdown`` calls
-        this for every cached materialization.
-        """
-        self._close_pool()
-
-    def ensure_pool(self):
-        """The worker pool of the current chase epoch, forked on demand.
-
-        Returns ``None`` when parallelism is off/unavailable or there is no
-        chase yet.  A pool forked here snapshots the chased instance via
-        fork copy-on-write (instance constants are force-interned first, so
-        dense ids agree across the processes); a pool inherited from the
-        parallel chase is reused as-is — its replicas received every delta.
-        """
-        if not self._parallel_available() or self.chase is None:
-            return None
-        pool = self._pool
-        if pool is not None and pool.alive:
-            return pool
-        self._pool = None
-        from repro.parallel import ParallelExecutionError, WorkerBootstrap, WorkerPool
-        from repro.parallel.chase import _pre_intern_instance
-
-        try:
-            _pre_intern_instance(self.chase.instance)
-            self._pool = WorkerPool(
-                self._worker_count(),
-                WorkerBootstrap(self.ontology, self.chase.instance, self.codegen),
-            )
-        except (ParallelExecutionError, OSError):
-            # OSError: the fork itself failed (process/fd/memory limits) —
-            # degrade to the sequential path like any other pool failure.
-            self.parallel_fallbacks += 1
-            return None
-        return self._pool
 
     def chase_for(self, prepared: PreparedQuery) -> QueryDirectedChase:
         """The shared chase, (re)built if stale or not deep enough."""
@@ -454,70 +327,27 @@ class Materialization:
             depth = prepared.null_depth
             if self.chase is not None:
                 depth = max(depth, self.chase.null_depth_bound)
-            # A deeper (or first) chase starts a new epoch: the replicas of
-            # any existing pool no longer match the instance we will build.
-            self._close_pool()
             with self._span("chase", null_depth=depth) as sp:
                 recorder = (
                     ChaseMaintainer(self.database, self.ontology, max_null_depth=depth)
                     if self.incremental
                     else None
                 )
-                parallel = False
-                boundary = 0
-                # The parallel chase cannot feed a provenance recorder
-                # (suppression witnesses stay worker-side), so it only runs
-                # for non-incremental materializations.
-                if recorder is None and self._parallel_available():
-                    from repro.parallel import ParallelExecutionError, parallel_chase
-
-                    snapshot = self.database.version
-                    try:
-                        run = parallel_chase(
-                            self.database,
-                            self.ontology,
-                            self._worker_count(),
-                            max_null_depth=depth,
-                            max_facts=5_000_000,
-                            codegen=self.codegen,
-                        )
-                    except (ParallelExecutionError, OSError):
-                        # OSError covers a failed fork under resource
-                        # pressure; the sequential chase below still runs.
-                        self.parallel_fallbacks += 1
-                    else:
-                        self.chase = QueryDirectedChase(
-                            database=self.database,
-                            ontology=self.ontology,
-                            query=prepared.omq.query,
-                            result=run.result,
-                            null_depth_bound=depth,
-                            database_version=snapshot,
-                        )
-                        self._pool = run.pool
-                        self.parallel_chases += 1
-                        boundary = run.boundary_facts
-                        parallel = True
-                if not parallel:
-                    self.chase = query_directed_chase(
-                        self.database,
-                        self.ontology,
-                        prepared.omq.query,
-                        null_depth=depth,
-                        reuse=self.chase,
-                        recorder=recorder,
-                    )
-                    if recorder is not None:
-                        recorder.attach(self.chase.result)
-                self._maintainer = recorder if not parallel else None
+                self.chase = query_directed_chase(
+                    self.database,
+                    self.ontology,
+                    prepared.omq.query,
+                    null_depth=depth,
+                    reuse=self.chase,
+                    recorder=recorder,
+                )
+                if recorder is not None:
+                    recorder.attach(self.chase.result)
+                self._maintainer = recorder
                 self.chase_builds += 1
                 if sp is not None:
                     sp.set("db_facts", len(self.database))
                     sp.set("chase_facts", len(self.chase.instance))
-                    sp.set("parallel", parallel)
-                    if parallel:
-                        sp.set("workers", self._worker_count())
-                        sp.set("boundary_facts", boundary)
         return self.chase
 
     def state_for(self, prepared: PreparedQuery) -> QueryState:
@@ -533,22 +363,7 @@ class Materialization:
                     choice = self._choose_plan(prepared, chase)
                     if choice is not None:
                         decomposition = choice.decomposition
-                # With a live pool, the component projections fan out across
-                # the workers and large semi-joins inside the reduce run
-                # sharded (the ambient-pool hook in the semijoin kernel).
-                pool = self.ensure_pool()
-                projections = None
-                if pool is not None and decomposition is not None:
-                    from repro.parallel import parallel_projections
-
-                    projections = parallel_projections(
-                        pool, decomposition, keep_nulls=False
-                    )
-                reduce_scope = (
-                    sharded_semijoins(pool) if pool is not None else nullcontext()
-                )
-                kernel_scope = semijoin_planning() if choice is not None else nullcontext()
-                with reduce_scope, kernel_scope:
+                with semijoin_planning() if choice is not None else nullcontext():
                     enumerator: CDLinEnumerator | MaterializedAnswers = CDLinEnumerator(
                         prepared.omq.query,
                         chase.instance,
@@ -562,7 +377,6 @@ class Materialization:
                         # automatically).
                         codegen_cache=prepared.codegen,
                         tracing=self.tracing,
-                        projections=projections,
                     )
                 if choice is not None:
                     # Close the loop: the actual reduced block rows are the

@@ -55,10 +55,7 @@ class CDLinEnumerator:
     ``decomposition``, when given, must be the free-connex decomposition of
     the query *after head deduplication* (``query.deduplicated_head()[0]``);
     prepared-query plans precompute it once so only the data-dependent part
-    of preprocessing runs per database.  ``projections`` may carry component
-    projections a worker pool computed against the same instance (see
-    :func:`repro.parallel.reduce.parallel_projections`); they are consumed
-    by the initial reduce only.
+    of preprocessing runs per database.
     """
 
     def __init__(
@@ -70,7 +67,6 @@ class CDLinEnumerator:
         codegen: bool | None = None,
         codegen_cache: "object | None" = None,
         tracing: bool | None = None,
-        projections: "dict[int, set | None] | None" = None,
     ) -> None:
         self.original_query = query
         self.deduplicated, self._head_positions = query.deduplicated_head()
@@ -87,16 +83,12 @@ class CDLinEnumerator:
         # :meth:`enumerate`; ``None``/``True`` join whatever trace is active.
         self._tracing = tracing
         with (NULL_SPAN if tracing is False else span("reduce", query=query.name)) as sp:
-            # ``projections`` ride along only for this initial build: they
-            # are a snapshot of the instance the parallel reduce computed
-            # them against, and maintenance recomputes locally anyway.
             self.reduced: ReducedQuery = build_reduced_query(
                 self.deduplicated,
                 instance,
                 keep_nulls=keep_nulls,
                 decomposition=decomposition,
                 codegen=self._codegen,
-                projections=projections,
             )
             self._order: list[Atom] = []
             self._indexes: dict[Atom, dict[tuple, list[tuple]]] = {}

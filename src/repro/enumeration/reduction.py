@@ -142,7 +142,6 @@ def build_reduced_query(
     require_acyclic: bool = True,
     decomposition: "FreeConnexDecomposition | None" = None,
     codegen: bool | None = None,
-    projections: "dict[int, set | None] | None" = None,
 ) -> ReducedQuery:
     """Build ``q1`` and ``D1`` from ``q0`` and ``D0``.
 
@@ -158,12 +157,6 @@ def build_reduced_query(
     The block relations hold dense term ids (columnar kernels in the
     reducer, id-hashing in the per-block indexes); callers decode at answer
     emission.
-
-    ``projections`` may carry component projections computed elsewhere
-    (the process-parallel reduce of :mod:`repro.parallel.reduce`), keyed
-    by component index with the same ``set | None`` contract as
-    :func:`component_projection`; components present in the map skip the
-    local bottom-up pass.
     """
     if len(set(query.answer_variables)) != len(query.answer_variables):
         raise QueryError("reduce requires a head without repeated variables")
@@ -177,12 +170,9 @@ def build_reduced_query(
     relations: dict[Atom, AtomRelation] = {}
     is_empty = False
     for index, component in enumerate(decomposition.components):
-        if projections is not None and index in projections:
-            projection = projections[index]
-        else:
-            projection = component_projection(
-                component, instance, keep_nulls, codegen=codegen
-            )
+        projection = component_projection(
+            component, instance, keep_nulls, codegen=codegen
+        )
         if projection is None:
             is_empty = True
             break

@@ -90,9 +90,6 @@ class ServiceConfig:
     #: Queries/pages slower than this (milliseconds) are written to the
     #: slow-query log as JSON lines on stderr; ``None`` disables the log.
     slow_query_ms: float | None = None
-    #: Worker processes for the sharded parallel backend (chase, reduce,
-    #: batch); ``None`` defers to ``REPRO_WORKERS``, ``1`` is sequential.
-    workers: int | None = None
 
     def execution_options(self) -> ExecutionOptions:
         """The engine-facing view of this config (one options object)."""
@@ -103,7 +100,6 @@ class ServiceConfig:
             strict=self.strict,
             plan_cache_size=self.plan_cache_size,
             tracing=self.tracing,
-            workers=self.workers,
         )
 
 

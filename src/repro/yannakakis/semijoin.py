@@ -33,28 +33,19 @@ def semijoin(left: AtomRelation, right: AtomRelation) -> bool:
     right_keys = right.project(shared)
     positions = left.positions(shared)
     store = left.columns()
-    # Large filters may run sharded across the ambient worker pool (reduce
-    # phase under ``--workers``); ``None`` means "no pool, too small, or the
-    # parallel path degraded" — run the kernel here.  Row order differs
-    # between the two paths; AtomRelation tuples are a set, so that is
-    # invisible.
-    from repro.parallel.runtime import maybe_parallel_filter
+    # Inside a planner scope, single-column edges pick hash vs sorted-merge
+    # from the build/probe sizes; outside one, ``planned_kernel`` always
+    # answers "hash" (the historical kernel).  Both kernels return the same
+    # row set.
+    from repro.planner.kernels import planned_kernel
 
-    surviving = maybe_parallel_filter(store, positions, right_keys)
-    if surviving is None:
-        # Inside a planner scope, single-column edges pick hash vs
-        # sorted-merge from the build/probe sizes; outside one,
-        # ``planned_kernel`` always answers "hash" (the historical
-        # kernel).  Both kernels return the same row set.
-        from repro.planner.kernels import planned_kernel
-
-        if (
-            len(positions) == 1
-            and planned_kernel(len(left.tuples), len(right_keys)) == "sorted"
-        ):
-            surviving = store.filter_by_keys_sorted(positions[0], right_keys)
-        else:
-            surviving = store.filter_by_keys(positions, right_keys)
+    if (
+        len(positions) == 1
+        and planned_kernel(len(left.tuples), len(right_keys)) == "sorted"
+    ):
+        surviving = store.filter_by_keys_sorted(positions[0], right_keys)
+    else:
+        surviving = store.filter_by_keys(positions, right_keys)
     if len(surviving) != len(left.tuples):
         left.replace_tuples(surviving)
         return True

@@ -10,15 +10,13 @@ reference implementation:
 * minimal partial answers with one wildcard and with multi-wildcards
   (:class:`MinimalPartialAnswerEnumerator`, :class:`MultiWildcardEnumerator`),
 * single-testing and all-testing on every candidate over the active domain,
-* the prepared-query engine, cold, cached, and incremental after database
-  mutations,
+* the prepared-query engine, cold, cached and batched, and after database
+  mutations both maintained in place (``incremental=True``) and rebuilt
+  from scratch (``incremental=False``),
 * per-plan code generation (compiled walks/kernels) and the
   ``REPRO_NO_CODEGEN`` interpreted paths,
 * the cost-based plan choice (candidate decompositions + per-edge kernel
-  selection) and the ``REPRO_NO_PLANNER`` default-plan path,
-* the sharded multi-process backend (``workers >= 2``): parallel chase,
-  worker-pool batch enumeration, and pool re-forks across mutations — the
-  cross-process differential harness of ``docs/parallel.md``.
+  selection) and the ``REPRO_NO_PLANNER`` default-plan path.
 
 Every path stores rows as dense term ids and decodes at answer emission, so
 the constant pool mixes strings with integers far above any dense id: an id
@@ -60,8 +58,6 @@ from repro.cq.parser import parse_query
 from repro.config import use_codegen, use_planner
 from repro.data import Database, Fact
 from repro.engine import QueryEngine
-from repro.parallel import active_segments
-from repro.parallel import supported as parallel_supported
 from repro.tgds.eli import is_eli_tgd
 from repro.tgds.ontology import Ontology
 from repro.tgds.parser import parse_ontology
@@ -207,16 +203,24 @@ def test_engine_cold_and_cached_match_naive(templates, query_text, facts):
 def test_engine_incremental_after_mutation_matches_naive(
     templates, query_text, facts, extra, drop_one
 ):
-    """A warm engine served across mutations == naive on the mutated data."""
+    """A warm engine served across mutations == naive on the mutated data,
+    whether it maintains its state in place or rebuilds it; the rebuilding
+    engine also answers through ``execute_batch``."""
     omq = _build_omq(templates, query_text)
     database = Database(facts)
+    expected = naive_certain_answers(omq, database)
     engine = QueryEngine(omq.ontology, database, incremental=True)
-    engine.execute(omq.query)  # warm: chase + reduced state materialised
+    rebuilding = QueryEngine(omq.ontology, database, incremental=False)
+    assert engine.execute(omq.query) == expected
+    assert rebuilding.execute(omq.query) == expected
+    assert rebuilding.execute_batch([omq.query, omq.query]) == [expected, expected]
     database.add_facts(extra)
     if drop_one and len(database):
         database.discard(sorted(database.facts(), key=repr)[0])
     expected = naive_certain_answers(omq, database)
     assert engine.execute(omq.query) == expected
+    assert rebuilding.execute(omq.query) == expected
+    assert rebuilding.stats.chase_increments == 0
 
 
 @given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
@@ -385,31 +389,6 @@ def test_planner_on_and_off_agree(templates, query_text, facts, extra):
     assert planned_mutated == mutated_expected
 
 
-_parallel_supported = parallel_supported()
-
-
-@pytest.mark.skipif(not _parallel_supported, reason="fork start method unavailable")
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-@given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
-def test_parallel_workers_match_naive(templates, query_text, facts):
-    """The sharded 2-process backend (parallel chase + worker-side batch
-    enumeration) == naive baseline, with zero leaked shm segments."""
-    omq = _build_omq(templates, query_text)
-    database = Database(facts)
-    expected = naive_certain_answers(omq, database)
-    engine = QueryEngine(omq.ontology, database, workers=2, incremental=False)
-    try:
-        assert engine.execute(omq.query) == expected
-        assert engine.execute_batch([omq.query, omq.query]) == [expected, expected]
-    finally:
-        engine.shutdown()
-    assert active_segments() == set()
-
-
 @pytest.mark.slow
 @settings(
     # Four combinations per example (eight before the storage axis went):
@@ -439,33 +418,3 @@ def test_differential_sweep_slow(templates, query_text, facts, extra):
             mutated_expected = naive_certain_answers(omq, database)
             assert engine.execute(omq.query) == mutated_expected
 
-
-@pytest.mark.slow
-@pytest.mark.skipif(not _parallel_supported, reason="fork start method unavailable")
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-@given(
-    templates=ontology_strategy,
-    query_text=query_strategy,
-    facts=facts_strategy,
-    workers=st.sampled_from((2, 4)),
-    extra=st.lists(fact_strategy, min_size=1, max_size=3),
-)
-def test_parallel_sweep_slow(templates, query_text, facts, workers, extra):
-    """Nightly cross-process sweep: 2- and 4-worker execution across a
-    mutation (pool re-fork) == naive, zero leaked segments."""
-    omq = _build_omq(templates, query_text)
-    database = Database(facts)
-    engine = QueryEngine(omq.ontology, database, workers=workers, incremental=False)
-    try:
-        assert engine.execute(omq.query) == naive_certain_answers(omq, database)
-        database.add_facts(extra)
-        mutated_expected = naive_certain_answers(omq, database)
-        assert engine.execute(omq.query) == mutated_expected
-        assert engine.execute_batch([omq.query]) == [mutated_expected]
-    finally:
-        engine.shutdown()
-    assert active_segments() == set()

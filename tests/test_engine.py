@@ -7,7 +7,11 @@ identical to sequential per-query results, cursors, and the CLI.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -307,19 +311,10 @@ class TestBatch:
         assert engine.execute_batch([]) == []
 
     def test_batch_preprocesses_once(self, engine):
-        from repro.config import default_workers
-        from repro.parallel import supported as parallel_supported
-
         engine.execute_batch(list(self.QUERIES) * 3)
         stats = engine.stats
         assert stats.chase_builds == 1
-        # Sequential/thread batches build one master enumeration state per
-        # distinct query; with REPRO_WORKERS >= 2 the process pool answers
-        # enumerable queries worker-side and no master state is needed.
-        if default_workers() >= 2 and parallel_supported():
-            assert stats.state_builds == 0
-        else:
-            assert stats.state_builds == len(self.QUERIES)
+        assert stats.state_builds == len(self.QUERIES)
 
 
 class TestCursor:
@@ -564,3 +559,23 @@ class TestCursorLifecycleHooks:
         first.close()
         second.close()
         assert engine.snapshot().cursors_open == 0
+
+
+def test_engine_and_server_import_no_multiprocessing():
+    """One sequential engine: a cold process serving queries never loads
+    ``multiprocessing`` (its import cost and exit hooks stay out)."""
+    probe = (
+        "import sys, repro.engine, repro.server; "
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    output = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        cwd=root,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert output == "[]"

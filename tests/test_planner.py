@@ -4,8 +4,8 @@ Covers the statistics collector (columnar stores, version-keyed
 caching), the cardinality/cost model, join-tree tie and candidate
 enumeration, the cheapest-plan choice and its tie-break contract, the
 per-edge semi-join kernel decision, the ``ExecutionOptions`` validation,
-the fallback-ratio semantics (``0.0`` = always rebuild) and auto-tuning,
-the engine defaults derived from ``ExecutionOptions``, and the
+the fallback-ratio semantics (``0.0`` = always rebuild), the engine
+defaults derived from ``ExecutionOptions``, and the
 ``LatencyHistogram`` boundary semantics.
 """
 
@@ -240,14 +240,12 @@ def test_filter_by_keys_sorted_matches_hash_kernel():
 
 def test_execution_options_validation():
     ExecutionOptions()  # defaults are valid
-    ExecutionOptions(incremental_fallback_ratio=0.0, plan_cache_size=1, workers=1)
-    ExecutionOptions(incremental_fallback_ratio=1.0, workers=None, planner=False)
+    ExecutionOptions(incremental_fallback_ratio=0.0, plan_cache_size=1)
+    ExecutionOptions(incremental_fallback_ratio=1.0, planner=False)
     with pytest.raises(ValueError):
         ExecutionOptions(plan_cache_size=0)
     with pytest.raises(ValueError):
         ExecutionOptions(plan_cache_size=16.0)
-    with pytest.raises(ValueError):
-        ExecutionOptions(workers=0)
     with pytest.raises(ValueError):
         ExecutionOptions(incremental_fallback_ratio=float("nan"))
     with pytest.raises(ValueError):
@@ -265,12 +263,11 @@ def test_engine_defaults_derive_from_execution_options():
     assert engine.incremental == defaults.incremental
     assert engine.incremental_fallback_ratio == defaults.incremental_fallback_ratio
     assert engine.codegen == defaults.codegen
-    assert engine.workers == defaults.workers
     assert engine.planner == defaults.planner
     assert engine._plan_cache_size == defaults.plan_cache_size
 
 
-# -- fallback ratio semantics and auto-tuning (satellite) ------------------
+# -- fallback ratio semantics (satellite) ----------------------------------
 
 
 def test_materialization_rejects_bad_fallback_ratio():
@@ -301,34 +298,6 @@ def test_fallback_ratio_zero_always_rebuilds():
     assert stats.chase_increments == 0
     assert stats.incremental_fallbacks >= 1
     assert stats.chase_builds == 2
-
-
-def test_effective_fallback_ratio_tuning():
-    database = Database(_tie_facts())
-    materialization = Materialization(
-        EMPTY, database, fallback_ratio=0.1, planner=True
-    )
-    assert materialization.effective_fallback_ratio() == 0.1
-    materialization._record_over_budget()
-    assert materialization.effective_fallback_ratio() == pytest.approx(0.15)
-    for _ in range(20):
-        materialization._record_over_budget()
-    assert materialization.effective_fallback_ratio() == Materialization.TUNE_CAP
-    for _ in range(100):
-        materialization._record_increment()
-    # Decay converges back to the configured base exactly (not asymptotically).
-    assert materialization.effective_fallback_ratio() == 0.1
-    assert list(materialization.fallback_history)[-1] is True
-
-
-def test_tuning_disabled_for_zero_ratio_and_planner_off():
-    database = Database(_tie_facts())
-    zero = Materialization(EMPTY, database, fallback_ratio=0.0, planner=True)
-    zero._record_over_budget()
-    assert zero.effective_fallback_ratio() == 0.0
-    off = Materialization(EMPTY, database, fallback_ratio=0.1, planner=False)
-    off._record_over_budget()
-    assert off.effective_fallback_ratio() == 0.1
 
 
 # -- engine integration ----------------------------------------------------
