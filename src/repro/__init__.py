@@ -7,15 +7,7 @@ and the ``docs/`` tree (``docs/architecture.md`` in particular) for the
 layer-by-layer walkthrough.
 """
 
-from repro.config import (
-    ExecutionOptions,
-    set_codegen,
-    set_planner,
-    set_tracing,
-    use_codegen,
-    use_planner,
-    use_tracing,
-)
+from repro.config import ExecutionOptions, set_tracing, use_tracing
 from repro.data import Database, Fact, Instance, Schema
 from repro.cq import Atom, ConjunctiveQuery, Variable, parse_query
 from repro.tgds import TGD, Ontology, parse_ontology, parse_tgd
@@ -61,11 +53,7 @@ __all__ = [
     "parse_tgd",
     "prepare_query",
     "query_directed_chase",
-    "set_codegen",
-    "set_planner",
     "set_tracing",
-    "use_codegen",
-    "use_planner",
     "use_tracing",
 ]
 

@@ -47,7 +47,6 @@ Every subcommand and flag is documented in ``docs/cli.md``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import random
 import sys
@@ -55,7 +54,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.config import ExecutionOptions, use_codegen, use_planner
+from repro.config import ExecutionOptions
 from repro.data.facts import Fact
 from repro.data.instance import Database
 from repro.cq.atoms import Variable
@@ -184,18 +183,6 @@ def _replay_updates(
 
 
 def _run(args: argparse.Namespace) -> int:
-    # Scoped around the whole run (enumerators capture the codegen flag at
-    # construction) and restored on exit, so in-process callers of main()
-    # keep the process defaults.
-    with contextlib.ExitStack() as stack:
-        if args.no_codegen:
-            stack.enter_context(use_codegen(False))
-        if args.no_planner:
-            stack.enter_context(use_planner(False))
-        return _run_command(args)
-
-
-def _run_command(args: argparse.Namespace) -> int:
     try:
         scenario = _resolve_scenario(args)
         queries = _resolve_queries(args.queries, args.inline, scenario)
@@ -208,8 +195,6 @@ def _run_command(args: argparse.Namespace) -> int:
         scenario.ontology,
         database,
         options=ExecutionOptions(
-            codegen=False if args.no_codegen else None,
-            planner=False if args.no_planner else None,
             incremental=not args.no_incremental,
             strict=not args.no_strict,
             tracing=True if args.trace else None,
@@ -449,8 +434,6 @@ def _serve(args: argparse.Namespace) -> int:
         plan_cache_size=args.plan_cache_size,
         strict=not args.no_strict,
         incremental=not args.no_incremental,
-        codegen=False if args.no_codegen else None,
-        planner=False if args.no_planner else None,
         tracing=True if args.trace else None,
         slow_query_ms=args.slow_query_ms,
     )
@@ -592,23 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "allow queries outside the acyclic/free-connex class "
             "(served via materialized certain answers, not constant delay)"
-        ),
-    )
-    run.add_argument(
-        "--no-codegen",
-        action="store_true",
-        help=(
-            "disable per-plan code generation and run the interpreted "
-            "slot-plan/kernel paths, as with REPRO_NO_CODEGEN=1 "
-            "(A/B escape hatch)"
-        ),
-    )
-    run.add_argument(
-        "--no-planner",
-        action="store_true",
-        help=(
-            "disable the cost-based plan choice and always run the default "
-            "decomposition, as with REPRO_NO_PLANNER=1 (A/B escape hatch)"
         ),
     )
     run.add_argument(
@@ -758,16 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-incremental",
         action="store_true",
         help="disable incremental maintenance (mutations force full rebuilds)",
-    )
-    serve.add_argument(
-        "--no-codegen",
-        action="store_true",
-        help="serve over the interpreted slot-plan/kernel paths (no codegen)",
-    )
-    serve.add_argument(
-        "--no-planner",
-        action="store_true",
-        help="serve without the cost-based plan choice (always the default plan)",
     )
     serve.add_argument(
         "--trace",

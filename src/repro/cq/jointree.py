@@ -183,134 +183,6 @@ def build_join_tree(atoms: Iterable[Atom], root: Atom | None = None) -> JoinTree
     return tree
 
 
-def _tree_from_edges(
-    atom_list: list[Atom], edges: Iterable[frozenset[int]], root: Atom | None
-) -> JoinTree | None:
-    """A rooted :class:`JoinTree` over ``edges`` (index pairs), or ``None``.
-
-    Returns ``None`` when the spanning tree violates the running-intersection
-    property — a maximum-weight tie that is *not* a join tree.
-    """
-    adjacency: dict[Atom, set[Atom]] = {atom: set() for atom in atom_list}
-    for edge in edges:
-        i, j = sorted(edge)
-        adjacency[atom_list[i]].add(atom_list[j])
-        adjacency[atom_list[j]].add(atom_list[i])
-    tree = JoinTree(atom_list, adjacency, root=root or atom_list[0])
-    return tree if tree.is_valid() else None
-
-
-def enumerate_join_trees(
-    atoms: Iterable[Atom],
-    root: Atom | None = None,
-    limit: int = 8,
-    alternative_roots: bool = False,
-) -> list[JoinTree]:
-    """Distinct join trees for ``atoms`` from the maximum-weight ties.
-
-    All join trees produced by the Bernstein–Goodman construction are
-    maximum-weight spanning trees of the intersection graph, and every
-    maximum spanning tree is reachable from any other by swapping a
-    non-tree edge for an equal-weight tree edge on the cycle it closes.
-    Starting from the tree :func:`build_join_tree` returns, this explores
-    that exchange neighbourhood breadth-first, keeps the candidates that
-    satisfy the running-intersection property (ties that are not join
-    trees are skipped), and stops at ``limit`` trees.  The first entry is
-    always the default tree of :func:`build_join_tree`, so callers costing
-    the candidates can fall back to index 0 to reproduce the unplanned
-    behaviour exactly.
-
-    With ``alternative_roots`` (and no explicit ``root``) every distinct
-    edge set additionally contributes re-rooted variants — same tree, a
-    different traversal order — until ``limit`` is reached.
-    """
-    atom_list = list(dict.fromkeys(atoms))
-    if limit < 1 or not atom_list:
-        return []
-    base = build_join_tree(atom_list, root=root)
-    if base is None:
-        return []
-    if len(atom_list) == 1:
-        return [base]
-
-    index_of = {atom: i for i, atom in enumerate(atom_list)}
-    weights: dict[frozenset[int], int] = {}
-    for i in range(len(atom_list)):
-        vars_i = atom_list[i].variables()
-        for j in range(i + 1, len(atom_list)):
-            weights[frozenset((i, j))] = len(vars_i & atom_list[j].variables())
-
-    def edge_key(tree_edges: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
-        return tree_edges
-
-    base_edges = frozenset(
-        frozenset((index_of[parent], index_of[child])) for parent, child in base.edges()
-    )
-    seen = {edge_key(base_edges)}
-    queue: deque[frozenset[frozenset[int]]] = deque([base_edges])
-    valid_edge_sets: list[frozenset[frozenset[int]]] = [base_edges]
-    # The exchange frontier is bounded independently of ``limit`` so an
-    # adversarial tie structure cannot make candidate enumeration explode.
-    expansions_left = max(limit * 8, 32)
-    while queue and len(valid_edge_sets) < limit and expansions_left > 0:
-        edges = queue.popleft()
-        adjacency: dict[int, set[int]] = {i: set() for i in range(len(atom_list))}
-        for edge in edges:
-            i, j = tuple(edge)
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        for extra, weight in sorted(weights.items(), key=lambda item: sorted(item[0])):
-            if extra in edges:
-                continue
-            start, goal = sorted(extra)
-            # The unique tree path start → goal is the cycle ``extra`` closes.
-            parents: dict[int, int] = {start: start}
-            stack = [start]
-            while stack and goal not in parents:
-                node = stack.pop()
-                for neighbor in adjacency[node]:
-                    if neighbor not in parents:
-                        parents[neighbor] = node
-                        stack.append(neighbor)
-            path: list[frozenset[int]] = []
-            node = goal
-            while node != start:
-                path.append(frozenset((node, parents[node])))
-                node = parents[node]
-            for on_cycle in path:
-                if weights[on_cycle] != weight:
-                    continue
-                swapped = frozenset(edges - {on_cycle} | {extra})
-                if edge_key(swapped) in seen:
-                    continue
-                seen.add(edge_key(swapped))
-                expansions_left -= 1
-                if _tree_from_edges(atom_list, swapped, root) is not None:
-                    valid_edge_sets.append(swapped)
-                queue.append(swapped)
-                if len(valid_edge_sets) >= limit or expansions_left <= 0:
-                    break
-            if len(valid_edge_sets) >= limit or expansions_left <= 0:
-                break
-
-    trees: list[JoinTree] = []
-    for edges in valid_edge_sets:
-        if len(trees) >= limit:
-            break
-        tree = _tree_from_edges(atom_list, edges, root)
-        if tree is None:  # pragma: no cover - filtered above
-            continue
-        trees.append(tree)
-        if alternative_roots and root is None:
-            for candidate_root in atom_list[1:]:
-                if len(trees) >= limit:
-                    break
-                rerooted = _tree_from_edges(atom_list, edges, candidate_root)
-                if rerooted is not None:
-                    trees.append(rerooted)
-    return trees
-
-
 def guard_atom(answer_variables: Sequence[Variable], name: str = "__guard__") -> Atom:
     """The fresh atom that guards the answer variables in ``q⁺``."""
     return Atom(name, tuple(answer_variables))

@@ -9,21 +9,20 @@ building blocks of the hot paths:
   the key-projection sets and positional row indexes the full reducer and
   the enumeration phase consume;
 * :meth:`ColumnarRelation.filter_by_keys` — the hash semi-join kernel
-  (keep the rows whose key projection hits a key set);
-* :meth:`ColumnarRelation.sorted_column` / :func:`merge_intersect` /
-  :meth:`ColumnarRelation.semijoin_sorted` — sorted-run kernels for
-  single-column joins.  The reducer currently favours the hash kernels
-  (their key sets are cached per relation and reused across passes); the
-  sorted-run forms are for callers joining large, uncached key columns.
+  (keep the rows whose key projection hits a key set), the one semi-join
+  kernel of the reducer.
+
+``index_on`` and ``filter_by_keys`` run the key-arity-specialised kernels of
+:func:`repro.engine.codegen.key_kernels`; keys wider than
+:data:`repro.engine.codegen.MAX_KERNEL_ARITY` take the generic loops below.
 
 Rows are plain ``tuple``\\ s of ids at the API boundary (they interoperate
 with the set-based :class:`~repro.yannakakis.relations.AtomRelation`
 machinery).  A relation keeps the row tuples it was filled from next to the
-columns: the columns give the kernels (and the shared-memory export) their
-keys at ``zip``'s C-level speed, and the kept rows are what the kernels
-hand back — the caller's own tuples and ``int`` objects, not fresh copies
-materialised from the columns, so each id object is paid for once however
-many projections and indexes follow.
+columns: the columns give the kernels their keys at ``zip``'s C-level speed,
+and the kept rows are what the kernels hand back — the caller's own tuples
+and ``int`` objects, not fresh copies materialised from the columns, so each
+id object is paid for once however many projections and indexes follow.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from repro.config import codegen_enabled
-
-__all__ = ["ColumnarRelation", "merge_intersect"]
+__all__ = ["ColumnarRelation"]
 
 #: Resolved lazily: :mod:`repro.engine.codegen` sits in a higher layer, so
 #: importing it at module load would invert the package layering.
@@ -139,11 +136,10 @@ class ColumnarRelation:
             if self._rows:
                 index[()] = list(self)
             return index
-        if codegen_enabled():
-            kernels = _kernels(len(positions))
-            if kernels is not None:
-                columns = self.columns
-                return kernels.index_rows([columns[p] for p in positions], self)
+        kernels = _kernels(len(positions))
+        if kernels is not None:
+            columns = self.columns
+            return kernels.index_rows([columns[p] for p in positions], self)
         for key, row in zip(self._key_iter(positions), self):
             bucket = index.get(key)
             if bucket is None:
@@ -159,69 +155,12 @@ class ColumnarRelation:
         positions = tuple(positions)
         if not positions:
             return list(self) if keys else []
-        if codegen_enabled():
-            kernels = _kernels(len(positions))
-            if kernels is not None:
-                columns = self.columns
-                return kernels.filter_rows([columns[p] for p in positions], self, keys)
+        kernels = _kernels(len(positions))
+        if kernels is not None:
+            columns = self.columns
+            return kernels.filter_rows([columns[p] for p in positions], self, keys)
         return [
             row
             for key, row in zip(self._key_iter(positions), self)
             if key in keys
         ]
-
-    def sorted_column(self, position: int) -> array:
-        """A sorted copy of one key column (the input to sorted-run kernels)."""
-        return array("q", sorted(self.columns[position]))
-
-    def filter_by_keys_sorted(self, position: int, keys: set[tuple]) -> list[tuple]:
-        """Sorted-merge semi-join kernel for a single key column.
-
-        Set-identical to ``filter_by_keys((position,), keys)``; preferable
-        when the key set dwarfs this relation — the sorted-run intersection
-        first prunes ``keys`` down to the values actually present in the
-        column, so the per-row membership test probes a set bounded by this
-        relation's distinct values instead of the full key set.  The
-        planner's per-edge kernel decision
-        (:func:`repro.planner.cost.choose_semijoin_kernel`) is what routes
-        semi-joins here.
-        """
-        if not keys:
-            return []
-        key_run = array("q", sorted(key for (key,) in keys))
-        present = set(merge_intersect(self.sorted_column(position), key_run))
-        column = self.columns[position]
-        return [row for value, row in zip(column, self) if value in present]
-
-    def semijoin_sorted(
-        self, position: int, other: "ColumnarRelation", other_position: int
-    ) -> list[tuple]:
-        """Single-column semi-join via sorted runs: rows of ``self`` whose
-        ``position`` value occurs in ``other``'s ``other_position`` column."""
-        keys = merge_intersect(
-            self.sorted_column(position), other.sorted_column(other_position)
-        )
-        key_set = set(keys)
-        column = self.columns[position]
-        return [row for value, row in zip(column, self) if value in key_set]
-
-
-def merge_intersect(left: array, right: array) -> array:
-    """Sorted-run intersection of two ``array('q')`` key runs (distinct keys)."""
-    out = array("q")
-    i, j = 0, 0
-    last: int | None = None
-    left_n, right_n = len(left), len(right)
-    while i < left_n and j < right_n:
-        a, b = left[i], right[j]
-        if a < b:
-            i += 1
-        elif b < a:
-            j += 1
-        else:
-            if a != last:
-                out.append(a)
-                last = a
-            i += 1
-            j += 1
-    return out

@@ -26,12 +26,14 @@ Two families of generated code:
   largest key arity any query uses).
 
 Everything here is **semantics-preserving by construction**: each generator
-mirrors one interpreted loop statement-for-statement, the differential suite
-locks codegen-on against codegen-off byte-identical, and the
-``REPRO_NO_CODEGEN`` / :func:`repro.config.set_codegen` / ``repro run
---no-codegen`` escape hatch restores the interpreted path at runtime.
-Rows are dense term-id tuples throughout; the generated walk decodes at
-emit, like the interpreted one.
+mirrors one interpreted loop statement-for-statement, and there is no switch
+that selects the interpreted loops by hand.  They run only where the input
+leaves no generated form: a walk deeper than :data:`MAX_WALK_DEPTH` levels
+(CPython refuses more than 20 statically nested blocks, so such a plan
+cannot be compiled as nested ``for`` loops) and keys wider than
+:data:`MAX_KERNEL_ARITY`.  The differential suite holds both to the naive
+oracle.  Rows are dense term-id tuples throughout; the generated walk
+decodes at emit, like the interpreted one.
 
 This module deliberately imports only :mod:`repro.obs.trace` (which itself
 stops at :mod:`repro.config`), so the data and enumeration layers can call
@@ -56,8 +58,9 @@ __all__ = [
     "walk_source",
 ]
 
-#: Join-tree depths beyond this fall back to the interpreted walk (the
-#: generated source nests one ``for`` per level; real plans have 1–4).
+#: Join-tree depths beyond this walk interpreted: the generated source nests
+#: one ``for`` per level inside a function, and CPython compiles at most 20
+#: nested blocks (real plans have 1–4 levels).
 MAX_WALK_DEPTH = 16
 
 #: Key arities beyond this use the generic kernels.

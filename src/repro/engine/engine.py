@@ -79,13 +79,6 @@ class EngineStats:
     :data:`~repro.engine.codegen.CODEGEN_STATS` the same way: generated
     functions compiled, and lookups served from a codegen cache without
     compiling.
-
-    The ``planner_*`` counters cover the cost-based plan choice:
-    ``planner_choices`` counts state builds that went through it,
-    ``planner_candidates`` the candidate decompositions costed across
-    those choices, and ``planner_estimated_rows`` /
-    ``planner_actual_rows`` the predicted vs observed reduced block rows
-    — the running calibration of the cardinality model.
     """
 
     plans_cached: int
@@ -103,18 +96,14 @@ class EngineStats:
     cursors_open: int = 0
     plans_compiled: int = 0
     codegen_cache_hits: int = 0
-    planner_choices: int = 0
-    planner_candidates: int = 0
-    planner_estimated_rows: int = 0
-    planner_actual_rows: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """The snapshot as a plain dict (the ``/metrics`` wire shape).
 
         Derived from the dataclass fields so the wire schema can never
         drift from the snapshot definition: every field is always present
-        (``plans_compiled`` / ``codegen_cache_hits`` read 0 when codegen is
-        disabled rather than disappearing), which is what keeps scraper
+        (``plans_compiled`` / ``codegen_cache_hits`` read 0 before the first
+        compile rather than being absent), which is what keeps scraper
         configurations stable.
         """
         return {field.name: getattr(self, field.name) for field in fields(self)}
@@ -260,10 +249,8 @@ class QueryEngine:
         strict: bool | None = None,
         incremental: bool | None = None,
         incremental_fallback_ratio: float | None = None,
-        codegen: bool | None = None,
         plan_cache: LRUCache[PreparedQuery] | None = None,
         tracing: bool | None = None,
-        planner: bool | None = None,
     ) -> None:
         resolved = options if options is not None else ExecutionOptions()
         self.options = resolved
@@ -283,18 +270,11 @@ class QueryEngine:
                 _OPTION_DEFAULTS.incremental_fallback_ratio,
             )
         )
-        # May stay None: materializations then consult the process default
-        # (``REPRO_NO_CODEGEN`` / ``set_codegen``) at construction time.
-        self.codegen = resolve_option(codegen, resolved.codegen, _OPTION_DEFAULTS.codegen)
         # Tri-state kept as-is: ``None`` means "join ambient traces, and
         # initiate one only if the REPRO_TRACE process default says so" —
         # resolved per execution, not frozen here, so a scoped
         # ``use_tracing`` applies to an already-built engine.
         self.tracing = resolve_option(tracing, resolved.tracing, _OPTION_DEFAULTS.tracing)
-        # Same tri-state shape as codegen: ``None`` defers to the
-        # REPRO_NO_PLANNER / ``set_planner`` process default at each plan
-        # decision, so a scoped ``use_planner`` applies to a live engine.
-        self.planner = resolve_option(planner, resolved.planner, _OPTION_DEFAULTS.planner)
         plan_cache_size = resolve_option(
             plan_cache_size, resolved.plan_cache_size, _OPTION_DEFAULTS.plan_cache_size
         )
@@ -424,9 +404,7 @@ class QueryEngine:
                 state_cache_size=self._plans.capacity,
                 incremental=self.incremental,
                 fallback_ratio=self.incremental_fallback_ratio,
-                codegen=self.codegen,
                 tracing=self.tracing,
-                planner=self.planner,
             )
             self._materializations.put(id(database), materialization)
         return materialization
@@ -629,14 +607,6 @@ class QueryEngine:
                 cursors_open=counters.get("cursors_open", 0),
                 plans_compiled=plans_compiled,
                 codegen_cache_hits=codegen_cache_hits,
-                planner_choices=sum(m.planner_choices for m in materializations),
-                planner_candidates=sum(m.planner_candidates for m in materializations),
-                planner_estimated_rows=sum(
-                    m.planner_estimated_rows for m in materializations
-                ),
-                planner_actual_rows=sum(
-                    m.planner_actual_rows for m in materializations
-                ),
             )
 
     @property

@@ -34,7 +34,6 @@ it.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,7 +47,6 @@ from repro.engine.cache import LRUCache
 from repro.engine.plan import PreparedQuery
 from repro.incremental.provenance import ChaseMaintainer
 from repro.obs.trace import NULL_SPAN, current_trace, span, traced_answers
-from repro.planner.kernels import semijoin_planning
 from repro.tgds.ontology import Ontology
 
 
@@ -122,17 +120,8 @@ class Materialization:
     database) above which a full rebuild is cheaper than maintenance —
     ``0.0`` disables maintenance entirely (every mutation rebuilds), and
     negative or non-finite ratios are rejected at construction.
-    ``codegen`` selects generated inner loops for the chase and the
-    enumerators built here (``None`` defers to the process default at each
-    construction, so a scoped ``use_codegen`` still applies).  ``tracing``
-    is the span tri-state forwarded to the enumerators; ``False``
-    additionally skips the chase/revalidate spans recorded here.
-
-    ``planner`` is the cost-based plan-choice tri-state (``None`` follows
-    the ``REPRO_NO_PLANNER`` process default at each decision).  With it
-    on, :meth:`state_for` picks the cheapest candidate decomposition from
-    the columnar statistics of the chased instance and semi-joins choose
-    their kernel per edge.
+    ``tracing`` is the span tri-state forwarded to the enumerators;
+    ``False`` additionally skips the chase/revalidate spans recorded here.
     """
 
     def __init__(
@@ -142,17 +131,13 @@ class Materialization:
         state_cache_size: int = 64,
         incremental: bool = True,
         fallback_ratio: float = 0.1,
-        codegen: bool | None = None,
         tracing: bool | None = None,
-        planner: bool | None = None,
     ) -> None:
         self.ontology = ontology
         self.database = database
         self.incremental = incremental
         self.fallback_ratio = validate_fallback_ratio(fallback_ratio)
-        self.codegen = codegen
         self.tracing = tracing
-        self.planner = planner
         self.chase: QueryDirectedChase | None = None
         self._maintainer: ChaseMaintainer | None = None
         self._states: LRUCache[QueryState] = LRUCache(state_cache_size)
@@ -161,10 +146,6 @@ class Materialization:
         self.incremental_fallbacks = 0
         self.state_builds = 0
         self.invalidations = 0
-        self.planner_choices = 0
-        self.planner_candidates = 0
-        self.planner_estimated_rows = 0
-        self.planner_actual_rows = 0
 
     @property
     def chase_rebuilds(self) -> int:
@@ -223,39 +204,6 @@ class Materialization:
         if self.tracing is False:
             return NULL_SPAN
         return span(name, **attributes)
-
-    def _planner_enabled(self) -> bool:
-        """The resolved planner flag (``None`` → process default)."""
-        from repro.config import planner_enabled
-
-        return planner_enabled() if self.planner is None else bool(self.planner)
-
-    def _choose_plan(self, prepared: PreparedQuery, chase: QueryDirectedChase):
-        """Cost the candidate decompositions against the chased instance.
-
-        Returns the :class:`repro.planner.PlanChoice`, or ``None`` when the
-        plan has no candidates (outside the enumerable class).  Candidate 0
-        is always the unplanned default and ties break towards it, so the
-        choice can never be worse than not planning — by construction.
-        """
-        candidates = prepared.planner_candidates()
-        if not candidates:
-            return None
-        with self._span("plan_choice") as sp:
-            from repro.planner import choose_plan
-
-            choice = choose_plan(candidates, chase.instance)
-            if choice is None:
-                return None
-            self.planner_choices += 1
-            self.planner_candidates += len(choice.candidates)
-            self.planner_estimated_rows += choice.estimated_rows
-            if sp is not None:
-                sp.set("candidates", len(choice.candidates))
-                sp.set("chosen", choice.chosen.index)
-                sp.set("cost", round(choice.chosen.cost, 3))
-                sp.set("estimated_rows", choice.estimated_rows)
-        return choice
 
     def _apply_incremental(self) -> bool:
         """Apply the pending database delta in place; False means rebuild.
@@ -357,34 +305,16 @@ class Materialization:
         if state is None:
             chase = self.chase_for(prepared)
             if prepared.supports_enumeration:
-                decomposition = prepared.decomposition
-                choice = None
-                if self._planner_enabled():
-                    choice = self._choose_plan(prepared, chase)
-                    if choice is not None:
-                        decomposition = choice.decomposition
-                with semijoin_planning() if choice is not None else nullcontext():
-                    enumerator: CDLinEnumerator | MaterializedAnswers = CDLinEnumerator(
-                        prepared.omq.query,
-                        chase.instance,
-                        keep_nulls=False,
-                        decomposition=decomposition,
-                        codegen=self.codegen,
-                        # The plan's own closure cache: compiled walks are
-                        # shared across databases and dropped on plan-cache
-                        # eviction (distinct chosen decompositions compile
-                        # distinct slot plans, so the cache keys stay apart
-                        # automatically).
-                        codegen_cache=prepared.codegen,
-                        tracing=self.tracing,
-                    )
-                if choice is not None:
-                    # Close the loop: the actual reduced block rows are the
-                    # estimate's ground truth, recorded for EngineStats and
-                    # ``repro explain``.
-                    choice.actual_rows = enumerator.reduced.size()
-                    self.planner_actual_rows += choice.actual_rows
-                    prepared.last_plan_choice = choice
+                enumerator: CDLinEnumerator | MaterializedAnswers = CDLinEnumerator(
+                    prepared.omq.query,
+                    chase.instance,
+                    keep_nulls=False,
+                    decomposition=prepared.decomposition,
+                    # The plan's own closure cache: compiled walks are shared
+                    # across databases and dropped on plan-cache eviction.
+                    codegen_cache=prepared.codegen,
+                    tracing=self.tracing,
+                )
             else:
                 with self._span("reduce", materialized=True):
                     enumerator = MaterializedAnswers(

@@ -46,14 +46,6 @@ class PreparedQuery:
     # cache can never outlive its PreparedQuery (no growth under
     # fingerprint churn).
     codegen: PlanCodegen = field(default_factory=PlanCodegen, repr=False)
-    # Planner state rides on the plan for the same lifetime reason.  The
-    # candidate decompositions are data-independent (enumerated lazily,
-    # under the engine lock, on the first planner decision); the last
-    # cost-based choice is data-dependent telemetry — stashed here so
-    # ``repro explain`` can show the chosen plan, the losing candidates
-    # and estimated vs actual cardinalities without re-running anything.
-    _planner_candidates: "list | None" = field(default=None, repr=False)
-    last_plan_choice: "object | None" = field(default=None, repr=False)
 
     @property
     def cache_key(self) -> tuple[str, str]:
@@ -64,26 +56,6 @@ class PreparedQuery:
     def supports_enumeration(self) -> bool:
         """True if CD∘Lin constant-delay enumeration is guaranteed."""
         return self.is_acyclic and self.is_free_connex_acyclic
-
-    def planner_candidates(self) -> list:
-        """The candidate decompositions the cost-based planner weighs.
-
-        Candidate 0 is always :attr:`decomposition` — the plan the
-        unplanned path runs — followed by the structurally distinct
-        maximum-weight ties of ``q⁺``.  Enumerated once per plan (they are
-        data-independent) and cached; callers hold the engine lock, like
-        every other plan-state mutation.  Empty when the query is outside
-        the enumerable class.
-        """
-        if not self.supports_enumeration or self.decomposition is None:
-            return []
-        if self._planner_candidates is None:
-            from repro.planner import plan_candidates
-
-            self._planner_candidates = plan_candidates(
-                self.deduplicated_query, default=self.decomposition
-            )
-        return self._planner_candidates
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

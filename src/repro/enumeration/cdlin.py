@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.config import codegen_enabled
 from repro.obs.trace import NULL_SPAN, current_trace, span, traced_answers
 from repro.data.instance import Instance
 from repro.data.interning import TERMS
@@ -64,7 +63,6 @@ class CDLinEnumerator:
         instance: Instance,
         keep_nulls: bool = False,
         decomposition: "FreeConnexDecomposition | None" = None,
-        codegen: bool | None = None,
         codegen_cache: "object | None" = None,
         tracing: bool | None = None,
     ) -> None:
@@ -72,12 +70,9 @@ class CDLinEnumerator:
         self.deduplicated, self._head_positions = query.deduplicated_head()
         self._keep_nulls = keep_nulls
         self._decomposition = decomposition
-        # Captured at construction: the enumerator must stay internally
-        # consistent even if the process default flips while it is alive.
         # ``codegen_cache`` is the per-plan closure cache (prepared queries
         # pass theirs so closures die with the plan-cache entry; standalone
         # enumerators lazily create their own).
-        self._codegen = codegen_enabled() if codegen is None else bool(codegen)
         self._codegen_cache = codegen_cache
         # ``False`` hard-disables the per-call ambient-trace check in
         # :meth:`enumerate`; ``None``/``True`` join whatever trace is active.
@@ -88,7 +83,6 @@ class CDLinEnumerator:
                 instance,
                 keep_nulls=keep_nulls,
                 decomposition=decomposition,
-                codegen=self._codegen,
             )
             self._order: list[Atom] = []
             self._indexes: dict[Atom, dict[tuple, list[tuple]]] = {}
@@ -98,6 +92,7 @@ class CDLinEnumerator:
                 self._prepare_indexes()
             if sp is not None:
                 sp.set("blocks", len(self._order))
+                sp.set("rows", self.reduced.size())
                 sp.set("empty", self.reduced.is_empty)
         self._publish()
 
@@ -171,7 +166,6 @@ class CDLinEnumerator:
             instance,
             keep_nulls=self._keep_nulls,
             decomposition=self._decomposition,
-            codegen=self._codegen,
         )
         self._order, self._indexes, self._shared = [], {}, {}
         self._plan = None
@@ -213,19 +207,14 @@ class CDLinEnumerator:
                 continue
             if not ({atom.relation for atom in component.atoms} & touched):
                 continue
-            if (
-                component_projection(
-                    component, instance, self._keep_nulls, codegen=self._codegen
-                )
-                is None
-            ):
+            if component_projection(component, instance, self._keep_nulls) is None:
                 return self._make_empty()
         pending: dict[Atom, set] = {}
         for block in self.reduced.blocks:
             if not ({atom.relation for atom in block.component.atoms} & touched):
                 continue
             projection = component_projection(
-                block.component, instance, self._keep_nulls, codegen=self._codegen
+                block.component, instance, self._keep_nulls
             )
             if projection is None:
                 return self._make_empty()
@@ -262,7 +251,8 @@ class CDLinEnumerator:
     # -- enumeration ---------------------------------------------------------
 
     def _compiled_walk(self, plan: tuple):
-        """The generated walk for ``plan`` (``None`` → interpreted path).
+        """The generated walk for ``plan``; ``None`` for a plan deeper than
+        :data:`repro.engine.codegen.MAX_WALK_DEPTH`, which walks interpreted.
 
         The compiled function is a pure function of the (data-independent)
         slot plan, so it is looked up in the plan-level closure cache and
@@ -315,11 +305,10 @@ class CDLinEnumerator:
 
         assert plan is not None
         index_list = [indexes[atom] for atom in order]
-        if self._codegen:
-            compiled = self._compiled_walk(plan)
-            if compiled is not None:
-                yield from compiled(index_list, TERMS.decoder())
-                return
+        compiled = self._compiled_walk(plan)
+        if compiled is not None:
+            yield from compiled(index_list, TERMS.decoder())
+            return
         key_slots, stores, final_slots, slot_count = plan
         values: list = [None] * slot_count
         depth = len(order)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import codegen_enabled
 from repro.data.instance import Instance
 from repro.data.interning import TERMS
 from repro.cq.acyclicity import is_acyclic
@@ -98,7 +97,6 @@ def component_projection(
     component: Component,
     instance: Instance,
     keep_nulls: bool,
-    codegen: bool | None = None,
 ) -> set[tuple] | None:
     """Project a component's satisfying assignments onto its answer variables.
 
@@ -106,8 +104,8 @@ def component_projection(
     (a set of id rows) is computed by a bottom-up semi-join pass towards
     the component root (all answer variables live in the root, so
     projecting the reduced root relation is exact).  The null filter tests
-    the dictionary's id flags — through a per-arity generated kernel when
-    ``codegen`` resolves on (``None`` means the process default).
+    the dictionary's id flags — through a per-arity generated kernel up to
+    :data:`repro.engine.codegen.MAX_KERNEL_ARITY` answer variables.
     """
     relations = {atom: atom_relation(atom, instance) for atom in component.atoms}
     if any(relation.is_empty() for relation in relations.values()):
@@ -118,11 +116,7 @@ def component_projection(
         return None
     projection = root_relation.project(component.answer_variables)
     if not keep_nulls:
-        if codegen is None:
-            codegen = codegen_enabled()
-        kernel = (
-            _nullfree_kernel(len(component.answer_variables)) if codegen else None
-        )
+        kernel = _nullfree_kernel(len(component.answer_variables))
         if kernel is not None:
             projection = kernel(projection, TERMS.null_flags())
         else:
@@ -141,7 +135,6 @@ def build_reduced_query(
     keep_nulls: bool = False,
     require_acyclic: bool = True,
     decomposition: "FreeConnexDecomposition | None" = None,
-    codegen: bool | None = None,
 ) -> ReducedQuery:
     """Build ``q1`` and ``D1`` from ``q0`` and ``D0``.
 
@@ -170,9 +163,7 @@ def build_reduced_query(
     relations: dict[Atom, AtomRelation] = {}
     is_empty = False
     for index, component in enumerate(decomposition.components):
-        projection = component_projection(
-            component, instance, keep_nulls, codegen=codegen
-        )
+        projection = component_projection(component, instance, keep_nulls)
         if projection is None:
             is_empty = True
             break

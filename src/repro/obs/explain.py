@@ -23,7 +23,7 @@ __all__ = ["explain_report", "format_span_tree"]
 
 #: The canonical pipeline phases, in execution order; the rollup reports
 #: them in this order, other span names follow alphabetically.
-PHASES = ("parse", "plan", "chase", "revalidate", "plan_choice", "reduce", "enumerate")
+PHASES = ("parse", "plan", "chase", "revalidate", "reduce", "enumerate")
 
 
 def _walk(nodes: list[dict[str, Any]]):
@@ -57,14 +57,6 @@ def plan_summary(prepared: Any) -> dict[str, Any]:
         bags = getattr(decomposition, "bags", None)
         if bags is not None:
             summary["decomposition_bags"] = len(bags)
-    choice = getattr(prepared, "last_plan_choice", None)
-    if choice is not None:
-        as_dict = getattr(choice, "as_dict", None)
-        if callable(as_dict):
-            # The cost-based pick of the last state build: chosen candidate,
-            # the losing candidates with their costs, and estimated vs
-            # actual reduced rows.
-            summary["plan_choice"] = as_dict()
     return summary
 
 
@@ -166,24 +158,6 @@ def format_span_tree(report: dict[str, Any]) -> str:
         )
         name = plan.get("query", "?")
         lines.append(f"plan  {name}  {verdicts}  null_depth={plan.get('null_depth')}")
-        choice = plan.get("plan_choice")
-        if choice:
-            lines.append(
-                f"plan choice  candidate {choice.get('chosen')} of "
-                f"{len(choice.get('candidates', []))}  cost={choice.get('cost')}  "
-                f"estimated_rows={choice.get('estimated_rows')}  "
-                f"actual_rows={choice.get('actual_rows')}"
-            )
-            for candidate in choice.get("candidates", []):
-                chosen = "*" if candidate.get("index") == choice.get("chosen") else " "
-                shape = " + ".join(
-                    f"{component.get('root')}({','.join(component.get('atoms', []))})"
-                    for component in candidate.get("components", [])
-                )
-                lines.append(
-                    f"  {chosen} [{candidate.get('index')}] cost={candidate.get('cost')} "
-                    f"rows={candidate.get('estimated_rows')}  {shape}"
-                )
     for node in report.get("spans", []):
         _format_node(node, 0, lines)
     for event in report.get("events", []):

@@ -1,62 +1,16 @@
-"""Cost-based adaptive planning over the columnar statistics.
+"""Names kept for the benchmark walk; there is no cost-based planner.
 
-The compiler's structural choices — which join tree of ``q⁺``, hence which
-free-connex decomposition — are all provably answer-preserving, so picking
-between them is purely a constant-factor decision (ROADMAP item 3).  This
-package makes that decision from data:
-
-* :mod:`repro.planner.statistics` — per-relation cardinality and
-  per-position distinct counts, collected on the interned columnar stores
-  and cached on the instance until its version counter moves;
-* :mod:`repro.planner.cost` — the textbook estimation model (equality
-  selectivities, containment semi-join survival, build + probe edge
-  costs) and the per-edge hash vs sorted-merge kernel decision;
-* :mod:`repro.planner.choice` — candidate enumeration from the
-  Bernstein–Goodman maximum-weight ties and the cheapest-plan pick;
-* :mod:`repro.planner.kernels` — the ambient scope through which the
-  reducer's semi-joins learn that kernel choice is on.
-
-The engine consumes all of this through
-:meth:`repro.engine.materialization.Materialization.state_for`; the
-``planner`` tri-state of :class:`repro.config.ExecutionOptions` (process
-default ``REPRO_NO_PLANNER`` / ``set_planner``, CLI ``--no-planner``) is
-the A/B escape hatch, and the differential harness holds the two paths to
-byte-identical answers.
+``benchmarks/gate/walk.py`` is not edited alongside the library and imports
+``choose_plan`` from here and ``semijoin_planning`` from
+:mod:`repro.planner.kernels`.  It calls ``choose_plan`` only when
+:func:`repro.config.planner_enabled` is true, which it never is: every plan
+runs its one ``PreparedQuery.decomposition``.  Nothing in ``repro`` imports
+this package.
 """
 
-from repro.planner.choice import (
-    CandidatePlan,
-    PlanChoice,
-    choose_plan,
-    plan_candidates,
-)
-from repro.planner.cost import (
-    choose_semijoin_kernel,
-    estimate_atom_cardinality,
-    estimate_component,
-    estimate_decomposition,
-)
-from repro.planner.kernels import planned_kernel, semijoin_planning
-from repro.planner.statistics import (
-    InstanceStatistics,
-    RelationStatistics,
-    collect_statistics,
-    statistics_for,
-)
+__all__ = ["choose_plan"]
 
-__all__ = [
-    "CandidatePlan",
-    "InstanceStatistics",
-    "PlanChoice",
-    "RelationStatistics",
-    "choose_plan",
-    "choose_semijoin_kernel",
-    "collect_statistics",
-    "estimate_atom_cardinality",
-    "estimate_component",
-    "estimate_decomposition",
-    "plan_candidates",
-    "planned_kernel",
-    "semijoin_planning",
-    "statistics_for",
-]
+
+def choose_plan(candidates, instance):
+    """Never called (see the module docstring); raises if it ever is."""
+    raise NotImplementedError("repro has no cost-based planner")

@@ -1,48 +1,14 @@
-"""Ambient per-edge kernel choice for the semi-join reducer.
+"""``semijoin_planning``, kept for the benchmark walk (see :mod:`repro.planner`).
 
-The reducer (:func:`repro.yannakakis.semijoin.semijoin`) is called deep
-inside the reduce passes, far from anything that knows whether the planner
-is on.  This module carries that one bit across the call stack as a
-context variable: the materialization wraps its enumerator builds in
-:func:`semijoin_planning`, and the semi-join kernel consults
-:func:`planned_kernel` — ``"hash"`` (the historical default) outside a
-planning scope, the :func:`repro.planner.cost.choose_semijoin_kernel`
-decision inside one.
-
-Deliberately import-light (stdlib only): :mod:`repro.yannakakis.semijoin`
-imports it lazily from a layer below the planner package.
+The walk wraps its reduce step in ``with semijoin_planning(False):``.  Every
+semi-join runs the hash kernel, so the scope changes nothing.
 """
 
-from __future__ import annotations
+from contextlib import nullcontext
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator
-
-__all__ = ["planned_kernel", "semijoin_planning"]
-
-_PLANNING: ContextVar[bool] = ContextVar("repro-semijoin-planning", default=False)
+__all__ = ["semijoin_planning"]
 
 
-@contextmanager
-def semijoin_planning(enabled: bool = True) -> Iterator[None]:
-    """Scope in which semi-joins pick their kernel from build/probe sizes."""
-    token = _PLANNING.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _PLANNING.reset(token)
-
-
-def planned_kernel(probe_rows: int, build_keys: int) -> str:
-    """The kernel for one semi-join edge: ``"hash"`` or ``"sorted"``.
-
-    Outside a :func:`semijoin_planning` scope this always answers
-    ``"hash"``, keeping the planner-off path byte-for-byte on the
-    historical kernel.
-    """
-    if not _PLANNING.get():
-        return "hash"
-    from repro.planner.cost import choose_semijoin_kernel
-
-    return choose_semijoin_kernel(probe_rows, build_keys)
+def semijoin_planning(enabled: bool = False):
+    """A scope that changes nothing: there is one semi-join kernel."""
+    return nullcontext()

@@ -77,11 +77,6 @@ class ServiceConfig:
     plan_cache_size: int = 256
     strict: bool = True
     incremental: bool = True
-    #: ``None`` defers to the process default (``REPRO_NO_CODEGEN``).
-    codegen: bool | None = None
-    #: Cost-based plan choice tri-state; ``None`` defers to the process
-    #: default (``REPRO_NO_PLANNER``).
-    planner: bool | None = None
     #: Request-tracing tri-state: ``True`` traces every request, ``False``
     #: hard-disables tracing (the ``X-Repro-Trace`` header is ignored),
     #: ``None`` traces requests that ask for it — an ``X-Repro-Trace``
@@ -94,8 +89,6 @@ class ServiceConfig:
     def execution_options(self) -> ExecutionOptions:
         """The engine-facing view of this config (one options object)."""
         return ExecutionOptions(
-            codegen=self.codegen,
-            planner=self.planner,
             incremental=self.incremental,
             strict=self.strict,
             plan_cache_size=self.plan_cache_size,
@@ -682,7 +675,7 @@ class QueryService:
             for fingerprint, engine in sorted(self._engines.items())
         }
         # Seed the aggregate with the full schema so scrapers see every key
-        # (as 0) even before the first engine exists or when codegen is off.
+        # (as 0) even before the first engine exists.
         aggregate: dict[str, int] = EngineStats.zero().as_dict()
         for snapshot in engines.values():
             for key, value in snapshot.items():

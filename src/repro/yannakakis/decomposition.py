@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cq.atoms import Atom, Variable
-from repro.cq.jointree import (
-    JoinTree,
-    build_join_tree,
-    enumerate_join_trees,
-    guard_atom,
-)
+from repro.cq.jointree import JoinTree, build_join_tree, guard_atom
 from repro.cq.query import ConjunctiveQuery
 from repro.yannakakis.evaluation import NotAcyclicError
 
@@ -70,34 +65,6 @@ def decompose_free_connex(query: ConjunctiveQuery) -> FreeConnexDecomposition:
     tree_plus = build_join_tree(atoms, root=guard)
     if tree_plus is None:
         raise NotFreeConnexError(f"{query.name} is not free-connex acyclic")
-    return _decomposition_from_tree(query, guard, tree_plus)
-
-
-def enumerate_free_connex_decompositions(
-    query: ConjunctiveQuery, limit: int = 8
-) -> list[FreeConnexDecomposition]:
-    """Candidate decompositions of ``query``, one per join tree of ``q⁺``.
-
-    Distinct maximum-weight spanning trees of ``q⁺``'s intersection graph
-    (Bernstein–Goodman ties, see
-    :func:`repro.cq.jointree.enumerate_join_trees`) induce different
-    component splits — different guard children, component roots and
-    bottom-up pass shapes — with provably identical answers.  The first
-    entry matches :func:`decompose_free_connex`.  Returns ``[]`` when the
-    query is not free-connex acyclic.
-    """
-    guard = guard_atom(query.answer_variables)
-    atoms = list(query.atoms) + [guard]
-    return [
-        _decomposition_from_tree(query, guard, tree_plus)
-        for tree_plus in enumerate_join_trees(atoms, root=guard, limit=limit)
-    ]
-
-
-def _decomposition_from_tree(
-    query: ConjunctiveQuery, guard: Atom, tree_plus: JoinTree
-) -> FreeConnexDecomposition:
-    """The decomposition induced by one (valid, guard-rooted) ``q⁺`` tree."""
     components: list[Component] = []
     for child in tree_plus.children(guard):
         component_atoms = tree_plus.subtree_atoms(child)

@@ -32,20 +32,7 @@ def semijoin(left: AtomRelation, right: AtomRelation) -> bool:
         return False
     right_keys = right.project(shared)
     positions = left.positions(shared)
-    store = left.columns()
-    # Inside a planner scope, single-column edges pick hash vs sorted-merge
-    # from the build/probe sizes; outside one, ``planned_kernel`` always
-    # answers "hash" (the historical kernel).  Both kernels return the same
-    # row set.
-    from repro.planner.kernels import planned_kernel
-
-    if (
-        len(positions) == 1
-        and planned_kernel(len(left.tuples), len(right_keys)) == "sorted"
-    ):
-        surviving = store.filter_by_keys_sorted(positions[0], right_keys)
-    else:
-        surviving = store.filter_by_keys(positions, right_keys)
+    surviving = left.columns().filter_by_keys(positions, right_keys)
     if len(surviving) != len(left.tuples):
         left.replace_tuples(surviving)
         return True

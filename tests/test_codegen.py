@@ -1,23 +1,19 @@
 """Tests for per-plan code generation (`repro.engine.codegen`).
 
 Covers the generated-source shape and caching of the enumeration walk, the
-arity-specialised columnar kernels, every escape hatch
-(``REPRO_NO_CODEGEN``, :func:`repro.set_codegen`,
-``ExecutionOptions(codegen=False)``), and the eviction guarantee: compiled
-closures never outlive their :class:`PreparedQuery`.
+arity-specialised columnar kernels (against reference results computed in
+the test), and the eviction guarantee: compiled closures never outlive their
+:class:`PreparedQuery`.
 """
 
 from __future__ import annotations
 
 import gc
-import os
-import subprocess
-import sys
 import weakref
 
 import pytest
 
-from repro import Database, ExecutionOptions, Fact, QueryEngine, use_codegen
+from repro import Database, ExecutionOptions, Fact, QueryEngine
 from repro.data import ColumnarRelation
 from repro.engine import CODEGEN_STATS, PlanCodegen
 from repro.engine.codegen import (
@@ -124,17 +120,16 @@ class TestKeyKernels:
     @pytest.mark.parametrize("positions", [(0,), (0, 1), (2, 0, 1)])
     def test_kernels_agree_with_the_generic_paths(self, positions):
         relation = self.rel()
-        keys = {tuple(row[p] for p in positions) for row in list(relation)[:2]}
-        with use_codegen(True):
-            fast_filter = relation.filter_by_keys(positions, keys)
-            fast_index = relation.index_on(positions)
-        with use_codegen(False):
-            slow_filter = relation.filter_by_keys(positions, keys)
-            slow_index = relation.index_on(positions)
-        assert fast_filter == slow_filter
-        assert {k: list(v) for k, v in fast_index.items()} == {
-            k: list(v) for k, v in slow_index.items()
-        }
+        rows = list(relation)
+        keys = {tuple(row[p] for p in positions) for row in rows[:2]}
+        expected_index: dict[tuple, list[tuple]] = {}
+        for row in rows:
+            expected_index.setdefault(tuple(row[p] for p in positions), []).append(row)
+        expected_filter = [
+            row for row in rows if tuple(row[p] for p in positions) in keys
+        ]
+        assert relation.filter_by_keys(positions, keys) == expected_filter
+        assert relation.index_on(positions) == expected_index
 
     def test_arity_bounds(self):
         assert key_kernels(0) is None
@@ -178,55 +173,9 @@ def _office_engine(**kwargs) -> QueryEngine:
     return QueryEngine(parse_ontology(OFFICE_RULES), Database(OFFICE_FACTS), **kwargs)
 
 
-class TestEscapeHatches:
-    def test_codegen_on_and_off_agree_end_to_end(self):
-        on = _office_engine(codegen=True).execute(OFFICE_QUERY)
-        off = _office_engine(codegen=False).execute(OFFICE_QUERY)
-        assert on == off and on  # non-empty and byte-identical
-
-    def test_options_object_disables_codegen(self):
-        engine = _office_engine(options=ExecutionOptions(codegen=False))
-        answers = engine.execute(OFFICE_QUERY)
-        assert answers == _office_engine().execute(OFFICE_QUERY)
-        # The disabled engine itself must not have compiled a walk.
-        (prepared,) = engine._plans.values()
-        assert len(prepared.codegen) == 0
-
-    def test_explicit_kwarg_beats_the_options_object(self):
-        engine = _office_engine(
-            options=ExecutionOptions(codegen=False, strict=False), codegen=True
-        )
-        assert engine.codegen is True
-        assert engine.strict is False  # untouched fields still flow through
-
-    def test_use_codegen_wins_over_unset_option_fields(self):
-        with use_codegen(False):
-            engine = _office_engine()  # codegen field stays None
-            engine.execute(OFFICE_QUERY)
-            (prepared,) = engine._plans.values()
-            assert len(prepared.codegen) == 0
-
-    def test_env_variable_escape_hatch(self):
-        env = dict(os.environ, REPRO_NO_CODEGEN="1")
-        env["PYTHONPATH"] = "src"
-        probe = (
-            "from repro.config import codegen_enabled; "
-            "print(codegen_enabled())"
-        )
-        output = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        assert output == "False"
-
-
 class TestStatsAndEviction:
     def test_engine_stats_expose_codegen_counters(self):
-        engine = _office_engine(codegen=True)
+        engine = _office_engine()
         engine.execute(OFFICE_QUERY)
         engine.execute(OFFICE_QUERY)
         stats = engine.stats
@@ -236,7 +185,7 @@ class TestStatsAndEviction:
 
     def test_compiled_walks_die_with_the_evicted_plan(self):
         """The eviction regression: no global cache outlives PreparedQuery."""
-        engine = _office_engine(codegen=True, plan_cache_size=1)
+        engine = _office_engine(plan_cache_size=1)
         engine.execute(OFFICE_QUERY)
         (prepared,) = engine._plans.values()
         assert len(prepared.codegen) >= 1
@@ -249,7 +198,7 @@ class TestStatsAndEviction:
         assert grave() is None
 
     def test_cached_plan_reuses_its_compiled_walk(self):
-        engine = _office_engine(codegen=True)
+        engine = _office_engine()
         engine.execute(OFFICE_QUERY)
         _, hits_before = CODEGEN_STATS.snapshot()
         engine.execute(OFFICE_QUERY)
@@ -278,13 +227,11 @@ class TestUnifiedSignatures:
     def test_incremental_maintenance_keeps_codegen_answers_correct(self):
         ontology = parse_ontology(OFFICE_RULES)
         database = Database(OFFICE_FACTS)
-        engine = QueryEngine(ontology, database, codegen=True)
+        engine = QueryEngine(ontology, database)
         before = engine.execute(OFFICE_QUERY)
         database.add(Fact("InBuilding", ("room2", "annex")))
         after = engine.execute(OFFICE_QUERY)
-        reference = QueryEngine(ontology, database, codegen=False).execute(
-            OFFICE_QUERY
-        )
+        reference = QueryEngine(ontology, database).execute(OFFICE_QUERY)
         assert after == reference
         assert before < after
 
@@ -292,7 +239,7 @@ class TestUnifiedSignatures:
         engine = QueryEngine(
             Ontology([], name="empty"),
             Database([Fact("R", ("a", "b"))]),
-            options=ExecutionOptions(codegen=True, plan_cache_size=2),
+            options=ExecutionOptions(plan_cache_size=2),
         )
         assert engine._plans.capacity == 2
         assert engine.execute("q(x, y) :- R(x, y)") == {("a", "b")}

@@ -13,10 +13,8 @@ reference implementation:
 * the prepared-query engine, cold, cached and batched, and after database
   mutations both maintained in place (``incremental=True``) and rebuilt
   from scratch (``incremental=False``),
-* per-plan code generation (compiled walks/kernels) and the
-  ``REPRO_NO_CODEGEN`` interpreted paths,
-* the cost-based plan choice (candidate decompositions + per-edge kernel
-  selection) and the ``REPRO_NO_PLANNER`` default-plan path.
+* the interpreted CD∘Lin walk, which only a plan too deep to compile
+  reaches (a fixed 17-block query; every generated query compiles).
 
 Every path stores rows as dense term ids and decodes at answer emission, so
 the constant pool mixes strings with integers far above any dense id: an id
@@ -55,9 +53,9 @@ from repro.core import (
 from repro.core.enumeration import CompleteAnswerEnumerator
 from repro.core.wildcards import is_normalized_multi
 from repro.cq.parser import parse_query
-from repro.config import use_codegen, use_planner
 from repro.data import Database, Fact
 from repro.engine import QueryEngine
+from repro.engine.codegen import MAX_WALK_DEPTH, walk_source
 from repro.tgds.eli import is_eli_tgd
 from repro.tgds.ontology import Ontology
 from repro.tgds.parser import parse_ontology
@@ -341,58 +339,34 @@ def test_integer_constants_come_back_as_themselves():
     assert accepted == complete
 
 
-@given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
-def test_codegen_on_and_off_agree(templates, query_text, facts):
-    """Compiled walks/kernels == the interpreted paths == naive."""
-    omq = _build_omq(templates, query_text)
-    with use_codegen(True):
-        database = Database(facts)
-        compiled_answers = set(CompleteAnswerEnumerator(omq, database))
-        compiled_engine = QueryEngine(omq.ontology, database).execute(omq.query)
-    with use_codegen(False):
-        database = Database(facts)
-        interpreted_answers = set(CompleteAnswerEnumerator(omq, database))
+def test_plan_too_deep_to_compile_walks_interpreted():
+    """The one input that reaches the interpreted walk: 17 answer blocks,
+    one more than the generated walk nests, through the enumerator and the
+    engine, cold and after ``add_facts``."""
+    n = MAX_WALK_DEPTH + 1
+    head = ", ".join(f"x{i}" for i in range(1, n + 1))
+    body = ", ".join(f"A{i}(x{i})" for i in range(1, n + 1))
+    omq = _build_omq([], f"q({head}) :- {body}")
+    database = Database(
+        [Fact(f"A{i}", ("c0",)) for i in range(1, n + 1)]
+        + [Fact("A1", ("c1",)), Fact(f"A{n}", (INTEGER_CONSTANTS[0],))]
+    )
+    engine = QueryEngine(omq.ontology, database)
+    for count in (2 * 2, 2 * 2 * 3):  # |A1| * |A2| * |A17|, the rest are 1
         expected = naive_certain_answers(omq, database)
-    assert compiled_answers == interpreted_answers == expected
-    assert compiled_engine == expected
-
-
-@given(
-    templates=ontology_strategy,
-    query_text=query_strategy,
-    facts=facts_strategy,
-    extra=st.lists(fact_strategy, min_size=1, max_size=3),
-)
-def test_planner_on_and_off_agree(templates, query_text, facts, extra):
-    """The cost-based plan choice == the default decomposition == naive,
-    cold, cached, and across a mutation (incremental maintenance of the
-    chosen plan's state)."""
-    omq = _build_omq(templates, query_text)
-    with use_planner(True):
-        planned_db = Database(facts)
-        planned_engine = QueryEngine(omq.ontology, planned_db)
-        planned_cold = planned_engine.execute(omq.query)
-        planned_cached = planned_engine.execute(omq.query)
-    with use_planner(False):
-        default_db = Database(facts)
-        default_engine = QueryEngine(omq.ontology, default_db)
-        default_cold = default_engine.execute(omq.query)
-        expected = naive_certain_answers(omq, default_db)
-    assert planned_cold == planned_cached == default_cold == expected
-    with use_planner(True):
-        planned_db.add_facts(extra)
-        planned_mutated = planned_engine.execute(omq.query)
-    with use_planner(False):
-        default_db.add_facts(extra)
-        mutated_expected = naive_certain_answers(omq, default_db)
-        assert default_engine.execute(omq.query) == mutated_expected
-    assert planned_mutated == mutated_expected
+        assert len(expected) == count
+        enumerator = CompleteAnswerEnumerator(omq, database)
+        assert walk_source(enumerator._enumerator._plan) is None
+        assert set(enumerator) == expected
+        assert engine.execute(omq.query) == expected
+        state = engine._materialized_state(engine.prepare(omq.query), database)
+        assert walk_source(state.enumerator._plan) is None
+        database.add_facts([Fact("A2", ("c1",)), Fact(f"A{n}", ("c2",))])
+    assert engine.stats.chase_increments == 1
 
 
 @pytest.mark.slow
 @settings(
-    # Four combinations per example (eight before the storage axis went):
-    # 600 examples cost what 400 did, generation overhead included.
     max_examples=600,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
@@ -404,17 +378,14 @@ def test_planner_on_and_off_agree(templates, query_text, facts, extra):
     extra=st.lists(fact_strategy, min_size=1, max_size=3),
 )
 def test_differential_sweep_slow(templates, query_text, facts, extra):
-    """Nightly sweep: all paths, both codegen modes, both planner modes,
-    across a mutation."""
+    """Nightly sweep: the enumerator and the engine, across a mutation."""
     omq = _build_omq(templates, query_text)
-    for codegen, planner in product((True, False), repeat=2):
-        with use_codegen(codegen), use_planner(planner):
-            database = Database(facts)
-            expected = naive_certain_answers(omq, database)
-            assert set(CompleteAnswerEnumerator(omq, database)) == expected
-            engine = QueryEngine(omq.ontology, database)
-            assert engine.execute(omq.query) == expected
-            database.add_facts(extra)
-            mutated_expected = naive_certain_answers(omq, database)
-            assert engine.execute(omq.query) == mutated_expected
+    database = Database(facts)
+    expected = naive_certain_answers(omq, database)
+    assert set(CompleteAnswerEnumerator(omq, database)) == expected
+    engine = QueryEngine(omq.ontology, database)
+    assert engine.execute(omq.query) == expected
+    database.add_facts(extra)
+    mutated_expected = naive_certain_answers(omq, database)
+    assert engine.execute(omq.query) == mutated_expected
 

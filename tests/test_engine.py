@@ -3,10 +3,13 @@
 Covers plan-cache correctness (hits on repeated (ontology, query), LRU
 eviction, fingerprint stability under re-parsing), invalidation of
 materialized state after ``Instance.add``/``discard``, batch results being
-identical to sequential per-query results, cursors, and the CLI.
+identical to sequential per-query results, cursors, and the CLI; also the
+``ExecutionOptions`` validation, the fallback-ratio semantics (``0.0`` =
+always rebuild) and the ``LatencyHistogram`` boundary semantics.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,15 +20,19 @@ import pytest
 
 from repro import Database, Fact, parse_ontology, parse_query
 from repro.cli import main as cli_main
+from repro.config import ExecutionOptions
 from repro.core import OMQ, CompleteAnswerEnumerator
 from repro.cq.query import QueryError
 from repro.engine import (
+    LatencyHistogram,
     LRUCache,
     QueryEngine,
     ontology_fingerprint,
     prepare_query,
     query_fingerprint,
 )
+from repro.engine.materialization import Materialization
+from repro.tgds.ontology import Ontology
 from repro.workloads import generate_university_database, university_omq
 
 QUERY_TEXT = "q(s, a, d) :- HasAdvisor(s, a), WorksFor(a, d)"
@@ -563,10 +570,12 @@ class TestCursorLifecycleHooks:
 
 def test_engine_and_server_import_no_multiprocessing():
     """One sequential engine: a cold process serving queries never loads
-    ``multiprocessing`` (its import cost and exit hooks stay out)."""
+    ``multiprocessing`` (its import cost and exit hooks stay out), and one
+    plan per query: it never loads ``repro.planner`` either."""
     probe = (
         "import sys, repro.engine, repro.server; "
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('multiprocessing', 'repro.planner'))))"
     )
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -579,3 +588,135 @@ def test_engine_and_server_import_no_multiprocessing():
         check=True,
     ).stdout.strip()
     assert output == "[]"
+
+
+# -- ExecutionOptions, fallback ratio and LatencyHistogram contracts --------
+
+EMPTY = Ontology([], name="empty")
+TIE_QUERY = "q(x, y) :- R(x, z), S(x, y), T(y, w)"
+
+
+def _tie_facts(n: int = 40) -> list[Fact]:
+    return [
+        fact
+        for i in range(n)
+        for fact in (
+            Fact("R", (f"a{i % 5}", f"b{i}")),
+            Fact("S", (f"a{i % 5}", f"c{i % 3}")),
+            Fact("T", (f"c{i % 3}", f"d{i}")),
+        )
+    ]
+
+
+def test_execution_options_validation():
+    ExecutionOptions()  # defaults are valid
+    ExecutionOptions(incremental_fallback_ratio=0.0, plan_cache_size=1)
+    ExecutionOptions(incremental_fallback_ratio=1.0)
+    with pytest.raises(ValueError):
+        ExecutionOptions(plan_cache_size=0)
+    with pytest.raises(ValueError):
+        ExecutionOptions(plan_cache_size=16.0)
+    with pytest.raises(ValueError):
+        ExecutionOptions(incremental_fallback_ratio=float("nan"))
+    with pytest.raises(ValueError):
+        ExecutionOptions(incremental_fallback_ratio=-0.1)
+    with pytest.raises(ValueError):
+        ExecutionOptions(incremental_fallback_ratio=1.5)
+    with pytest.raises(ValueError):
+        ExecutionOptions(incremental_fallback_ratio=True)
+
+
+def test_engine_defaults_derive_from_execution_options():
+    defaults = ExecutionOptions()
+    engine = QueryEngine(EMPTY)
+    assert engine.strict == defaults.strict
+    assert engine.incremental == defaults.incremental
+    assert engine.incremental_fallback_ratio == defaults.incremental_fallback_ratio
+    assert engine._plan_cache_size == defaults.plan_cache_size
+
+
+def test_materialization_rejects_bad_fallback_ratio():
+    database = Database([])
+    with pytest.raises(ValueError):
+        Materialization(EMPTY, database, fallback_ratio=-0.1)
+    with pytest.raises(ValueError):
+        Materialization(EMPTY, database, fallback_ratio=float("nan"))
+    with pytest.raises(ValueError):
+        Materialization(EMPTY, database, fallback_ratio=float("inf"))
+    with pytest.raises(ValueError):
+        Materialization(EMPTY, database, fallback_ratio=True)
+
+
+def test_fallback_ratio_zero_always_rebuilds():
+    database = Database(_tie_facts())
+    query = parse_query(TIE_QUERY)
+    engine = QueryEngine(
+        EMPTY, database, incremental=True, incremental_fallback_ratio=0.0
+    )
+    before = engine.execute(query)
+    database.add(Fact("R", ("a0", "zz")))
+    after = engine.execute(query)
+    assert before <= after
+    stats = engine.snapshot()
+    # Honouring 0.0 means no delta is ever maintained: the mutation forced
+    # a full rebuild instead of a 1-row increment.
+    assert stats.chase_increments == 0
+    assert stats.incremental_fallbacks >= 1
+    assert stats.chase_builds == 2
+
+
+def test_histogram_exact_bound_lands_in_le_bucket():
+    histogram = LatencyHistogram(bounds=(0.001, 0.01, 0.1))
+    histogram.observe(0.01)  # exactly on a bound: le-inclusive
+    snapshot = histogram.snapshot()
+    by_bound = {bucket["le"]: bucket["count"] for bucket in snapshot["buckets"]}
+    assert by_bound[0.001] == 0
+    assert by_bound[0.01] == 1
+    assert by_bound[0.1] == 1
+
+
+def test_histogram_single_observation_p50():
+    histogram = LatencyHistogram(bounds=(0.001, 0.01, 0.1))
+    histogram.observe(0.004)
+    # rank = max(1, round(0.5 * 1)) = 1, capped by the exact max: the single
+    # observation is reported exactly, not as its bucket's upper bound.
+    assert histogram.percentile(0.5) == pytest.approx(0.004)
+
+
+def test_histogram_overflow_reports_exact_max():
+    histogram = LatencyHistogram(bounds=(0.001, 0.01))
+    histogram.observe(5.0)
+    histogram.observe(7.5)
+    assert histogram.percentile(0.99) == 7.5
+    assert histogram.percentile(1.0) == 7.5
+    snapshot = histogram.snapshot()
+    assert snapshot["max_ms"] == 7500.0
+
+
+def test_histogram_snapshot_buckets_are_cumulative_to_count():
+    histogram = LatencyHistogram(bounds=(0.001, 0.01, 0.1))
+    for value in (0.0005, 0.005, 0.05, 0.5, 5.0):
+        histogram.observe(value)
+    snapshot = histogram.snapshot()
+    buckets = snapshot["buckets"]
+    assert buckets[-1]["le"] == "+Inf"
+    assert buckets[-1]["count"] == snapshot["count"] == 5
+    counts = [bucket["count"] for bucket in buckets]
+    assert counts == sorted(counts), "bucket counts must be cumulative"
+
+
+def test_histogram_empty_and_invalid_fraction():
+    histogram = LatencyHistogram(bounds=(0.001,))
+    assert histogram.percentile(0.5) == 0.0
+    with pytest.raises(ValueError):
+        histogram.percentile(1.5)
+    with pytest.raises(ValueError):
+        LatencyHistogram(bounds=())
+
+
+def test_nan_never_reaches_budget_math():
+    # The engine rejects NaN before any budget computation can silently
+    # swallow it (NaN comparisons are all False).
+    assert math.isnan(float("nan"))
+    with pytest.raises(ValueError):
+        QueryEngine(EMPTY, incremental_fallback_ratio=float("nan"))

@@ -13,7 +13,6 @@ from repro.data import (
     Null,
     TermDictionary,
 )
-from repro.data.columns import merge_intersect
 from repro.config import _env_disabled
 
 
@@ -54,12 +53,12 @@ class TestTermDictionary:
         assert dictionary.intern(3) != dictionary.intern("3")
 
     def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-        assert _env_disabled("REPRO_NO_CODEGEN")
-        monkeypatch.setenv("REPRO_NO_CODEGEN", "0")
-        assert not _env_disabled("REPRO_NO_CODEGEN")
-        monkeypatch.delenv("REPRO_NO_CODEGEN")
-        assert not _env_disabled("REPRO_NO_CODEGEN")
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        assert _env_disabled("REPRO_TRACE")
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert not _env_disabled("REPRO_TRACE")
+        monkeypatch.delenv("REPRO_TRACE")
+        assert not _env_disabled("REPRO_TRACE")
 
 
 class TestColumnarRelation:
@@ -111,19 +110,6 @@ class TestColumnarRelation:
         assert relation.filter_by_keys((0,), set()) == []
         assert set(relation.filter_by_keys((), {()})) == {(1, 2), (1, 3), (4, 2)}
         assert relation.filter_by_keys((), set()) == []
-
-    def test_sorted_runs_and_merge_intersect(self):
-        relation = self.rel()
-        assert list(relation.sorted_column(0)) == [1, 1, 4]
-        left = relation.sorted_column(0)
-        right = ColumnarRelation(1, [(4,), (9,), (1,)]).sorted_column(0)
-        assert list(merge_intersect(left, right)) == [1, 4]
-        assert list(merge_intersect(left, relation.sorted_column(0))) == [1, 4]
-
-    def test_semijoin_sorted(self):
-        left = self.rel()
-        right = ColumnarRelation(1, [(1,), (9,)])
-        assert set(left.semijoin_sorted(0, right, 0)) == {(1, 2), (1, 3)}
 
 
 class TestInternedInstance:

@@ -479,6 +479,12 @@ class TestPrometheusExposition:
             assert name[0].isalpha() or name[0] == "_"
 
 
+def _span_nodes(tree):
+    for node in tree:
+        yield node
+        yield from _span_nodes(node.get("children", []))
+
+
 class TestExplainReport:
     def test_report_from_a_real_execution(self):
         engine = _engine()
@@ -491,10 +497,13 @@ class TestExplainReport:
         # Canonical pipeline order first, whatever extra spans after.
         pipeline = [
             p
-            for p in ("parse", "plan", "chase", "plan_choice", "reduce", "enumerate")
+            for p in ("parse", "plan", "chase", "reduce", "enumerate")
             if p in report["phases"]
         ]
         assert phase_names[: len(pipeline)] == pipeline
+        # The reduced block rows, the cardinality EXPLAIN prints per query.
+        (reduce,) = [node for node in _span_nodes(report["spans"]) if node["name"] == "reduce"]
+        assert reduce["attributes"]["rows"] > 0
         assert report["answers"] == len(answers)
         assert report["delay"]["count"] == len(answers)
         assert report["plan"]["is_acyclic"] is True
