@@ -1,8 +1,9 @@
 """Benchmark-directory conftest: everything collected here is ``bench``.
 
-The ``bench`` marker keeps the harness out of the default (tier-1) test
-selection; run it explicitly with ``pytest benchmarks -m bench`` or through
-``python benchmarks/run_all.py``.
+The ``bench`` marker keeps the gate's self-test (``benchmarks/gate/``) out
+of the default (tier-1) selection; run it with
+``pytest benchmarks/gate -q -m bench``.  The benchmark itself is
+``python3 benchmarks/gate/run.py``.
 """
 
 import pytest

@@ -9,8 +9,10 @@ grows while preprocessing grows roughly linearly.
 Run with:  python examples/constant_delay_demo.py
 """
 
-from repro.bench import measure_enumeration, print_table
+import time
+
 from repro.core import CompleteAnswerEnumerator, MinimalPartialAnswerEnumerator
+from repro.obs.trace import DelayStats
 from repro.workloads import generate_office_database, office_omq
 
 
@@ -18,49 +20,32 @@ def main() -> None:
     omq = office_omq()
     sizes = (500, 1000, 2000, 4000)
 
-    rows = []
-    for size in sizes:
-        database = generate_office_database(size, seed=size)
-        profile = measure_enumeration(
-            lambda db=database: CompleteAnswerEnumerator(omq, db)
+    for title, enumerator_class in (
+        ("Complete answers (Theorem 4.1)", CompleteAnswerEnumerator),
+        ("Minimal partial answers (Theorem 5.2 / Algorithm 1)", MinimalPartialAnswerEnumerator),
+    ):
+        print(f"\n{title}\n{'=' * len(title)}")
+        print(
+            f"{'researchers':>11}  {'facts':>6}  {'preprocessing':>13}  "
+            f"{'answers':>7}  {'mean delay':>10}  {'max delay':>10}"
         )
-        rows.append(
-            (
-                size,
-                len(database),
-                f"{profile.preprocessing_seconds * 1000:.1f} ms",
-                profile.answer_count,
-                f"{profile.mean_delay * 1e6:.1f} µs",
-                f"{profile.max_delay * 1e6:.1f} µs",
+        for size in sizes:
+            database = generate_office_database(size, seed=size)
+            start = time.perf_counter()
+            enumerator = enumerator_class(omq, database)
+            preprocessing = time.perf_counter() - start
+            delays = DelayStats()
+            last = time.perf_counter()
+            for _ in enumerator.enumerate():
+                now = time.perf_counter()
+                delays.observe(now - last)
+                last = now
+            mean = delays.total / delays.count
+            print(
+                f"{size:>11}  {len(database):>6}  "
+                f"{preprocessing * 1000:>10.1f} ms  {delays.count:>7}  "
+                f"{mean * 1e6:>7.1f} µs  {delays.max * 1e6:>7.1f} µs"
             )
-        )
-    print_table(
-        ["researchers", "facts", "preprocessing", "answers", "mean delay", "max delay"],
-        rows,
-        title="Complete answers (Theorem 4.1)",
-    )
-
-    rows = []
-    for size in sizes:
-        database = generate_office_database(size, seed=size)
-        profile = measure_enumeration(
-            lambda db=database: MinimalPartialAnswerEnumerator(omq, db)
-        )
-        rows.append(
-            (
-                size,
-                len(database),
-                f"{profile.preprocessing_seconds * 1000:.1f} ms",
-                profile.answer_count,
-                f"{profile.mean_delay * 1e6:.1f} µs",
-                f"{profile.max_delay * 1e6:.1f} µs",
-            )
-        )
-    print_table(
-        ["researchers", "facts", "preprocessing", "answers", "mean delay", "max delay"],
-        rows,
-        title="Minimal partial answers (Theorem 5.2 / Algorithm 1)",
-    )
 
 
 if __name__ == "__main__":

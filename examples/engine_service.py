@@ -17,7 +17,6 @@ Run with:  python examples/engine_service.py
 
 import time
 
-from repro.bench import print_table
 from repro.core import CompleteAnswerEnumerator
 from repro.data.facts import Fact
 from repro.engine import QueryEngine
@@ -53,17 +52,10 @@ def main() -> None:
         set(CompleteAnswerEnumerator(omq, database))
     fresh_seconds = (time.perf_counter() - started) * (REQUESTS / 10)
 
-    print_table(
-        ["requests", "engine (ms)", "fresh est. (ms)", "speedup"],
-        [
-            (
-                REQUESTS,
-                engine_seconds * 1000,
-                fresh_seconds * 1000,
-                fresh_seconds / engine_seconds,
-            )
-        ],
-        title="Serving repeated requests",
+    print(
+        f"{REQUESTS} repeated requests: engine {engine_seconds * 1000:.1f} ms, "
+        f"fresh est. {fresh_seconds * 1000:.1f} ms "
+        f"({fresh_seconds / engine_seconds:.1f}x speedup)"
     )
 
     # -- batched requests ---------------------------------------------------

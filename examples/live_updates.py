@@ -24,7 +24,6 @@ Run with:  python examples/live_updates.py
 import random
 import time
 
-from repro.bench import print_table
 from repro.data.facts import Fact
 from repro.engine import QueryEngine
 from repro.workloads import generate_university_database, university_omq
@@ -84,21 +83,14 @@ def main() -> None:
     rebuild_engine.execute(omq.query)
     rebuild_seconds = replay(rebuild_engine, rebuild_db, omq.query, batch_size, seed=1)
 
-    print_table(
-        ["rounds", "delta facts", "incremental (ms)", "rebuild (ms)", "speedup"],
-        [
-            (
-                ROUNDS,
-                batch_size,
-                incremental_seconds * 1000,
-                rebuild_seconds * 1000,
-                rebuild_seconds / incremental_seconds,
-            )
-        ],
-        title=f"{ROUNDS} update rounds (~1% of the database each) + re-query",
+    print(
+        f"{ROUNDS} update rounds of {batch_size} delta facts (~1% of the "
+        f"database) + re-query: incremental {incremental_seconds * 1000:.1f} ms, "
+        f"rebuild {rebuild_seconds * 1000:.1f} ms "
+        f"({rebuild_seconds / incremental_seconds:.1f}x speedup)"
     )
     print(
-        f"\nincremental engine: {stats.chase_builds} chase build, "
+        f"incremental engine: {stats.chase_builds} chase build, "
         f"{stats.chase_increments} in-place increments, "
         f"{stats.incremental_fallbacks} fallbacks"
     )

@@ -7,7 +7,7 @@ and the ``docs/`` tree (``docs/architecture.md`` in particular) for the
 layer-by-layer walkthrough.
 """
 
-from repro.config import ExecutionOptions, set_tracing, use_tracing
+from repro.config import ExecutionOptions
 from repro.data import Database, Fact, Instance, Schema
 from repro.cq import Atom, ConjunctiveQuery, Variable, parse_query
 from repro.tgds import TGD, Ontology, parse_ontology, parse_tgd
@@ -53,8 +53,6 @@ __all__ = [
     "parse_tgd",
     "prepare_query",
     "query_directed_chase",
-    "set_tracing",
-    "use_tracing",
 ]
 
 __version__ = "0.1.0"

@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help=(
-            "record a span trace for every execution (as with REPRO_TRACE=1) "
+            "record a span trace for every execution "
             "and list the recorded trace ids in the report"
         ),
     )

@@ -1,15 +1,11 @@
-"""Unified execution configuration: one options object, one switch.
+"""Unified execution configuration: one options object.
 
 The tuning knobs the engine accumulated — incremental maintenance
 (``incremental``, ``incremental_fallback_ratio``), the plan cache
 (``plan_cache_size``), the query-class check (``strict``) and tracing — live
-here:
-
-* :class:`ExecutionOptions` — one frozen dataclass carrying every knob, the
-  object :class:`repro.engine.QueryEngine`, :class:`repro.server.QueryService`
-  and the CLI consume;
-* the one process-wide switch, ``set_tracing`` / ``use_tracing``, whose
-  default comes from the ``REPRO_TRACE`` environment variable.
+in :class:`ExecutionOptions`, one frozen dataclass that
+:class:`repro.engine.QueryEngine`, :class:`repro.server.QueryService` and the
+CLI consume.  No environment variable and no process-wide toggle is read.
 
 **Precedence** (most specific wins):
 
@@ -17,8 +13,7 @@ here:
    (``QueryEngine(..., strict=False)``);
 2. the :class:`ExecutionOptions` object passed to that component
    (``QueryEngine(..., options=ExecutionOptions(strict=False))``);
-3. the process default — ``REPRO_TRACE`` read at import time, as later
-   adjusted by ``set_tracing``.
+3. the dataclass field default.
 
 There is no execution-strategy switch: rows are tuples of dense term ids
 (:mod:`repro.data.interning`) on every path, every plan runs its one
@@ -32,31 +27,9 @@ ones.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator
 
-__all__ = [
-    "ExecutionOptions",
-    "resolve_option",
-    "set_tracing",
-    "tracing_enabled",
-    "use_tracing",
-]
-
-
-def _env_disabled(variable: str) -> bool:
-    """True when ``variable`` holds one of the documented truthy spellings."""
-    return os.environ.get(variable, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-# The process-wide tracing default, captured from the environment once at
-# import time; ``set_tracing`` adjusts it afterwards under a lock so the
-# read-modify-write is well-defined under threads (reads stay lock-free).
-_STATE_LOCK = threading.Lock()
-_TRACING = _env_disabled("REPRO_TRACE")
+__all__ = ["ExecutionOptions", "resolve_option"]
 
 
 def planner_enabled() -> bool:
@@ -67,39 +40,6 @@ def planner_enabled() -> bool:
     step when it is false; every plan runs ``PreparedQuery.decomposition``.
     """
     return False
-
-
-def tracing_enabled() -> bool:
-    """Whether components *initiate* query traces by default (default off).
-
-    This is the process default behind ``ExecutionOptions.tracing = None``:
-    set ``REPRO_TRACE=1`` (captured at import) or call :func:`set_tracing`
-    and every engine execution records a trace into the ring buffer of
-    :mod:`repro.obs.trace`.  Independently of this switch, components always
-    *join* a trace that an outer layer (the HTTP service, ``repro
-    explain``) already started — unless hard-disabled with
-    ``tracing=False``.
-    """
-    return _TRACING
-
-
-def set_tracing(enabled: bool) -> bool:
-    """Flip the process-wide tracing default; returns the previous setting."""
-    global _TRACING
-    with _STATE_LOCK:
-        previous = _TRACING
-        _TRACING = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_tracing(enabled: bool) -> Iterator[None]:
-    """Context manager scoping :func:`set_tracing` (diagnostic helper)."""
-    previous = set_tracing(enabled)
-    try:
-        yield
-    finally:
-        set_tracing(previous)
 
 
 def resolve_option(explicit, options_value, default):
@@ -128,8 +68,8 @@ class ExecutionOptions:
     * ``strict`` — reject queries outside the acyclic ∧ free-connex class.
     * ``tracing`` — the span-tracing tri-state: ``True`` records a trace for
       every execution, ``False`` hard-disables all instrumentation (spans
-      are never even looked for), ``None`` joins ambient traces and
-      otherwise follows the ``REPRO_TRACE`` process default.
+      are never even looked for), ``None`` joins an ambient trace but never
+      starts one.
 
     Invalid values are rejected at construction: ``plan_cache_size`` must
     be at least 1 and ``incremental_fallback_ratio`` a finite number in
@@ -158,10 +98,6 @@ class ExecutionOptions:
                 "incremental_fallback_ratio must be a finite number in [0, 1] "
                 f"(0.0 means always rebuild), got {ratio!r}"
             )
-
-    def resolved_tracing(self) -> bool:
-        """The tracing flag with the process default filled in."""
-        return tracing_enabled() if self.tracing is None else self.tracing
 
     def replace(self, **changes) -> "ExecutionOptions":
         """A copy with ``changes`` applied (dataclass ``replace`` sugar)."""

@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator
 
-from repro.config import ExecutionOptions, resolve_option, tracing_enabled
+from repro.config import ExecutionOptions, resolve_option
 from repro.obs.trace import NULL_SPAN, current_trace, span, start_trace
 from repro.data.instance import Database
 from repro.data.interning import TERMS
@@ -270,10 +270,8 @@ class QueryEngine:
                 _OPTION_DEFAULTS.incremental_fallback_ratio,
             )
         )
-        # Tri-state kept as-is: ``None`` means "join ambient traces, and
-        # initiate one only if the REPRO_TRACE process default says so" —
-        # resolved per execution, not frozen here, so a scoped
-        # ``use_tracing`` applies to an already-built engine.
+        # Tri-state kept as-is: ``None`` means "join an ambient trace, never
+        # start one".
         self.tracing = resolve_option(tracing, resolved.tracing, _OPTION_DEFAULTS.tracing)
         plan_cache_size = resolve_option(
             plan_cache_size, resolved.plan_cache_size, _OPTION_DEFAULTS.plan_cache_size
@@ -458,15 +456,14 @@ class QueryEngine:
 
         ``tracing=False`` → the shared no-op (nothing is ever recorded);
         an ambient trace (the HTTP service or ``repro explain`` already
-        started one) → a child span joining it; ``tracing=True`` or the
-        ``REPRO_TRACE`` process default → a fresh root trace, recorded
-        into the process ring buffer on exit.
+        started one) → a child span joining it; ``tracing=True`` → a fresh
+        root trace, recorded into the process ring buffer on exit.
         """
         if self.tracing is False:
             return NULL_SPAN
         if current_trace() is not None:
             return span(name)
-        if self.tracing or tracing_enabled():
+        if self.tracing:
             return start_trace(name)
         return NULL_SPAN
 

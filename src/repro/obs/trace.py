@@ -17,7 +17,8 @@ Design constraints, in priority order:
    ``ContextVar.get`` and returns the shared :data:`NULL_SPAN` when no
    trace is active, and components constructed with ``tracing=False`` skip
    even that check.  Per-answer sampling only happens inside an active
-   trace.  ``benchmarks/ab_tracing.py`` gates the disabled-mode overhead.
+   trace, and nothing starts one unless asked (``tracing=True``,
+   ``--trace``, an ``X-Repro-Trace`` header, ``repro explain``).
 2. **Thread-friendly.**  Traces are shared objects guarded by one lock;
    spans opened from worker threads (``asyncio.to_thread`` propagates the
    context automatically, ``QueryEngine.execute_batch`` copies it per task)
@@ -26,9 +27,8 @@ Design constraints, in priority order:
    (:class:`TraceStore`, default 256 traces); each trace caps its span
    count, so a runaway enumeration cannot balloon the process.
 
-This module deliberately imports only :mod:`repro.config`, like
-:mod:`repro.engine.codegen`, so every layer (data, chase, enumeration,
-engine, server) can call into it cycle-free.
+This module deliberately imports nothing from :mod:`repro`, so every layer
+(data, chase, enumeration, engine, server) can call into it cycle-free.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ async def serve(
 
     ``announce`` receives the base URL once the socket is bound (defaults
     to printing the ready line); ``ready``/``stop`` are optional events for
-    embedding the server in another asyncio program (the tests and the
-    in-process benchmark drive it this way).
+    embedding the server in another asyncio program (the tests and
+    ``examples/serve_demo.py`` drive it this way).
     """
     server = HttpServer(
         service.handle, host=service.config.host, port=service.config.port

@@ -39,7 +39,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.config import ExecutionOptions, tracing_enabled
+from repro.config import ExecutionOptions
 from repro.cq.query import QueryError
 from repro.data.instance import Database
 from repro.engine import LRUCache, QueryEngine
@@ -80,7 +80,7 @@ class ServiceConfig:
     #: Request-tracing tri-state: ``True`` traces every request, ``False``
     #: hard-disables tracing (the ``X-Repro-Trace`` header is ignored),
     #: ``None`` traces requests that ask for it — an ``X-Repro-Trace``
-    #: header, ``?explain=1``, or the ``REPRO_TRACE`` process default.
+    #: header or ``?explain=1``.
     tracing: bool | None = None
     #: Queries/pages slower than this (milliseconds) are written to the
     #: slow-query log as JSON lines on stderr; ``None`` disables the log.
@@ -343,20 +343,15 @@ class QueryService:
         ``tracing=False`` in the config hard-disables request tracing (the
         ``X-Repro-Trace`` header is ignored); otherwise a request is traced
         when the client sent a trace id, asked for ``?explain=1``
-        (``force``), or the config / ``REPRO_TRACE`` process default says
-        to trace everything.  The client-supplied id is adopted so the
-        trace can be correlated across systems; the id is echoed back in
-        the ``X-Repro-Trace`` response header either way.
+        (``force``), or the config says to trace everything.  The
+        client-supplied id is adopted so the trace can be correlated across
+        systems; the id is echoed back in the ``X-Repro-Trace`` response
+        header either way.
         """
         if self.config.tracing is False:
             return None
         trace_id = request.headers.get("x-repro-trace") or None
-        if (
-            force
-            or trace_id is not None
-            or self.config.tracing
-            or tracing_enabled()
-        ):
+        if force or trace_id is not None or self.config.tracing:
             return start_trace(name, trace_id=trace_id)
         return None
 

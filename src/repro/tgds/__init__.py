@@ -4,7 +4,6 @@ from repro.tgds.tgd import TGD, TGDError
 from repro.tgds.ontology import Ontology
 from repro.tgds.parser import parse_ontology, parse_tgd
 from repro.tgds.eli import is_eli_tgd, is_eliq
-from repro.tgds.simulation import largest_simulation, simulates
 
 __all__ = [
     "TGD",
@@ -12,8 +11,6 @@ __all__ = [
     "Ontology",
     "is_eli_tgd",
     "is_eliq",
-    "largest_simulation",
     "parse_ontology",
     "parse_tgd",
-    "simulates",
 ]

@@ -1,6 +1,6 @@
 """Random graph workloads: edge lists and an OMQ-shaped path scenario.
 
-:func:`random_graph` feeds the triangle lower-bound experiments (E9);
+:func:`random_graph` feeds the triangle lower-bound reduction's tests;
 :func:`graph_omq` / :func:`generate_graph_database` package the same
 generator as a registry workload — a two-step path query over an
 ontology-free edge relation, full and acyclic, hence free-connex and

@@ -1,7 +1,7 @@
 """Random sparse Boolean matrix workloads (BMM lower bound + registry OMQ).
 
 :func:`random_sparse_matrix` feeds the Boolean-matrix-multiplication
-lower-bound experiments (E10).  :func:`matrix_omq` /
+lower-bound reduction's tests (``tests/test_reductions.py``).  :func:`matrix_omq` /
 :func:`generate_matrix_database` package the same generator as a registry
 workload over the *full* join ``q(i, k, j) ← M1(i, k) ∧ M2(k, j)`` — the
 free-connex shape.  Projecting out ``k`` yields exactly the BMM query whose

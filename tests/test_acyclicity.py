@@ -113,7 +113,9 @@ class TestAcyclicityNotions:
             "triangle with quantified corner": (False, False, True),
             "Boolean triangle": (False, False, False),
         }
-        for name, _query, props in figure1_examples():
+        examples = figure1_examples()
+        assert [name for name, _query, _props in examples] == list(expectations)
+        for name, _query, props in examples:
             expected = expectations[name]
             assert (
                 props["acyclic"],

@@ -568,6 +568,19 @@ class TestCursorLifecycleHooks:
         assert engine.snapshot().cursors_open == 0
 
 
+def _run_probe(probe: str, **env: str) -> str:
+    """Run ``probe`` in a fresh interpreter over ``src/``; its stdout."""
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(root / "src"), **env),
+        cwd=root,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+
+
 def test_engine_and_server_import_no_multiprocessing():
     """One sequential engine: a cold process serving queries never loads
     ``multiprocessing`` (its import cost and exit hooks stay out), and one
@@ -577,17 +590,25 @@ def test_engine_and_server_import_no_multiprocessing():
         "print(sorted(m for m in sys.modules "
         "if m.startswith(('multiprocessing', 'repro.planner'))))"
     )
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    output = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env,
-        cwd=root,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-    assert output == "[]"
+    assert _run_probe(probe) == "[]"
+
+
+def test_environment_never_starts_a_trace():
+    """No environment variable turns tracing on: with ``REPRO_TRACE=1`` set,
+    an engine left at ``tracing=None`` and run with no ambient trace records
+    nothing into the ring buffer.  ``tracing=True`` still does."""
+    probe = (
+        "from repro.engine import QueryEngine; "
+        "from repro.obs.trace import TRACES; "
+        "from repro.workloads import generate_university_database, university_omq; "
+        "omq = university_omq(); "
+        "database = generate_university_database(20, seed=1); "
+        "answers = QueryEngine(omq.ontology, database).execute(omq.query); "
+        "untraced = len(TRACES); "
+        "QueryEngine(omq.ontology, database, tracing=True).execute(omq.query); "
+        "print(bool(answers), untraced, len(TRACES))"
+    )
+    assert _run_probe(probe, REPRO_TRACE="1") == "True 0 1"
 
 
 # -- ExecutionOptions, fallback ratio and LatencyHistogram contracts --------

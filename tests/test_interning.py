@@ -13,7 +13,6 @@ from repro.data import (
     Null,
     TermDictionary,
 )
-from repro.config import _env_disabled
 
 
 class TestTermDictionary:
@@ -51,14 +50,6 @@ class TestTermDictionary:
     def test_distinct_types_get_distinct_ids(self):
         dictionary = TermDictionary()
         assert dictionary.intern(3) != dictionary.intern("3")
-
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert _env_disabled("REPRO_TRACE")
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not _env_disabled("REPRO_TRACE")
-        monkeypatch.delenv("REPRO_TRACE")
-        assert not _env_disabled("REPRO_TRACE")
 
 
 class TestColumnarRelation:

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import naive_certain_answers
 from repro.core import WILDCARD
 from repro.core.testing import OMQSingleTester
 from repro.reductions import (
@@ -63,14 +64,21 @@ class TestTriangleReduction:
 
     def test_random_graphs_agree_with_naive(self):
         rng = random.Random(2)
-        for trial in range(6):
-            vertices = rng.randint(4, 9)
-            edges = random_graph(vertices, rng.randint(3, 12), seed=trial)
+        graphs = [
+            random_graph(rng.randint(4, 9), rng.randint(3, 12), seed=trial)
+            for trial in range(6)
+        ]
+        graphs.append(random_graph(30, 60, seed=7))
+        for edges in graphs:
             assert has_triangle_via_omq(edges) == has_triangle_naive(edges)
 
     def test_avoid_triangles_generator(self):
-        edges = random_graph(15, 25, seed=4, avoid_triangles=True)
-        assert not has_triangle_naive(edges)
+        # Triangle-free, so the all-wildcard tuple is a minimal partial answer.
+        for vertices, edge_count, seed in ((15, 25, 4), (20, 40, 20)):
+            edges = random_graph(vertices, edge_count, seed=seed, avoid_triangles=True)
+            assert not has_triangle_naive(edges)
+            tester = OMQSingleTester(triangle_omq(), graph_to_database(edges))
+            assert tester.test_minimal_partial((WILDCARD, WILDCARD, WILDCARD))
 
 
 class TestBMMReduction:
@@ -108,14 +116,16 @@ class TestBMMReduction:
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10_000))
 def test_bmm_reduction_matches_baselines(dimension, seed):
-    """Property: the OMQ route, the sparse baseline and the dense baseline
-    compute the same Boolean matrix product."""
+    """Property: the OMQ route, the naive certain answers of the same OMQ,
+    the sparse baseline and the dense baseline compute the same Boolean
+    matrix product."""
     m1 = random_sparse_matrix(dimension, 0.4, seed=seed)
     m2 = random_sparse_matrix(dimension, 0.4, seed=seed + 1)
     dense = boolean_matrix_multiply_naive(m1, m2, dimension)
     sparse = boolean_matrix_multiply_sparse(m1, m2)
     via_omq = boolean_matrix_multiply_via_omq(m1, m2)
-    assert dense == sparse == via_omq
+    naive = naive_certain_answers(bmm_omq(), matrices_to_database(m1, m2))
+    assert dense == sparse == via_omq == naive
 
 
 @settings(max_examples=10, deadline=None)

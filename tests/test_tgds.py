@@ -1,20 +1,17 @@
-"""Tests for TGDs, guardedness, ELI, ontologies and simulations."""
+"""Tests for TGDs, guardedness, ELI and ontologies."""
 
 import pytest
 
 from repro.cq import Variable, parse_query
 from repro.cq.atoms import Atom
-from repro.data import Fact, Instance
 from repro.tgds import (
     TGD,
     TGDError,
     Ontology,
     is_eli_tgd,
     is_eliq,
-    largest_simulation,
     parse_ontology,
     parse_tgd,
-    simulates,
 )
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -146,41 +143,3 @@ class TestOntology:
         assert ontology.max_head_radius() == 2
         assert ontology.max_body_radius() == 2
 
-
-class TestSimulation:
-    def test_simulation_on_paths(self):
-        source = Instance([Fact("R", ("a", "b")), Fact("A", ("b",))])
-        target = Instance(
-            [Fact("R", ("u", "v")), Fact("A", ("v",)), Fact("R", ("v", "w"))]
-        )
-        assert simulates(source, "a", target, "u")
-        assert not simulates(target, "v", source, "b")  # v has an outgoing R edge
-
-    def test_unary_labels_must_be_preserved(self):
-        source = Instance([Fact("A", ("a",))])
-        target = Instance([Fact("B", ("b",))])
-        assert not simulates(source, "a", target, "b")
-
-    def test_largest_simulation_is_a_simulation(self):
-        source = Instance([Fact("R", ("a", "b")), Fact("R", ("b", "c"))])
-        target = Instance([Fact("R", ("x", "y")), Fact("R", ("y", "z"))])
-        relation = largest_simulation(source, target)
-        assert ("a", "x") in relation
-        assert ("c", "z") in relation
-
-    def test_rejects_high_arity(self):
-        with pytest.raises(ValueError):
-            largest_simulation(Instance([Fact("T", ("a", "b", "c"))]), Instance())
-
-    def test_simulation_preserves_eliq_satisfaction(self):
-        # Lemma A.4: if (I, c) <= (J, d) and c satisfies an ELIQ, so does d.
-        from repro.cq.homomorphism import evaluate
-
-        eliq = parse_query("q(x) :- R(x, y), A(y)")
-        source = Instance([Fact("R", ("c", "c1")), Fact("A", ("c1",))])
-        target = Instance(
-            [Fact("R", ("d", "d1")), Fact("A", ("d1",)), Fact("B", ("d",))]
-        )
-        assert simulates(source, "c", target, "d")
-        assert ("c",) in evaluate(eliq, source)
-        assert ("d",) in evaluate(eliq, target)

@@ -1,17 +1,6 @@
-"""Tests for the workload generators and the benchmark harness helpers."""
+"""Tests for the workload generators."""
 
-import pytest
-
-from repro.bench import (
-    DelayProfile,
-    format_table,
-    linear_fit,
-    measure_enumeration,
-    print_table,
-    scaling_exponent,
-    time_call,
-)
-from repro.core import CompleteAnswerEnumerator, MinimalPartialAnswerEnumerator
+from repro.core import MinimalPartialAnswerEnumerator
 from repro.workloads import (
     generate_office_database,
     generate_university_database,
@@ -89,54 +78,3 @@ class TestGraphAndMatrixGenerators:
         assert len(entries) == 20
         assert all(0 <= i < 10 and 0 <= j < 10 for i, j in entries)
 
-
-class TestBenchHelpers:
-    def test_time_call(self):
-        elapsed, result = time_call(sum, [1, 2, 3])
-        assert result == 6
-        assert elapsed >= 0
-
-    def test_measure_enumeration(self, office_omq, office_database):
-        profile = measure_enumeration(
-            lambda: CompleteAnswerEnumerator(office_omq, office_database)
-        )
-        assert profile.answer_count == 1
-        assert profile.preprocessing_seconds > 0
-        assert profile.max_delay >= profile.mean_delay >= 0
-
-    def test_measure_enumeration_truncates(self, office_omq, office_database):
-        profile = measure_enumeration(
-            lambda: MinimalPartialAnswerEnumerator(office_omq, office_database),
-            max_answers=2,
-        )
-        assert profile.answer_count == 2
-
-    def test_delay_profile_percentile(self):
-        profile = DelayProfile(0.0, 4, 1.0, delays=[0.1, 0.2, 0.3, 0.4])
-        assert profile.percentile_delay(0.5) == 0.3
-        assert DelayProfile(0.0, 0, 0.0).percentile_delay(0.5) == 0.0
-
-    def test_format_table(self):
-        text = format_table(["n", "time"], [(10, 0.5), (100, 1.0)], title="demo")
-        assert "demo" in text and "100" in text
-
-    def test_print_table(self, capsys):
-        print_table(["a"], [(1,)])
-        assert "1" in capsys.readouterr().out
-
-    def test_linear_fit(self):
-        slope, intercept, r2 = linear_fit([1, 2, 3, 4], [2, 4, 6, 8])
-        assert slope == pytest.approx(2.0)
-        assert intercept == pytest.approx(0.0)
-        assert r2 == pytest.approx(1.0)
-
-    def test_linear_fit_requires_points(self):
-        with pytest.raises(ValueError):
-            linear_fit([1], [1])
-
-    def test_scaling_exponent(self):
-        xs = [10, 20, 40, 80]
-        linear = [x * 3.0 for x in xs]
-        quadratic = [x * x / 10 for x in xs]
-        assert scaling_exponent(xs, linear) == pytest.approx(1.0, abs=0.05)
-        assert scaling_exponent(xs, quadratic) == pytest.approx(2.0, abs=0.05)
