@@ -16,12 +16,11 @@ CLI consume.  No environment variable and no process-wide toggle is read.
 3. the dataclass field default.
 
 There is no execution-strategy switch: rows are tuples of dense term ids
-(:mod:`repro.data.interning`) on every path, every plan runs its one
-free-connex decomposition through the hash semi-join kernels, and the
+(:mod:`repro.data.interning`) on every path, every plan reduces its one
+free-connex decomposition over the atom relations' row sets, and the
 CD∘Lin walk is compiled per plan (:mod:`repro.engine.codegen`).  What the
 input decides stays: a plan deeper than the compiler's nesting limit walks
-interpreted, and keys wider than the specialised kernels use the generic
-ones.
+interpreted.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-__all__ = ["ExecutionOptions", "resolve_option"]
+__all__ = ["ExecutionOptions", "resolve_option", "validate_fallback_ratio"]
 
 
 def planner_enabled() -> bool:
@@ -40,6 +39,27 @@ def planner_enabled() -> bool:
     step when it is false; every plan runs ``PreparedQuery.decomposition``.
     """
     return False
+
+
+def validate_fallback_ratio(ratio: float) -> float:
+    """Reject a fallback ratio that is not a finite number in ``[0, 1]``.
+
+    ``0.0`` is valid and means "always rebuild"; a ratio is a fraction of
+    the database, so anything above 1 is a typo, not a budget.  NaN must
+    never reach the budget comparison (every NaN comparison is False, which
+    would silently disable both the increment and the fallback accounting).
+    """
+    if (
+        not isinstance(ratio, (int, float))
+        or isinstance(ratio, bool)
+        or not math.isfinite(ratio)
+        or not 0.0 <= ratio <= 1.0
+    ):
+        raise ValueError(
+            "incremental_fallback_ratio must be a finite number in [0, 1] "
+            f"(0.0 means always rebuild), got {ratio!r}"
+        )
+    return float(ratio)
 
 
 def resolve_option(explicit, options_value, default):
@@ -87,17 +107,7 @@ class ExecutionOptions:
             raise ValueError(
                 f"plan_cache_size must be an integer >= 1, got {self.plan_cache_size!r}"
             )
-        ratio = self.incremental_fallback_ratio
-        if (
-            not isinstance(ratio, (int, float))
-            or isinstance(ratio, bool)
-            or not math.isfinite(ratio)
-            or not 0.0 <= ratio <= 1.0
-        ):
-            raise ValueError(
-                "incremental_fallback_ratio must be a finite number in [0, 1] "
-                f"(0.0 means always rebuild), got {ratio!r}"
-            )
+        validate_fallback_ratio(self.incremental_fallback_ratio)
 
     def replace(self, **changes) -> "ExecutionOptions":
         """A copy with ``changes`` applied (dataclass ``replace`` sugar)."""

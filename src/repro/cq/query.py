@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.data.facts import Fact
-from repro.data.instance import Database, Instance
+from repro.data.instance import Database
 from repro.data.schema import Schema
 from repro.cq.atoms import Atom, Variable, is_variable
 
@@ -182,10 +182,6 @@ class ConjunctiveQuery:
             ]
             facts.append(Fact(atom.relation, args))
         return Database(facts)
-
-    def canonical_instance(self) -> Instance:
-        """Like :meth:`canonical_database` but as a general instance."""
-        return Instance(self.canonical_database())
 
     def substitute(self, mapping: Mapping[Variable, object]) -> "ConjunctiveQuery":
         """Replace variables by terms/constants; substituted answer

@@ -8,11 +8,10 @@ Gaifman graphs are the derived notions the algorithms rely on.
 The storage layer is *interned*: every constant and null is
 dictionary-encoded to a dense int id by the process-wide
 :data:`~repro.data.interning.TERMS` dictionary, positional indexes key
-their buckets by id tuples, and :mod:`repro.data.columns` provides the
-columnar kernels the reduction/enumeration pipeline runs over.
+their buckets by id tuples, and ``Fact.iargs`` — a fact's id tuple — is the
+row the reduction/enumeration pipeline reads.
 """
 
-from repro.data.columns import ColumnarRelation
 from repro.data.facts import Fact
 from repro.data.instance import Database, Instance
 from repro.data.interning import TERMS, TermDictionary
@@ -28,7 +27,6 @@ __all__ = [
     "Schema",
     "Instance",
     "Database",
-    "ColumnarRelation",
     "TERMS",
     "TermDictionary",
 ]

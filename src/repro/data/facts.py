@@ -20,8 +20,8 @@ class Fact:
       the homomorphism search perform), and
     * :attr:`iargs`, the argument tuple dictionary-encoded to dense ids by
       the process-wide :data:`repro.data.interning.TERMS` — the key the
-      interned positional indexes and columnar relations use.  Ids are
-      stable for the process lifetime, so the cache never goes stale.
+      interned positional indexes use and the row the reducer reads.  Ids
+      are stable for the process lifetime, so the cache never goes stale.
     """
 
     __slots__ = ("relation", "args", "_hash", "_iargs")

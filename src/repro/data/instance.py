@@ -4,8 +4,8 @@ An :class:`Instance` may contain labelled nulls (it is the object produced by
 the chase); a :class:`Database` is an instance that is promised to be
 null-free.  Both maintain the fact set and per-relation sets eagerly;
 everything else — positional indexes, the per-element adjacency behind
-:meth:`Instance.facts_with` / :meth:`Instance.adom`, columnar stores — is
-built on first request and maintained from then on, so an instance that is
+:meth:`Instance.facts_with` / :meth:`Instance.adom` — is built on first
+request and maintained from then on, so an instance that is
 only ever chased and joined pays for no structure nobody reads.  Together
 they give the algorithms in the rest of the library the (amortised) constant
 time lookups the paper's RAM model assumes.
@@ -80,7 +80,6 @@ from collections.abc import Set as AbstractSet
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.data.columns import ColumnarRelation
 from repro.data.facts import Fact
 from repro.data.interning import TERMS
 from repro.data.schema import Schema
@@ -182,9 +181,6 @@ class Instance:
         # per-relation (positions, index) lists.
         self._indexes: dict[tuple[str, tuple[int, ...]], _Index] = {}
         self._indexes_by_relation: dict[str, list[tuple[tuple, _Index]]] = defaultdict(list)
-        # Columnar per-(relation, arity) stores; built lazily, invalidated
-        # per relation by _record() on every effective mutation.
-        self._columnar: dict[tuple[str, int], ColumnarRelation] = {}
         # Fresh-null factory: draws from the process-global label counter, so
         # nulls created through different instances (or an instance and its
         # copies, which share the factory) never alias.
@@ -233,13 +229,6 @@ class Instance:
 
     def _record(self, is_add: bool, fact: Fact) -> None:
         """Bump the version (or defer to batch exit) and log the mutation."""
-        if self._columnar:
-            # Eager, per-relation invalidation (version bumps may be
-            # deferred inside a batch): only the mutated relation's column
-            # stores drop; untouched relations keep theirs across deltas.
-            relation = fact.relation
-            for key in [k for k in self._columnar if k[0] == relation]:
-                del self._columnar[key]
         if self._batch_depth:
             self._batch_pending.append((is_add, fact))
             return
@@ -518,29 +507,6 @@ class Instance:
         if ikey is None:
             return _EMPTY_BUCKET
         return index.get(ikey, _EMPTY_BUCKET)
-
-    def columnar(self, relation: str, arity: int) -> ColumnarRelation:
-        """The facts of ``relation`` with ``arity``, as interned columns.
-
-        One ``array('q')`` column per position, rows aligned with
-        ``Fact.iargs``.  Built lazily and cached until the next mutation
-        *of this relation* (other relations' mutations leave it alive);
-        the reduction pipeline reads it after the chase has stabilised, so
-        rebuilds are rare in practice.
-        """
-        key = (relation, arity)
-        store = self._columnar.get(key)
-        if store is None:
-            store = ColumnarRelation(
-                arity,
-                (
-                    fact.iargs
-                    for fact in self._by_relation.get(relation, _EMPTY)
-                    if len(fact.args) == arity
-                ),
-            )
-            self._columnar[key] = store
-        return store
 
     def adom(self) -> set:
         """The active domain: every constant or null used in some fact."""

@@ -35,7 +35,7 @@ class TermDictionary:
     """A bijective map between domain elements and dense ``int`` ids.
 
     Append-only: once a term receives an id, the pair is never removed or
-    changed, so ids may be cached on facts, stored in columnar relations
+    changed, so ids may be cached on facts, stored in reduced relations
     and compared across instances.  Thread-safe: lookups of already-interned
     terms are lock-free dict reads, and first-sight assignment runs under a
     lock with the term published to the decode tables *before* its id
@@ -134,8 +134,9 @@ class TermDictionary:
     def null_flags(self) -> bytearray:
         """The id-indexed null-flag table (append-only, never replaced).
 
-        Exposed for the generated null filters, which index it directly
-        instead of calling :meth:`is_null_id` per value.
+        Exposed for the hot null filters (the reduction's, the chase's and
+        the wildcard walks'), which index it directly instead of calling
+        :meth:`is_null_id` per value.
         """
         return self._null_flags
 

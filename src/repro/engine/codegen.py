@@ -10,51 +10,41 @@ LPOD/CR-Prolog² compilation line: keep the declarative plan as the spec,
 emit a lower-level program (plain Python source, ``compile()``/``exec``-ed
 once) that an existing fast evaluator — CPython's own bytecode loop — runs.
 
-Two families of generated code:
+One family of generated code: :func:`compile_walk` turns the CD∘Lin
+enumeration walk of one slot plan into a single generator function — one
+``for`` loop per join-tree level, unrolled row reads into local variables,
+inline key tuples, decode-at-emit via one C-level ``list.__getitem__``.
+Cached per plan on :class:`PlanCodegen` (a field of the prepared query, so
+the closures are evicted exactly when the plan-cache entry is).  The
+reducer has no generated code: its projections, indexes, semi-joins and
+null filter are C-level row passes (:mod:`repro.yannakakis.relations`).
 
-* :func:`compile_walk` — the CD∘Lin enumeration walk of one slot plan as a
-  single generator function: one ``for`` loop per join-tree level, unrolled
-  column reads into local variables, inline key tuples, decode-at-emit via
-  one C-level ``list.__getitem__``.  Cached per plan on
-  :class:`PlanCodegen` (a field of the prepared query, so the closures are
-  evicted exactly when the plan-cache entry is).
-* :func:`key_kernels` — the hash semi-join / row-index kernels of
-  :class:`repro.data.columns.ColumnarRelation` specialised to key arity
-  (flattened ``zip`` over the key columns, no nested key iterator), and
-  :func:`nullfree_kernel` — the answer-position null filter of the
-  reduction specialised the same way.  Cached per arity (bounded by the
-  largest key arity any query uses).
-
-Everything here is **semantics-preserving by construction**: each generator
-mirrors one interpreted loop statement-for-statement, and there is no switch
-that selects the interpreted loops by hand.  They run only where the input
-leaves no generated form: a walk deeper than :data:`MAX_WALK_DEPTH` levels
+The walk is **semantics-preserving by construction**: the generator mirrors
+the interpreted loop statement-for-statement, and there is no switch that
+selects the interpreted loop by hand.  It runs only where the input leaves
+no generated form: a walk deeper than :data:`MAX_WALK_DEPTH` levels
 (CPython refuses more than 20 statically nested blocks, so such a plan
-cannot be compiled as nested ``for`` loops) and keys wider than
-:data:`MAX_KERNEL_ARITY`.  The differential suite holds both to the naive
-oracle.  Rows are dense term-id tuples throughout; the generated walk
-decodes at emit, like the interpreted one.
+cannot be compiled as nested ``for`` loops).  The differential suite holds
+both to the naive oracle.  Rows are dense term-id tuples throughout; the
+generated walk decodes at emit, like the interpreted one.
 
 This module deliberately imports only :mod:`repro.obs.trace` (which itself
-stops at :mod:`repro.config`), so the data and enumeration layers can call
-into it without import cycles.
+stops at :mod:`repro.config`), so the enumeration layer can call into it
+without import cycles.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from repro.obs.trace import add_event
 
 __all__ = [
     "CODEGEN_STATS",
     "CodegenStats",
-    "KeyKernels",
     "PlanCodegen",
     "compile_walk",
-    "key_kernels",
-    "nullfree_kernel",
     "walk_source",
 ]
 
@@ -62,9 +52,6 @@ __all__ = [
 #: one ``for`` per level inside a function, and CPython compiles at most 20
 #: nested blocks (real plans have 1–4 levels).
 MAX_WALK_DEPTH = 16
-
-#: Key arities beyond this use the generic kernels.
-MAX_KERNEL_ARITY = 8
 
 
 class CodegenStats:
@@ -96,13 +83,13 @@ class CodegenStats:
             return self._compiled, self._hits
 
 
-#: The process-wide counter block every generated artifact reports to.
+#: The process-wide counter block every compiled walk reports to.
 CODEGEN_STATS = CodegenStats()
 
 
-def _compile(source: str, name: str, namespace: dict | None = None) -> Callable:
+def _compile(source: str, name: str) -> Callable:
     """``compile()``/``exec`` one generated function and return it."""
-    scope: dict = dict(namespace or {})
+    scope: dict = {}
     exec(compile(source, f"<repro-codegen:{name}>", "exec"), scope)
     CODEGEN_STATS.compiled()
     # Instantaneous marker on the ambient trace (no-op outside one): a
@@ -110,9 +97,6 @@ def _compile(source: str, name: str, namespace: dict | None = None) -> Callable:
     # should surface.
     add_event("codegen.compile", function=name, source_lines=source.count("\n") + 1)
     return scope[name]
-
-
-# -- (a) the enumeration walk ----------------------------------------------
 
 
 def walk_source(plan: tuple) -> str | None:
@@ -205,109 +189,3 @@ class PlanCodegen:
             return self._walks[plan]
         walk = self._walks[plan] = compile_walk(plan)
         return walk
-
-
-# -- (b) arity-specialised columnar kernels --------------------------------
-
-
-class KeyKernels(NamedTuple):
-    """The per-arity kernel family of :class:`ColumnarRelation`.
-
-    ``filter_rows(key_columns, rows, keys)`` is the hash semi-join,
-    ``index_rows(key_columns, rows)`` the row-grouping index build; both
-    take the already-selected key columns plus the row iterator and mirror
-    the generic kernels' output exactly (tuple keys, list buckets).
-    """
-
-    filter_rows: Callable
-    index_rows: Callable
-
-
-_KERNEL_LOCK = threading.Lock()
-_KERNELS: dict[int, KeyKernels] = {}
-
-
-def _filter_source(arity: int) -> str:
-    unpack = ", ".join(f"_k{i}" for i in range(arity))
-    columns = ", ".join(f"key_columns[{i}]" for i in range(arity))
-    key = f"(_k0,)" if arity == 1 else f"({unpack})"
-    return (
-        f"def _filter{arity}(key_columns, rows, keys):\n"
-        f"    return [\n"
-        f"        row\n"
-        f"        for {unpack}, row in zip({columns}, rows)\n"
-        f"        if {key} in keys\n"
-        f"    ]\n"
-    )
-
-
-def _index_source(arity: int) -> str:
-    unpack = ", ".join(f"_k{i}" for i in range(arity))
-    columns = ", ".join(f"key_columns[{i}]" for i in range(arity))
-    key = f"(_k0,)" if arity == 1 else f"({unpack})"
-    return (
-        f"def _index{arity}(key_columns, rows):\n"
-        f"    index = {{}}\n"
-        f"    get = index.get\n"
-        f"    for {unpack}, row in zip({columns}, rows):\n"
-        f"        key = {key}\n"
-        f"        bucket = get(key)\n"
-        f"        if bucket is None:\n"
-        f"            index[key] = [row]\n"
-        f"        else:\n"
-        f"            bucket.append(row)\n"
-        f"    return index\n"
-    )
-
-
-def key_kernels(arity: int) -> KeyKernels | None:
-    """The compiled kernel family for key ``arity`` (``None`` if uncovered).
-
-    Cached per arity under a lock; the cache is bounded by
-    :data:`MAX_KERNEL_ARITY`, so it can never grow with query churn.
-    """
-    if arity < 1 or arity > MAX_KERNEL_ARITY:
-        return None
-    kernels = _KERNELS.get(arity)
-    if kernels is not None:
-        CODEGEN_STATS.hit()
-        return kernels
-    with _KERNEL_LOCK:
-        kernels = _KERNELS.get(arity)
-        if kernels is None:
-            kernels = KeyKernels(
-                filter_rows=_compile(_filter_source(arity), f"_filter{arity}"),
-                index_rows=_compile(_index_source(arity), f"_index{arity}"),
-            )
-            _KERNELS[arity] = kernels
-    return kernels
-
-
-_NULLFREE_LOCK = threading.Lock()
-_NULLFREE: dict[int, Callable] = {}
-
-
-def nullfree_kernel(arity: int) -> Callable | None:
-    """A compiled ``rows, flags -> {row | no answer position is a null}``.
-
-    Specialises the reduction's null filter to row arity: direct
-    ``bytearray`` loads instead of a generator expression per row.
-    ``flags`` is the interning dictionary's null-flag table.
-    """
-    if arity < 1 or arity > MAX_KERNEL_ARITY:
-        return None
-    kernel = _NULLFREE.get(arity)
-    if kernel is not None:
-        CODEGEN_STATS.hit()
-        return kernel
-    with _NULLFREE_LOCK:
-        kernel = _NULLFREE.get(arity)
-        if kernel is None:
-            checks = " or ".join(f"flags[row[{i}]]" for i in range(arity))
-            source = (
-                f"def _nullfree{arity}(rows, flags):\n"
-                f"    return {{row for row in rows if not ({checks})}}\n"
-            )
-            kernel = _compile(source, f"_nullfree{arity}")
-            _NULLFREE[arity] = kernel
-    return kernel

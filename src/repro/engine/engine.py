@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator
 
-from repro.config import ExecutionOptions, resolve_option
+from repro.config import ExecutionOptions, resolve_option, validate_fallback_ratio
 from repro.obs.trace import NULL_SPAN, current_trace, span, start_trace
 from repro.data.instance import Database
 from repro.data.interning import TERMS
@@ -45,11 +45,7 @@ from repro.core.omq import OMQ
 from repro.engine.cache import LRUCache
 from repro.engine.codegen import CODEGEN_STATS
 from repro.engine.fingerprint import ontology_fingerprint, query_fingerprint
-from repro.engine.materialization import (
-    Materialization,
-    QueryState,
-    validate_fallback_ratio,
-)
+from repro.engine.materialization import Materialization, QueryState
 from repro.engine.plan import PreparedQuery, prepare_query
 from repro.engine.stats import EngineCounters
 from repro.tgds.ontology import Ontology
@@ -76,9 +72,9 @@ class EngineStats:
     the process-wide term dictionary backing the fact store (append-only,
     so it only grows over a process lifetime).
     ``plans_compiled`` / ``codegen_cache_hits`` read the process-wide
-    :data:`~repro.engine.codegen.CODEGEN_STATS` the same way: generated
-    functions compiled, and lookups served from a codegen cache without
-    compiling.
+    :data:`~repro.engine.codegen.CODEGEN_STATS` the same way: CD∘Lin walks
+    compiled, and walk lookups served from a plan's codegen cache without
+    compiling (the walk is the only generated code).
     """
 
     plans_cached: int

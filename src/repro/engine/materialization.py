@@ -33,10 +33,10 @@ it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.config import validate_fallback_ratio
 from repro.data.instance import Database
 from repro.data.terms import is_null
 from repro.chase.query_directed import QueryDirectedChase, query_directed_chase
@@ -88,26 +88,6 @@ class QueryState:
         return set(self.enumerator.enumerate())
 
 
-def validate_fallback_ratio(ratio: float) -> float:
-    """Reject NaN/∞/negative fallback ratios with one clear error.
-
-    ``0.0`` is valid and means "always rebuild" — NaN must never reach the
-    budget comparison (every NaN comparison is False, which would silently
-    disable both the increment and the fallback accounting).
-    """
-    if (
-        not isinstance(ratio, (int, float))
-        or isinstance(ratio, bool)
-        or not math.isfinite(ratio)
-        or ratio < 0.0
-    ):
-        raise ValueError(
-            "fallback_ratio must be a finite number >= 0 "
-            f"(0.0 means always rebuild), got {ratio!r}"
-        )
-    return float(ratio)
-
-
 class Materialization:
     """Shared chase plus per-query reduced state for one database.
 
@@ -118,8 +98,9 @@ class Materialization:
     ``incremental`` enables in-place maintenance under database mutations;
     ``fallback_ratio`` is the delta-size threshold (as a fraction of the
     database) above which a full rebuild is cheaper than maintenance —
-    ``0.0`` disables maintenance entirely (every mutation rebuilds), and
-    negative or non-finite ratios are rejected at construction.
+    ``0.0`` disables maintenance entirely (every mutation rebuilds), and a
+    ratio outside ``[0, 1]`` or non-finite is rejected at construction by
+    :func:`repro.config.validate_fallback_ratio`.
     ``tracing`` is the span tri-state forwarded to the enumerators;
     ``False`` additionally skips the chase/revalidate spans recorded here.
     """

@@ -14,8 +14,9 @@ delay between consecutive answers depends only on the query.
 Two engineering layers keep the constants close to the paper's RAM model:
 
 * the block relations hold dense term-id rows (see
-  :mod:`repro.data.interning`) built by columnar kernels, and ids are
-  decoded back to terms only when an answer tuple is emitted;
+  :mod:`repro.data.interning`) built by C-level row passes of the
+  reducer, and ids are decoded back to terms only when an answer tuple is
+  emitted;
 * the walk itself binds rows into a flat slot array computed at
   preprocessing time (one slot per variable, per-atom write plans), so the
   per-answer work is a few list writes instead of a dictionary copy per

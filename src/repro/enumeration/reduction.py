@@ -16,7 +16,10 @@ CD∘Lin enumeration of complete answers (Theorem 4.1) and the minimal partial
 answer enumeration (Algorithm 1 / Theorem 5.2) run on this reduced form; the
 only difference is whether block rows containing labelled nulls are kept.
 Block rows are tuples of dense term ids (:data:`repro.data.interning.TERMS`);
-the enumerators decode them when an answer is emitted.
+the enumerators decode them when an answer is emitted.  Every step — atom
+materialisation, semi-joins, the projection and the null filter — works on
+:class:`~repro.yannakakis.relations.AtomRelation` row sets; no other copy of
+a relation's rows is built.
 
 Why ``q1`` is acyclic: distinct components share only answer variables and
 every component's answer variables are contained in its root atom.  A clique
@@ -86,13 +89,6 @@ class ReducedQuery:
         return sum(len(rel) for rel in self.relations.values())
 
 
-def _nullfree_kernel(arity: int):
-    """Arity-specialised null filter (lazy import, see ``data/columns.py``)."""
-    from repro.engine.codegen import nullfree_kernel
-
-    return nullfree_kernel(arity)
-
-
 def component_projection(
     component: Component,
     instance: Instance,
@@ -103,9 +99,8 @@ def component_projection(
     Returns ``None`` when the component is unsatisfiable.  The projection
     (a set of id rows) is computed by a bottom-up semi-join pass towards
     the component root (all answer variables live in the root, so
-    projecting the reduced root relation is exact).  The null filter tests
-    the dictionary's id flags — through a per-arity generated kernel up to
-    :data:`repro.engine.codegen.MAX_KERNEL_ARITY` answer variables.
+    projecting the reduced root relation is exact).  The null filter reads
+    the dictionary's id-indexed null flags, one C-level ``map`` per row.
     """
     relations = {atom: atom_relation(atom, instance) for atom in component.atoms}
     if any(relation.is_empty() for relation in relations.values()):
@@ -116,14 +111,8 @@ def component_projection(
         return None
     projection = root_relation.project(component.answer_variables)
     if not keep_nulls:
-        kernel = _nullfree_kernel(len(component.answer_variables))
-        if kernel is not None:
-            projection = kernel(projection, TERMS.null_flags())
-        else:
-            null_id = TERMS.is_null_id
-            projection = {
-                row for row in projection if not any(null_id(value) for value in row)
-            }
+        is_null = TERMS.null_flags().__getitem__
+        projection = {row for row in projection if not any(map(is_null, row))}
         if not projection and component.answer_variables:
             return None
     return projection
@@ -147,8 +136,7 @@ def build_reduced_query(
     structural preprocessing — including the acyclicity check it implies —
     is skipped and only the data-dependent reduction runs.
 
-    The block relations hold dense term ids (columnar kernels in the
-    reducer, id-hashing in the per-block indexes); callers decode at answer
+    The block relations hold dense term-id rows; callers decode at answer
     emission.
     """
     if len(set(query.answer_variables)) != len(query.answer_variables):

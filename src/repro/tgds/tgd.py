@@ -51,9 +51,6 @@ class TGD:
     def body_variables(self) -> frozenset[Variable]:
         return self._body_variables
 
-    def head_variables(self) -> frozenset[Variable]:
-        return self._head_variables
-
     def frontier_variables(self) -> frozenset[Variable]:
         """Variables shared between body and head."""
         return self._frontier_variables

@@ -6,28 +6,35 @@ stored as tuples of dense term ids (:data:`repro.data.interning.TERMS`)
 aligned with a fixed variable order; consumers decode ids exactly once, when
 an answer is emitted.
 
-Key-projection hash maps (:meth:`AtomRelation.project`) and row indexes
-(:meth:`AtomRelation.index_on`) are cached per variable tuple and invalidated
-only when the tuple set is replaced through :meth:`AtomRelation.replace_tuples`
-/ :meth:`AtomRelation.clear`, so the full reducer and the enumeration phase
-build each hash map once per edge instead of once per probe.
-
-Every relation keeps a lazily built columnar backing
-(:class:`~repro.data.columns.ColumnarRelation`); projections, row indexes
-and semi-join filters run as columnar kernels over ``array('q')`` columns.
-:func:`atom_relation` builds the rows straight from the instance's columnar
-store when the atom is constant-free, skipping the per-``Fact`` object walk
-entirely.
+The row set is the relation's only representation.  Key projections
+(:meth:`AtomRelation.project`), row indexes (:meth:`AtomRelation.index_on`)
+and the semi-join filter (:meth:`AtomRelation.filter_by_keys`) read it
+directly: key tuples come from ``zip`` over one ``itemgetter`` map per key
+position, and the filter is an ``itertools.compress`` over key membership,
+so every kernel is a C-level pass that hands back the stored row tuples
+rather than copies.  Projections and indexes are cached per variable tuple
+and invalidated only when the row set is replaced through
+:meth:`AtomRelation.replace_tuples` / :meth:`AtomRelation.clear`, so the full
+reducer and the enumeration phase build each hash map once per edge instead
+of once per probe.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Iterator
 
-from repro.data.columns import ColumnarRelation
 from repro.data.instance import Instance
 from repro.cq.atoms import Atom, Variable, is_variable
+
+_iargs = attrgetter("iargs")
+
+
+def _keys(rows: Iterable[tuple], positions: tuple[int, ...]) -> Iterator[tuple]:
+    """The key tuples of ``rows`` at (non-empty) ``positions``, in row order."""
+    return zip(*[map(itemgetter(p), rows) for p in positions])
 
 
 class AtomRelation:
@@ -45,7 +52,6 @@ class AtomRelation:
         "_var_index",
         "_projections",
         "_indexes",
-        "_columns",
     )
 
     def __init__(
@@ -60,7 +66,6 @@ class AtomRelation:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._projections: dict[tuple[Variable, ...], set[tuple]] = {}
         self._indexes: dict[tuple[Variable, ...], dict[tuple, list[tuple]]] = {}
-        self._columns: ColumnarRelation | None = None
 
     @property
     def tuples(self) -> set[tuple]:
@@ -78,9 +83,6 @@ class AtomRelation:
     def is_empty(self) -> bool:
         return not self._tuples
 
-    def copy(self) -> "AtomRelation":
-        return AtomRelation(self.atom, self.variables, set(self._tuples))
-
     # -- mutation (invalidates caches) ------------------------------------
 
     def replace_tuples(self, tuples: Iterable[tuple]) -> None:
@@ -96,21 +98,6 @@ class AtomRelation:
     def _invalidate(self) -> None:
         self._projections.clear()
         self._indexes.clear()
-        self._columns = None
-
-    # -- columnar backing --------------------------------------------------
-
-    def columns(self) -> ColumnarRelation:
-        """The rows as parallel ``array('q')`` columns.
-
-        Built lazily from the current row set and cached until the rows are
-        replaced; the projection/index kernels below run over it.
-        """
-        store = self._columns
-        if store is None:
-            store = ColumnarRelation(len(self.variables), self._tuples)
-            self._columns = store
-        return store
 
     # -- cached lookups ----------------------------------------------------
 
@@ -122,13 +109,16 @@ class AtomRelation:
         """The projection of the relation onto ``variables`` (set semantics).
 
         Built once per variable tuple and cached until the rows change; treat
-        the result as read-only.  Projects by zipping the backing key columns
-        (one C-level pass, no row objects).
+        the result as read-only.
         """
         variables = tuple(variables)
         cached = self._projections.get(variables)
         if cached is None:
-            cached = self.columns().project(self.positions(variables))
+            rows = self._tuples
+            if variables:
+                cached = set(_keys(rows, self.positions(variables)))
+            else:
+                cached = {()} if rows else set()
             self._projections[variables] = cached
         return cached
 
@@ -136,14 +126,37 @@ class AtomRelation:
         """A hash index grouping rows by their values on ``variables``.
 
         Cached per variable tuple until the rows change; treat the result as
-        read-only.  Groups over the backing columns.
+        read-only.
         """
         variables = tuple(variables)
         cached = self._indexes.get(variables)
         if cached is None:
-            cached = self.columns().index_on(self.positions(variables))
+            rows = self._tuples
+            cached = {}
+            if not variables:
+                if rows:
+                    cached[()] = list(rows)
+            else:
+                get = cached.get
+                for key, row in zip(_keys(rows, self.positions(variables)), rows):
+                    bucket = get(key)
+                    if bucket is None:
+                        cached[key] = [row]
+                    else:
+                        bucket.append(row)
             self._indexes[variables] = cached
         return cached
+
+    def filter_by_keys(
+        self, variables: Iterable[Variable], keys: set[tuple]
+    ) -> list[tuple]:
+        """The hash semi-join: the rows whose ``variables`` values are in ``keys``."""
+        variables = tuple(variables)
+        rows = self._tuples
+        if not variables:
+            return list(rows) if keys else []
+        hits = map(keys.__contains__, _keys(rows, self.positions(variables)))
+        return list(compress(rows, hits))
 
     def assignment(self, row: tuple) -> dict[Variable, int]:
         """Turn a stored row back into a variable assignment (over ids)."""
@@ -154,11 +167,12 @@ def atom_relation(atom: Atom, instance: Instance) -> AtomRelation:
     """Materialise the assignments of ``atom`` over ``instance`` as id rows.
 
     Constants in the atom act as selections and repeated variables as
-    equality filters, exactly as in homomorphism matching.  The matching
-    A constant-free atom is materialised by a single projection kernel over
-    the instance's columnar store; an atom with constants fetches the
-    matching facts with one positional-index probe on its constant positions
-    and walks the bucket reading ``Fact.iargs``.
+    equality filters, exactly as in homomorphism matching.  The candidate
+    facts are the whole relation for a constant-free atom, and otherwise one
+    positional-index probe on the atom's constant positions.  Their
+    ``Fact.iargs`` are the rows: a repeated variable filters them, and they
+    are projected onto the atom's variables only when the variable order is
+    not already the positional one.
     """
     variables = tuple(sorted(atom.variables(), key=lambda v: v.name))
     var_positions: dict[Variable, list[int]] = defaultdict(list)
@@ -169,34 +183,23 @@ def atom_relation(atom: Atom, instance: Instance) -> AtomRelation:
         else:
             constant_positions.append((position, term))
 
-    if not constant_positions:
-        # Constant-free atom: one columnar kernel.
-        store = instance.columnar(atom.relation, atom.arity)
-        projection = tuple(var_positions[v][0] for v in variables)
-        equal_groups = tuple(
-            tuple(positions)
-            for positions in var_positions.values()
-            if len(positions) > 1
+    if constant_positions:
+        facts = instance.probe(
+            atom.relation,
+            tuple(p for p, _ in constant_positions),
+            tuple(value for _, value in constant_positions),
         )
-        rows = store.project_with_equalities(projection, equal_groups)
-        return AtomRelation(atom, variables, rows)
-
-    probe_positions = tuple(p for p, _ in constant_positions)
-    probe_key = tuple(value for _, value in constant_positions)
-    rows: set[tuple] = set()
-    for fact in instance.probe(atom.relation, probe_positions, probe_key):
-        if fact.arity != atom.arity:
-            continue
-        args = fact.iargs
-        row = []
-        consistent = True
-        for variable in variables:
-            positions = var_positions[variable]
-            value = args[positions[0]]
-            if any(args[p] != value for p in positions[1:]):
-                consistent = False
-                break
-            row.append(value)
-        if consistent:
-            rows.add(tuple(row))
+    else:
+        facts = instance.relation(atom.relation)
+    arity = atom.arity
+    rows = [row for row in map(_iargs, facts) if len(row) == arity]
+    for first, *others in var_positions.values():
+        for other in others:
+            same = map(eq, map(itemgetter(first), rows), map(itemgetter(other), rows))
+            rows = list(compress(rows, same))
+    projection = tuple(var_positions[v][0] for v in variables)
+    if not projection:
+        rows = [()] if rows else []
+    elif projection != tuple(range(arity)):
+        rows = _keys(rows, projection)
     return AtomRelation(atom, variables, rows)

@@ -6,6 +6,10 @@ top-down pass yields *global consistency*: every remaining row of every
 relation participates in at least one full join result.  Global consistency
 is exactly the "progress condition" the constant-delay enumeration
 algorithms of the paper rely on.
+
+Each semi-join is one pass over the left relation's row set against the
+right side's cached key projection
+(:meth:`~repro.yannakakis.relations.AtomRelation.filter_by_keys`).
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ def semijoin(left: AtomRelation, right: AtomRelation) -> bool:
 
     Returns True if any row was removed.  The join condition is equality on
     the shared variables; with no shared variables the semi-join only checks
-    that ``right`` is non-empty.  The filter is the columnar hash
-    semi-join kernel over the left side's key columns against the right
-    side's cached key projection.
+    that ``right`` is non-empty.  The filter is the hash semi-join of
+    :meth:`AtomRelation.filter_by_keys`: the left rows whose shared-variable
+    key is in the right side's cached key projection.
     """
     shared = tuple(v for v in left.variables if v in right.variables)
     if not shared:
@@ -30,9 +34,7 @@ def semijoin(left: AtomRelation, right: AtomRelation) -> bool:
             left.clear()
             return True
         return False
-    right_keys = right.project(shared)
-    positions = left.positions(shared)
-    surviving = left.columns().filter_by_keys(positions, right_keys)
+    surviving = left.filter_by_keys(shared, right.project(shared))
     if len(surviving) != len(left.tuples):
         left.replace_tuples(surviving)
         return True

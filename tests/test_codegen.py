@@ -1,8 +1,7 @@
 """Tests for per-plan code generation (`repro.engine.codegen`).
 
-Covers the generated-source shape and caching of the enumeration walk, the
-arity-specialised columnar kernels (against reference results computed in
-the test), and the eviction guarantee: compiled closures never outlive their
+Covers the generated-source shape and caching of the enumeration walk and
+the eviction guarantee: compiled closures never outlive their
 :class:`PreparedQuery`.
 """
 
@@ -11,19 +10,9 @@ from __future__ import annotations
 import gc
 import weakref
 
-import pytest
-
 from repro import Database, ExecutionOptions, Fact, QueryEngine
-from repro.data import ColumnarRelation
 from repro.engine import CODEGEN_STATS, PlanCodegen
-from repro.engine.codegen import (
-    MAX_KERNEL_ARITY,
-    MAX_WALK_DEPTH,
-    compile_walk,
-    key_kernels,
-    nullfree_kernel,
-    walk_source,
-)
+from repro.engine.codegen import MAX_WALK_DEPTH, compile_walk, walk_source
 from repro.tgds.ontology import Ontology
 from repro.tgds.parser import parse_ontology
 
@@ -111,46 +100,6 @@ class TestPlanCodegen:
         assert cache.walk_for(plan) is None  # cached None, no recompile
         _, hits_after = CODEGEN_STATS.snapshot()
         assert hits_after == hits_before + 1
-
-
-class TestKeyKernels:
-    def rel(self):
-        return ColumnarRelation(3, [(1, 2, 3), (1, 5, 6), (4, 2, 3), (1, 2, 9)])
-
-    @pytest.mark.parametrize("positions", [(0,), (0, 1), (2, 0, 1)])
-    def test_kernels_agree_with_the_generic_paths(self, positions):
-        relation = self.rel()
-        rows = list(relation)
-        keys = {tuple(row[p] for p in positions) for row in rows[:2]}
-        expected_index: dict[tuple, list[tuple]] = {}
-        for row in rows:
-            expected_index.setdefault(tuple(row[p] for p in positions), []).append(row)
-        expected_filter = [
-            row for row in rows if tuple(row[p] for p in positions) in keys
-        ]
-        assert relation.filter_by_keys(positions, keys) == expected_filter
-        assert relation.index_on(positions) == expected_index
-
-    def test_arity_bounds(self):
-        assert key_kernels(0) is None
-        assert key_kernels(MAX_KERNEL_ARITY + 1) is None
-        assert key_kernels(1) is not None
-        assert nullfree_kernel(0) is None
-        assert nullfree_kernel(MAX_KERNEL_ARITY + 1) is None
-
-    def test_kernels_are_cached_per_arity(self):
-        first = key_kernels(2)
-        _, hits_before = CODEGEN_STATS.snapshot()
-        assert key_kernels(2) is first
-        _, hits_after = CODEGEN_STATS.snapshot()
-        assert hits_after == hits_before + 1
-
-    def test_nullfree_kernel_matches_the_generic_filter(self):
-        flags = bytearray([0, 1, 0, 0, 1])
-        rows = {(0, 2), (0, 1), (3, 4), (2, 3)}
-        kernel = nullfree_kernel(2)
-        expected = {row for row in rows if not any(flags[v] for v in row)}
-        assert kernel(rows, flags) == expected == {(0, 2), (2, 3)}
 
 
 OFFICE_RULES = """

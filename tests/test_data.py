@@ -316,7 +316,6 @@ class TestLazyAdjacency:
         instance.add(Fact("A", ("c",)))
         instance.discard(Fact("A", ("c",)))
         instance.probe("R", (0,), ("a",))
-        instance.columnar("R", 2)
         list(instance.relation("R"))
         assert instance._by_constant is None
         assert instance.copy()._by_constant is None
@@ -382,7 +381,6 @@ class TestBulkCopy:
         assert copied.probe("R", (0,), ("a",)) != ()
         assert set(copied.probe("R", (0,), ("a",))) == set(built.probe("R", (0,), ("a",)))
         assert sorted(copied.index("R", (0, 1))) == sorted(built.index("R", (0, 1)))
-        assert sorted(copied.columnar("R", 2)) == sorted(built.columnar("R", 2))
 
     def test_independent_of_later_mutations_either_way(self):
         source = Instance(self.FACTS)

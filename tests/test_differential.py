@@ -365,6 +365,31 @@ def test_plan_too_deep_to_compile_walks_interpreted():
     assert engine.stats.chase_increments == 1
 
 
+def test_semijoin_key_nine_variables_wide():
+    """A semi-join and index key of 9 variables, through the enumerator and
+    the engine, cold and after ``add_facts``: the reducer's row kernels take
+    every key width the same way."""
+    xs = [f"x{i}" for i in range(1, 10)]
+    omq = _build_omq([], f"q({', '.join(xs)}, y) :- R({', '.join(xs)}), S({', '.join(xs)}, y)")
+    row = tuple(f"c{i}" for i in range(8)) + (INTEGER_CONSTANTS[0],)
+    near = row[:8] + ("e",)  # differs from ``row`` in the last key position only
+    far = ("e",) + row[1:]  # ... and in the first
+    database = Database(
+        [Fact("R", row), Fact("R", near)]
+        + [Fact("S", row + (d,)) for d in ("d0", "d1")]
+        + [Fact("S", far + ("d2",))]
+    )
+    # The 2-fact delta is 40 % of the database: maintain it in place anyway.
+    engine = QueryEngine(omq.ontology, database, incremental_fallback_ratio=1.0)
+    for count in (2, 4):
+        expected = naive_certain_answers(omq, database)
+        assert len(expected) == count
+        assert set(CompleteAnswerEnumerator(omq, database)) == expected
+        assert engine.execute(omq.query) == expected
+        database.add_facts([Fact("S", near + ("d3",)), Fact("R", far)])
+    assert engine.stats.chase_increments == 1
+
+
 @pytest.mark.slow
 @settings(
     max_examples=600,

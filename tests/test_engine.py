@@ -645,6 +645,10 @@ def test_execution_options_validation():
         ExecutionOptions(incremental_fallback_ratio=1.5)
     with pytest.raises(ValueError):
         ExecutionOptions(incremental_fallback_ratio=True)
+    # The engine kwarg bypasses ExecutionOptions and takes the same check.
+    for ratio in (float("nan"), -0.1, 1.5, 5.0):
+        with pytest.raises(ValueError):
+            QueryEngine(EMPTY, incremental_fallback_ratio=ratio)
 
 
 def test_engine_defaults_derive_from_execution_options():
@@ -666,6 +670,8 @@ def test_materialization_rejects_bad_fallback_ratio():
         Materialization(EMPTY, database, fallback_ratio=float("inf"))
     with pytest.raises(ValueError):
         Materialization(EMPTY, database, fallback_ratio=True)
+    with pytest.raises(ValueError):
+        Materialization(EMPTY, database, fallback_ratio=5.0)
 
 
 def test_fallback_ratio_zero_always_rebuilds():

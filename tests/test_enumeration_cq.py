@@ -17,6 +17,8 @@ from repro.enumeration import (
     enumerate_answers,
 )
 from repro.enumeration.cdlin import answers_as_set
+from repro.enumeration.reduction import component_projection
+from repro.yannakakis import decompose_free_connex
 from repro.yannakakis.evaluation import NotAcyclicError
 
 
@@ -89,6 +91,24 @@ class TestReducedQuery:
             for block in with_nulls.blocks
             for row in with_nulls.relations[block.atom].tuples
         )
+
+
+    def test_null_filter_keeps_null_free_rows(self):
+        instance = Instance(
+            [
+                Fact("R", ("a", "b")),
+                Fact("R", ("a", Null(101))),
+                Fact("R", (Null(102), "b")),
+                Fact("R", (Null(103), Null(104))),
+            ]
+        )
+        query = parse_query("q(x, y) :- R(x, y)")
+        (component,) = decompose_free_connex(query).components
+        rows = component_projection(component, instance, keep_nulls=False)
+        assert {TERMS.decode_tuple(row) for row in rows} == {("a", "b")}
+        assert len(component_projection(component, instance, keep_nulls=True)) == 4
+        only_nulls = Instance([Fact("R", ("a", Null(105)))])
+        assert component_projection(component, only_nulls, keep_nulls=False) is None
 
 
 class TestCDLinEnumerator:

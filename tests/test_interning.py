@@ -1,18 +1,10 @@
-"""Unit tests for the interned storage layer (interning, columns, instance)."""
+"""Unit tests for the interned storage layer (interning, instance, facts)."""
 
 import pickle
 
 import pytest
 
-from repro.data import (
-    TERMS,
-    ColumnarRelation,
-    Database,
-    Fact,
-    Instance,
-    Null,
-    TermDictionary,
-)
+from repro.data import TERMS, Fact, Instance, Null, TermDictionary
 
 
 class TestTermDictionary:
@@ -52,57 +44,6 @@ class TestTermDictionary:
         assert dictionary.intern(3) != dictionary.intern("3")
 
 
-class TestColumnarRelation:
-    def rel(self):
-        return ColumnarRelation(2, [(1, 2), (1, 3), (4, 2)])
-
-    def test_rows_round_trip(self):
-        relation = self.rel()
-        assert len(relation) == 3
-        assert set(relation) == {(1, 2), (1, 3), (4, 2)}
-        assert relation.row(0) == (1, 2)
-        assert len(relation.column(0)) == 3
-
-    def test_zero_arity(self):
-        relation = ColumnarRelation(0, [(), ()])
-        assert len(relation) == 2
-        assert list(relation) == [(), ()]
-        assert relation.project(()) == {()}
-
-    def test_append_and_extend(self):
-        relation = ColumnarRelation(2)
-        relation.append((5, 6))
-        relation.extend([(7, 8)])
-        assert set(relation) == {(5, 6), (7, 8)}
-
-    def test_project(self):
-        relation = self.rel()
-        assert relation.project((0,)) == {(1,), (4,)}
-        assert relation.project((1, 0)) == {(2, 1), (3, 1), (2, 4)}
-        assert relation.project(()) == {()}
-        assert ColumnarRelation(2).project(()) == set()
-
-    def test_project_with_equalities(self):
-        relation = ColumnarRelation(2, [(1, 1), (1, 2), (3, 3)])
-        assert relation.project_with_equalities((0,), ((0, 1),)) == {(1,), (3,)}
-        assert relation.project_with_equalities((0,), ()) == {(1,), (3,)}
-
-    def test_index_on(self):
-        index = self.rel().index_on((0,))
-        assert set(index[(1,)]) == {(1, 2), (1, 3)}
-        assert set(index[(4,)]) == {(4, 2)}
-        empty_key = self.rel().index_on(())
-        assert set(empty_key[()]) == {(1, 2), (1, 3), (4, 2)}
-        assert ColumnarRelation(1).index_on(()) == {}
-
-    def test_filter_by_keys(self):
-        relation = self.rel()
-        assert set(relation.filter_by_keys((0,), {(1,)})) == {(1, 2), (1, 3)}
-        assert relation.filter_by_keys((0,), set()) == []
-        assert set(relation.filter_by_keys((), {()})) == {(1, 2), (1, 3), (4, 2)}
-        assert relation.filter_by_keys((), set()) == []
-
-
 class TestInternedInstance:
     def test_probe_takes_term_keys(self):
         facts = [Fact("R", ("a", "b")), Fact("R", ("a", "c")), Fact("R", ("b", "c"))]
@@ -122,30 +63,6 @@ class TestInternedInstance:
         }
         with pytest.raises(KeyError):
             index[("never-interned-key",)]
-
-    def test_columnar_store_and_invalidation(self):
-        instance = Instance([Fact("R", ("a", "b"))])
-        store = instance.columnar("R", 2)
-        assert len(store) == 1
-        assert instance.columnar("R", 2) is store  # cached
-        instance.add(Fact("R", ("b", "c")))
-        assert len(instance.columnar("R", 2)) == 2
-        # Mixed arities are stored per (relation, arity).
-        instance.add(Fact("R", ("solo",)))
-        assert len(instance.columnar("R", 1)) == 1
-        assert len(instance.columnar("R", 2)) == 2
-
-    def test_columnar_rows_decode_to_fact_args(self):
-        instance = Instance([Fact("R", ("a", "b"))])
-        (row,) = instance.columnar("R", 2)
-        assert TERMS.decode_tuple(row) == ("a", "b")
-
-    def test_columnar_invalidation_inside_batch(self):
-        database = Database([Fact("R", ("a", "b"))])
-        assert len(database.columnar("R", 2)) == 1
-        with database.batch():
-            database.add(Fact("R", ("c", "d")))
-            assert len(database.columnar("R", 2)) == 2
 
 
 class TestOneRowFormat:

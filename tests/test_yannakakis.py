@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from repro.cq import Atom, Variable, parse_query
 from repro.cq.homomorphism import evaluate
 from repro.cq.jointree import build_join_tree
-from repro.data import TERMS, Fact, Instance
+from repro.data import TERMS, Database, Fact, Instance
 from repro.yannakakis import (
+    AtomRelation,
     atom_relation,
     boolean_eval,
     decompose_free_connex,
@@ -66,6 +67,125 @@ class TestAtomRelation:
         row = next(iter(relation))
         assignment = relation.assignment(row)
         assert set(assignment) == {X, Y}
+
+
+class TestAtomRelationRows:
+    """The row set is the one representation: every lookup reads it directly."""
+
+    @staticmethod
+    def rel(rows=((1, 2), (1, 3), (4, 2))):
+        return AtomRelation(Atom("R", (X, Y)), (X, Y), rows)
+
+    def test_rows_round_trip(self):
+        relation = self.rel()
+        assert len(relation) == 3
+        assert set(relation) == relation.tuples == {(1, 2), (1, 3), (4, 2)}
+        assert relation.assignment((1, 2)) == {X: 1, Y: 2}
+
+    def test_zero_arity_projection(self):
+        nullary = AtomRelation(Atom("P", ()), (), [(), ()])
+        assert len(nullary) == 1
+        assert nullary.project(()) == {()}
+        assert nullary.index_on(()) == {(): [()]}
+        instance = Instance([Fact("P", ()), Fact("R", ("a", "b"))])
+        assert atom_relation(Atom("P", ()), instance).tuples == {()}
+        assert atom_relation(Atom("Missing", ()), instance).is_empty()
+        # An all-constant atom projects onto no variables.
+        assert atom_relation(Atom("R", ("a", "b")), instance).tuples == {()}
+        assert atom_relation(Atom("R", ("b", "a")), instance).is_empty()
+
+    def test_project(self):
+        relation = self.rel()
+        assert relation.project((X,)) == {(1,), (4,)}
+        assert relation.project((Y, X)) == {(2, 1), (3, 1), (2, 4)}
+        assert relation.project(()) == {()}
+        assert self.rel(()).project(()) == set()
+
+    def test_repeated_variables_filter_rows(self):
+        instance = Instance(
+            [
+                Fact("R", ("a", "a", "b")),
+                Fact("R", ("a", "b", "b")),
+                Fact("R", ("c", "c", "c")),
+                Fact("R", ("c", "k", "c")),
+            ]
+        )
+        assert decoded(atom_relation(Atom("R", (X, X, Y)), instance)) == {
+            ("a", "b"),
+            ("c", "c"),
+        }
+        # Variables are ordered by name: (x, y) reads positions (1, 0).
+        assert decoded(atom_relation(Atom("R", (Y, X, X)), instance)) == {
+            ("b", "a"),
+            ("c", "c"),
+        }
+        assert decoded(atom_relation(Atom("R", (X, X, X)), instance)) == {("c",)}
+        assert decoded(atom_relation(Atom("R", (X, "k", X)), instance)) == {("c",)}
+
+    def test_index_on(self):
+        relation = self.rel()
+        index = relation.index_on((X,))
+        assert set(index[(1,)]) == {(1, 2), (1, 3)}
+        assert set(index[(4,)]) == {(4, 2)}
+        assert set(relation.index_on(())[()]) == {(1, 2), (1, 3), (4, 2)}
+        assert self.rel(()).index_on(()) == {}
+
+    def test_filter_by_keys(self):
+        relation = self.rel()
+        assert set(relation.filter_by_keys((X,), {(1,)})) == {(1, 2), (1, 3)}
+        assert relation.filter_by_keys((X,), set()) == []
+        assert set(relation.filter_by_keys((), {()})) == {(1, 2), (1, 3), (4, 2)}
+        assert relation.filter_by_keys((), set()) == []
+
+    @pytest.mark.parametrize("variables", [(X,), (X, Y), (Z, X, Y)])
+    def test_row_kernels_match_a_reference(self, variables):
+        relation = AtomRelation(
+            Atom("R", (X, Y, Z)), (X, Y, Z), [(1, 2, 3), (1, 5, 6), (4, 2, 3), (1, 2, 9)]
+        )
+        positions = relation.positions(variables)
+        rows = list(relation)
+        keys = {tuple(row[p] for p in positions) for row in rows[:2]}
+        expected_index: dict[tuple, list[tuple]] = {}
+        for row in rows:
+            expected_index.setdefault(tuple(row[p] for p in positions), []).append(row)
+        expected_filter = [row for row in rows if tuple(row[p] for p in positions) in keys]
+        assert relation.filter_by_keys(variables, keys) == expected_filter
+        assert relation.index_on(variables) == expected_index
+        assert relation.project(variables) == set(expected_index)
+
+    def test_lookups_are_cached_until_rows_change(self):
+        relation = self.rel()
+        projection, index = relation.project((X,)), relation.index_on((Y,))
+        assert relation.project((X,)) is projection
+        assert relation.index_on((Y,)) is index
+        relation.replace_tuples([(7, 8)])
+        assert relation.project((X,)) == {(7,)}
+        assert relation.index_on((Y,)) == {(8,): [(7, 8)]}
+        relation.clear()
+        assert relation.project((X,)) == set() and relation.index_on((Y,)) == {}
+
+    def test_atom_relation_reads_current_facts_of_one_arity(self):
+        instance = Instance([Fact("R", ("a", "b"))])
+        assert len(atom_relation(Atom("R", (X, Y)), instance)) == 1
+        instance.add(Fact("R", ("b", "c")))
+        assert len(atom_relation(Atom("R", (X, Y)), instance)) == 2
+        # Facts of another arity under the same symbol never match.
+        instance.add(Fact("R", ("solo",)))
+        assert decoded(atom_relation(Atom("R", (X,)), instance)) == {("solo",)}
+        assert len(atom_relation(Atom("R", (X, Y)), instance)) == 2
+
+    def test_atom_relation_rows_are_fact_iargs(self):
+        fact = Fact("R", ("a", "b"))
+        (row,) = atom_relation(Atom("R", (X, Y)), Instance([fact]))
+        assert TERMS.decode_tuple(row) == ("a", "b")
+        assert row is fact.iargs  # the fact's id tuple, not a copy
+
+    def test_atom_relation_inside_batch(self):
+        database = Database([Fact("R", ("a", "b"))])
+        assert len(atom_relation(Atom("R", (X, Y)), database)) == 1
+        with database.batch():
+            database.add(Fact("R", ("c", "d")))
+            assert len(atom_relation(Atom("R", (X, Y)), database)) == 2
 
 
 class TestSemijoin:
