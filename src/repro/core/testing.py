@@ -15,34 +15,40 @@ a minimal partial answer iff the query grounded at its constant positions is
 satisfiable over the chase, while no wildcard position can be pulled back
 into the database domain (single wildcard), respectively no wildcard group
 can be grounded and no two groups merged (multi-wildcards).
+
+"Pulled back into the database domain" needs no marking of the chase: the
+ontology's TGDs contain no constants, so the chase's non-null terms are
+exactly ``adom(D)``, and the check is the grounded query with that variable
+restricted to non-null values.  Every check is one
+:class:`~repro.yannakakis.evaluation.BooleanQueryPlan` evaluation over the
+chase, read from the candidate's constants outward, so a check touches only
+the facts those constants reach.  A grounded query that is not acyclic (the
+triangle OMQ of Theorem 3.6) falls back to homomorphism search, once per
+element of ``adom(D)`` when a variable must bind one.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.data.facts import Fact
-from repro.data.instance import Database, Instance
+from repro.data.instance import Database
 from repro.chase.query_directed import QueryDirectedChase
-from repro.cq.acyclicity import is_acyclic
-from repro.cq.atoms import Atom, Variable
+from repro.cq.atoms import Variable
 from repro.cq.homomorphism import find_homomorphism
 from repro.cq.query import ConjunctiveQuery, QueryError
 from repro.core.omq import OMQ
 from repro.core.wildcards import WILDCARD, Wildcard, is_wildcard
 from repro.enumeration.alltesting import FreeConnexAllTester
-from repro.yannakakis.evaluation import boolean_eval
-
-_DB_PREDICATE = "__Pdb__"
+from repro.yannakakis.evaluation import BooleanQueryPlan, NotAcyclicError
 
 
 class OMQSingleTester:
     """Single-testing of complete and (minimal) partial answers.
 
-    The constructor runs the preprocessing (query-directed chase plus the
-    ``P_db`` marking of database constants); each ``test_*`` method then runs
-    in time linear in the data (and independent of it for the lookups that
-    only involve the fixed query).
+    The constructor runs the preprocessing (the query-directed chase); each
+    ``test_*`` method then runs in time linear in the data, and in time
+    independent of it when the candidate's constants reach a bounded number
+    of facts.  ``rows_read`` counts the rows all checks so far materialised.
     """
 
     def __init__(
@@ -55,24 +61,33 @@ class OMQSingleTester:
         self.database = database
         self.chase = omq.chase(database, reuse=chase)
         self.database_constants = frozenset(database.adom())
-        # The chase instance extended with P_db facts marking adom(D); used
-        # by the minimality tests exactly as in the proof of Theorem 3.1.
-        self._marked = Instance(self.chase.instance)
-        for constant in self.database_constants:
-            self._marked.add(Fact(_DB_PREDICATE, (constant,)))
+        self.rows_read = 0
 
     # -- helpers ------------------------------------------------------------
 
-    def _certain(self, query: ConjunctiveQuery, instance: Instance) -> bool:
-        """Boolean certain-answer test of ``query`` over ``instance``.
+    def _certain(self, query: ConjunctiveQuery, database_variable: Variable | None = None) -> bool:
+        """Boolean certain-answer test of ``query`` over the chase.
 
-        Uses Yannakakis' algorithm when the (already grounded) query is
-        acyclic and falls back to generic homomorphism search otherwise.
+        ``database_variable``, if given, must bind an element of
+        ``adom(D)``.  Uses Yannakakis' algorithm when the (already grounded)
+        query is acyclic and falls back to generic homomorphism search
+        otherwise.
         """
-        boolean_query = query.boolean_version()
-        if is_acyclic(boolean_query):
-            return boolean_eval(boolean_query, instance)
-        return find_homomorphism(boolean_query, instance) is not None
+        instance = self.chase.instance
+        required = () if database_variable is None else (database_variable,)
+        try:
+            plan = BooleanQueryPlan(query, database_variables=required)
+        except NotAcyclicError:
+            boolean_query = query.boolean_version()
+            if database_variable is None:
+                return find_homomorphism(boolean_query, instance) is not None
+            return any(
+                find_homomorphism(boolean_query, instance, {database_variable: c}) is not None
+                for c in self.database_constants
+            )
+        holds = plan.evaluate(instance)
+        self.rows_read += plan.rows_read
+        return holds
 
     def _coherent(self, candidate: Sequence) -> dict[Variable, object] | None:
         """Map answer variables to candidate values; ``None`` if incoherent."""
@@ -91,11 +106,9 @@ class OMQSingleTester:
         self,
         assignment: dict[Variable, object],
         identify: dict[Variable, Variable] | None = None,
-        require_database: Sequence[Variable] = (),
     ) -> ConjunctiveQuery:
         """The query with constant positions grounded and wildcard positions
-        quantified; ``identify`` merges variables (multi-wildcard groups) and
-        ``require_database`` adds a ``P_db`` atom for the listed variables."""
+        quantified; ``identify`` merges variables (multi-wildcard groups)."""
         substitution: dict[Variable, object] = {}
         for variable, value in assignment.items():
             if is_wildcard(value):
@@ -104,9 +117,6 @@ class OMQSingleTester:
         if identify:
             substitution.update(identify)
         atoms = [atom.substitute(substitution) for atom in self.omq.query.atoms]
-        for variable in require_database:
-            target = substitution.get(variable, variable)
-            atoms.append(Atom(_DB_PREDICATE, (target,)))
         return ConjunctiveQuery((), atoms, name=f"{self.omq.query.name}_test")
 
     # -- complete answers (Theorem 3.1(1)) -----------------------------------
@@ -118,8 +128,7 @@ class OMQSingleTester:
             return False
         if any(value not in self.database_constants for value in candidate):
             return False
-        grounded = self._grounded_query(assignment)
-        return self._certain(grounded, self.chase.instance)
+        return self._certain(self._grounded_query(assignment))
 
     # -- partial answers, single wildcard (Theorem 3.1(2)) -------------------
 
@@ -132,8 +141,7 @@ class OMQSingleTester:
         for value in candidate:
             if value is not WILDCARD and value not in self.database_constants:
                 return False
-        grounded = self._grounded_query(assignment)
-        return self._certain(grounded, self.chase.instance)
+        return self._certain(self._grounded_query(assignment))
 
     def test_minimal_partial(self, candidate: Sequence) -> bool:
         """Decide whether ``candidate`` is a *minimal* partial answer."""
@@ -143,9 +151,9 @@ class OMQSingleTester:
         wildcard_variables = [
             variable for variable, value in assignment.items() if value is WILDCARD
         ]
+        grounded = self._grounded_query(assignment)
         for variable in wildcard_variables:
-            improved = self._grounded_query(assignment, require_database=[variable])
-            if self._certain(improved, self._marked):
+            if self._certain(grounded, database_variable=variable):
                 return False
         return True
 
@@ -181,8 +189,7 @@ class OMQSingleTester:
                 return False
         groups = self._multi_groups(assignment)
         identify = self._identification(groups)
-        grounded = self._grounded_query(assignment, identify=identify)
-        return self._certain(grounded, self.chase.instance)
+        return self._certain(self._grounded_query(assignment, identify=identify))
 
     def test_minimal_partial_multi(self, candidate: Sequence) -> bool:
         """Decide whether ``candidate`` is a minimal partial answer with
@@ -195,11 +202,9 @@ class OMQSingleTester:
         representatives = {w: members[0] for w, members in groups.items()}
 
         # (a) No wildcard group may be groundable to a database constant.
+        grounded = self._grounded_query(assignment, identify=identify)
         for representative in representatives.values():
-            improved = self._grounded_query(
-                assignment, identify=identify, require_database=[representative]
-            )
-            if self._certain(improved, self._marked):
+            if self._certain(grounded, database_variable=representative):
                 return False
 
         # (b) No two wildcard groups may be mergeable.
@@ -212,7 +217,7 @@ class OMQSingleTester:
                     if target == reps[j]:
                         merged[variable] = reps[i]
                 improved = self._grounded_query(assignment, identify=merged)
-                if self._certain(improved, self.chase.instance):
+                if self._certain(improved):
                     return False
         return True
 
@@ -242,6 +247,10 @@ class OMQAllTester:
         self._tester = FreeConnexAllTester(omq.query, self.chase.instance)
 
     def test(self, candidate: Sequence) -> bool:
+        if len(candidate) != self.omq.arity:
+            raise QueryError(
+                f"candidate has length {len(candidate)}, OMQ arity is {self.omq.arity}"
+            )
         if any(value not in self.database_constants for value in candidate):
             return False
         return self._tester.test(candidate)

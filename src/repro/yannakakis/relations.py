@@ -24,8 +24,9 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import compress
 from operator import attrgetter, eq, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
+from repro.data.facts import Fact
 from repro.data.instance import Instance
 from repro.cq.atoms import Atom, Variable, is_variable
 
@@ -191,6 +192,24 @@ def atom_relation(atom: Atom, instance: Instance) -> AtomRelation:
         )
     else:
         facts = instance.relation(atom.relation)
+    return facts_relation(atom, variables, var_positions, facts)
+
+
+def facts_relation(
+    atom: Atom,
+    variables: tuple[Variable, ...],
+    var_positions: Mapping[Variable, list[int]],
+    facts: Iterable[Fact],
+) -> AtomRelation:
+    """The rows of ``atom`` over ``facts`` already selected on its constants.
+
+    The filter/projection tail of :func:`atom_relation`, shared with the
+    seeded reads of :class:`~repro.yannakakis.evaluation.BooleanQueryPlan`:
+    ``Fact.iargs`` of the right arity, filtered on repeated variables
+    (``var_positions`` lists each variable's positions, first one first)
+    and projected onto ``variables`` only when that order is not already
+    the positional one.
+    """
     arity = atom.arity
     rows = [row for row in map(_iargs, facts) if len(row) == arity]
     for first, *others in var_positions.values():

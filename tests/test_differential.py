@@ -10,6 +10,8 @@ reference implementation:
 * minimal partial answers with one wildcard and with multi-wildcards
   (:class:`MinimalPartialAnswerEnumerator`, :class:`MultiWildcardEnumerator`),
 * single-testing and all-testing on every candidate over the active domain,
+  and the single tester's minimality checks on every candidate over the
+  active domain plus wildcards,
 * the prepared-query engine, cold, cached and batched, and after database
   mutations both maintained in place (``incremental=True``) and rebuilt
   from scratch (``incremental=False``),
@@ -304,6 +306,29 @@ def test_testers_match_naive_on_every_candidate(templates, query_text, facts):
         assert tester.test(candidate) == expected, candidate
 
 
+def _check_minimal_single_tests(omq: OMQ, database: Database) -> None:
+    """The single tester's minimality checks == naive, on every candidate
+    over ``adom ∪ {*}`` and every normalized one over ``adom ∪ {*1..*n}``."""
+    single = OMQSingleTester(omq, database)
+    adom = sorted(database.adom(), key=repr)
+    expected = naive_minimal_partial_answers(omq, database)
+    for candidate in product(adom + [WILDCARD], repeat=omq.arity):
+        assert single.test_minimal_partial(candidate) == (candidate in expected), candidate
+    expected = naive_minimal_partial_answers_multi(omq, database)
+    wildcards = [Wildcard(i) for i in range(1, omq.arity + 1)]
+    for candidate in product(adom + wildcards, repeat=omq.arity):
+        if is_normalized_multi(candidate):
+            verdict = single.test_minimal_partial_multi(candidate)
+            assert verdict == (candidate in expected), candidate
+
+
+@given(templates=ontology_strategy, query_text=query_strategy, facts=facts_strategy)
+def test_minimal_single_tests_match_naive_on_every_candidate(templates, query_text, facts):
+    """``test_minimal_partial`` and ``test_minimal_partial_multi`` == the
+    naive minimal partial answers, on every candidate."""
+    _check_minimal_single_tests(_build_omq(templates, query_text), Database(facts))
+
+
 def test_integer_constants_come_back_as_themselves():
     """The id-leak guard: over an all-integer database every output value is
     an original constant or a wildcard, on every path that decodes."""
@@ -403,9 +428,11 @@ def test_semijoin_key_nine_variables_wide():
     extra=st.lists(fact_strategy, min_size=1, max_size=3),
 )
 def test_differential_sweep_slow(templates, query_text, facts, extra):
-    """Nightly sweep: the enumerator and the engine, across a mutation."""
+    """Nightly sweep: the enumerator, the minimal single tests and the
+    engine, across a mutation."""
     omq = _build_omq(templates, query_text)
     database = Database(facts)
+    _check_minimal_single_tests(omq, database)
     expected = naive_certain_answers(omq, database)
     assert set(CompleteAnswerEnumerator(omq, database)) == expected
     engine = QueryEngine(omq.ontology, database)

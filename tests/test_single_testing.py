@@ -13,6 +13,9 @@ from repro.baselines import (
 )
 from repro.core import OMQ, WILDCARD, OMQAllTester, OMQSingleTester, Wildcard
 from repro.core.wildcards import leq_partial
+from repro.cq.query import QueryError
+from repro.tgds.ontology import Ontology
+from repro.workloads import generate_office_database
 from tests.conftest import random_office_database
 
 
@@ -31,6 +34,10 @@ class TestCompleteSingleTesting:
         tester = OMQSingleTester(office_omq, office_database)
         with pytest.raises(Exception):
             tester.test_complete(("mary",))
+        all_tester = OMQAllTester(office_omq, office_database)
+        for candidate in (("mary",), ("atlantis",)):
+            with pytest.raises(QueryError):
+                all_tester.test(candidate)
 
     def test_repeated_answer_variables(self):
         ontology = parse_ontology("Friend(x, y) -> Person(x)")
@@ -178,3 +185,49 @@ class TestAllTesting:
                 assert tester.test(candidate) == (candidate in expected)
             for answer in expected:
                 assert tester.test(answer)
+
+
+class TestSeededSingleTests:
+    def test_constant_first_seen_by_the_test(self):
+        """A constant no index has interned yet is still found: the seeded
+        read builds the positional index before translating constants."""
+        omq = OMQ.from_parts(Ontology([], name="empty"), parse_query("q(x) :- A(x)"))
+        constant = "seeded-intern-order-root"
+        tester = OMQSingleTester(omq, Database([Fact("A", (constant,))]))
+        assert tester.test_minimal_partial((constant,))
+        # The same trap one level down, where the constant sits in a child.
+        query = parse_query("q(x, y) :- R(x, z), S(z, y)")
+        omq = OMQ.from_parts(Ontology([], name="empty"), query)
+        a, b, d = (f"seeded-intern-order-{name}" for name in "abd")
+        tester = OMQSingleTester(omq, Database([Fact("R", (a, b)), Fact("S", (b, d))]))
+        assert tester.test_complete((a, d))
+        assert tester.test_minimal_partial((a, d))
+
+    def test_work_per_test_does_not_grow_with_the_data(self, office_omq):
+        """Thm 3.1 single tests read only what the candidate's constants
+        reach: the rows each test materialises are the same on office-N and
+        office-4N (person0 has no office; person2's office has a building,
+        person3's does not)."""
+        work = []
+        for size in (250, 1000):
+            database = generate_office_database(size, seed=0)
+            (located,) = database.probe("InBuilding", (0,), ("office2",))
+            building = located.args[1]
+            tester = OMQSingleTester(office_omq, database)
+            checks = [
+                (tester.test_complete, ("person2", "office2", building), True),
+                (tester.test_complete, ("person3", "office3", building), False),
+                (tester.test_minimal_partial, ("person0", WILDCARD, WILDCARD), True),
+                (tester.test_minimal_partial, ("person2", "office2", WILDCARD), False),
+                (tester.test_minimal_partial, ("person3", "office3", WILDCARD), True),
+                (tester.test_minimal_partial_multi, ("person0", Wildcard(1), Wildcard(2)), True),
+                (tester.test_minimal_partial_multi, ("person3", "office3", Wildcard(1)), True),
+            ]
+            rows = []
+            for test, candidate, expected in checks:
+                before = tester.rows_read
+                assert test(candidate) == expected, candidate
+                rows.append(tester.rows_read - before)
+            work.append(rows)
+        assert all(rows > 0 for rows in work[0])
+        assert work[0] == work[1], work

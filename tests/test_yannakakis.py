@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from repro.cq import Atom, Variable, parse_query
 from repro.cq.homomorphism import evaluate
 from repro.cq.jointree import build_join_tree
-from repro.data import TERMS, Database, Fact, Instance
+from repro.data import TERMS, Database, Fact, Instance, fresh_null
 from repro.yannakakis import (
     AtomRelation,
+    BooleanQueryPlan,
     atom_relation,
     boolean_eval,
     decompose_free_connex,
@@ -264,6 +265,82 @@ class TestBooleanEvalAndSingleTest:
         assert not single_test(query, chain_instance(), ("a", "a2"))
 
 
+class TestBooleanQueryPlan:
+    """The seeded reads: a component is read from its constants outward."""
+
+    @staticmethod
+    def fan_instance(width: int = 50) -> Instance:
+        """``R(a_i, b_i)`` for every i, but ``S(b_0, c)`` only."""
+        facts = [Fact("R", (f"a{i}", f"b{i}")) for i in range(width)]
+        return Instance(facts + [Fact("S", ("b0", "c"))])
+
+    def test_root_is_the_atom_with_the_most_constants(self):
+        plan = BooleanQueryPlan(parse_query('q() :- R(x, y), S(y, "c")'))
+        assert plan.evaluate(self.fan_instance())
+        # S(b0, c), then R probed on y = b0: one row each, not a scan of R.
+        assert plan.rows_read == 2
+        unseeded = BooleanQueryPlan(parse_query("q() :- R(x, y), S(y, z)"))
+        assert unseeded.evaluate(self.fan_instance())
+        assert unseeded.rows_read > 50
+
+    def test_ground_component_joined_only_through_a_constant(self):
+        query = parse_query('q() :- HasOffice("p", "o"), InBuilding("o", "b")')
+        assert len(query.connected_components()) == 1
+        plan = BooleanQueryPlan(query)
+        facts = [Fact("HasOffice", ("p", "o")), Fact("InBuilding", ("o", "b"))]
+        assert plan.evaluate(Instance(facts))
+        assert plan.rows_read == 2
+        assert not plan.evaluate(Instance(facts[:1]))
+        assert not plan.evaluate(Instance(facts[1:]))
+        # A child sharing a constant but no variable with its parent.
+        mixed = BooleanQueryPlan(parse_query('q() :- R(x, "c"), S("c", y)'))
+        assert mixed.evaluate(Instance([Fact("R", ("a", "c")), Fact("S", ("c", "d"))]))
+        assert not mixed.evaluate(Instance([Fact("R", ("a", "c")), Fact("S", ("d", "c"))]))
+
+    def test_constant_absent_from_the_instance(self):
+        instance = chain_instance()
+        assert not boolean_eval(parse_query('q() :- R(x, "absent-root")'), instance)
+        child = parse_query('q() :- R("a", y), S(y, z), T(z, "absent-child")')
+        assert not boolean_eval(child, instance)
+        assert boolean_eval(parse_query('q() :- R("a", y), S(y, z), T(z, "d")'), instance)
+
+    def test_repeated_variable_in_a_seeded_read(self):
+        query = parse_query('q() :- R("a", y), S(y, y)')
+        loop = Instance([Fact("R", ("a", "b")), Fact("S", ("b", "b"))])
+        no_loop = Instance([Fact("R", ("a", "b")), Fact("S", ("b", "c"))])
+        assert boolean_eval(query, loop)
+        assert not boolean_eval(query, no_loop)
+
+    def test_constant_free_component_scans_its_root(self):
+        query = parse_query('q() :- R(x, y), S(y, z), T("c", u)')
+        assert len(query.connected_components()) == 2
+        plan = BooleanQueryPlan(query)
+        assert plan.evaluate(chain_instance())
+        assert plan.rows_read >= len(chain_instance().relation("R"))
+        assert not plan.evaluate(Instance([Fact("R", ("a", "b")), Fact("S", ("b", "c"))]))
+
+    def test_one_plan_on_two_instances(self):
+        plan = BooleanQueryPlan(parse_query('q() :- R("a", y), S(y, z)'))
+        other = Instance([Fact("R", ("a", "x")), Fact("S", ("y", "z"))])
+        assert plan.evaluate(chain_instance())
+        assert not plan.evaluate(other)
+        other.add(Fact("S", ("x", "z")))
+        assert plan.evaluate(other)
+        assert plan.evaluate(chain_instance())
+
+    def test_database_variables_drop_null_rows(self):
+        null = fresh_null()
+        instance = Instance([Fact("R", ("a", null)), Fact("S", (null, "c"))])
+        query = parse_query('q() :- R("a", y), S(y, z)')
+        assert BooleanQueryPlan(query).evaluate(instance)
+        assert BooleanQueryPlan(query, database_variables=[Z]).evaluate(instance)
+        assert not BooleanQueryPlan(query, database_variables=[Y]).evaluate(instance)
+        instance.add(Fact("R", ("a", "b")))
+        assert not BooleanQueryPlan(query, database_variables=[Y]).evaluate(instance)
+        instance.add(Fact("S", ("b", "d")))
+        assert BooleanQueryPlan(query, database_variables=[Y]).evaluate(instance)
+
+
 class TestFreeConnexDecomposition:
     def test_office_query_decomposition(self):
         query = parse_query("q(x1, x2, x3) :- HasOffice(x1, x2), InBuilding(x2, x3)")
@@ -302,7 +379,8 @@ class TestFreeConnexDecomposition:
 @given(st.integers(min_value=0, max_value=100_000))
 def test_boolean_eval_matches_reference_evaluator(seed):
     """Property: Yannakakis Boolean evaluation agrees with the backtracking
-    evaluator on random acyclic queries and instances."""
+    evaluator on random acyclic queries, grounded at one random variable or
+    not, and random instances."""
     rng = random.Random(seed)
     constants = ["a", "b", "c", "d", "e"]
     facts = []
@@ -321,3 +399,7 @@ def test_boolean_eval_matches_reference_evaluator(seed):
     for text in queries:
         query = parse_query(text)
         assert boolean_eval(query, instance) == bool(evaluate(query, instance))
+        # Grounded, so the component is read from a constant outward.
+        variable = rng.choice(sorted(query.variables(), key=lambda v: v.name))
+        grounded = query.substitute({variable: rng.choice(constants)})
+        assert boolean_eval(grounded, instance) == bool(evaluate(grounded, instance))
