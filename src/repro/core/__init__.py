@@ -36,7 +36,6 @@ from repro.core.enumeration import CompleteAnswerEnumerator, enumerate_complete_
 from repro.core.progress import (
     MinimalPartialAnswerEnumerator,
     PartialAnswerEnumerator,
-    ProgressTree,
     enumerate_minimal_partial_answers,
 )
 from repro.core.multiwildcard import (
@@ -54,7 +53,6 @@ __all__ = [
     "MinimalPartialAnswerEnumerator",
     "MultiWildcardEnumerator",
     "PartialAnswerEnumerator",
-    "ProgressTree",
     "ball",
     "collapse_nulls",
     "collapse_nulls_multi",

@@ -9,26 +9,33 @@ the join tree together with partial assignments that describe an "excursion"
 of the query into the null part of the chase.  The lists are kept in
 *database-preferring order* (fewer covered atoms, then fewer wildcards).
 
-Like every consumer of the reduced query, the enumerator works on rows of
-dense term ids (:data:`repro.data.interning.TERMS`): the null test of the
+Everything is flat integer data.  The block atoms are numbered in preorder,
+so a set of atoms is an int bitmask, and the block variables are numbered
+once, in name order, as *slots*.  A progress tree is ``(mask, values)``:
+``values`` assigns the slots of the mask's atoms, in slot order, dense term
+ids (:data:`repro.data.interning.TERMS`) or :data:`STAR`, the wildcard as a
+reserved negative int.  Such tuples hold only ints, so the collector
+untracks them.  All lists share one arena: the node ``n`` holds the locator
+key ``(atom, h, mask, values)`` in ``_trees[n]`` and its neighbours in
+``_next[n]`` / ``_prev[n]``; ``_removed`` flags the unlinked nodes.  A list
+is a head sentinel ``_heads[(atom, h)]`` and its tail sentinel, the next
+node.  The locator maps each key to its node.  The null test of the
 progress-tree conditions is one load from the dictionary's null-flag table,
-a progress tree's assignment holds constant ids plus the wildcard, and ids
-are decoded to terms only when an assignment is emitted as an answer.
+and ids are decoded only when an answer is emitted.
 
 The enumeration phase is the recursive procedure of Figure "Algorithm 1":
-walk the join tree in preorder, at each not-yet-covered atom pick the next
-progress tree from the appropriate list, and after emitting an answer prune
-every progress tree that is strictly more wildcarded than the one just used
-— which is exactly what makes later answers that would be dominated by the
-current one unreachable, so that only minimal partial answers are produced.
-Pruning is compiled per subtree, so after an answer it is locator lookups.
+walk the join tree in preorder on a slot-indexed assignment, at each
+not-yet-assigned atom pick the next progress tree from the appropriate list,
+and after emitting an answer prune every progress tree that is strictly more
+wildcarded than the one just used — which is exactly what makes later
+answers that would be dominated by the current one unreachable, so that only
+minimal partial answers are produced.  Pruning is compiled per join-tree
+subtree, so after an answer it is locator lookups and O(1) unlinking; an
+unlinked node keeps its ``_next``, so a walk paused on it continues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, product
 from typing import Iterator
 
 from repro.data.instance import Database, Instance
@@ -39,98 +46,8 @@ from repro.core.omq import OMQ
 from repro.core.wildcards import WILDCARD
 from repro.enumeration.reduction import ReducedQuery, build_reduced_query
 
-
-# ---------------------------------------------------------------------------
-# Progress trees and their bookkeeping structures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProgressTree:
-    """A progress tree ``(p, g)``: a subtree of ``T1`` plus an assignment.
-
-    ``atoms`` is the (frozen) set of covered block atoms, ``root`` its root;
-    ``values`` assigns to ``variables`` (the atoms' variables in name order,
-    shared by all trees over the same atoms) constant ids or the wildcard.
-    """
-
-    root: Atom
-    atoms: frozenset[Atom]
-    variables: tuple[Variable, ...]
-    values: tuple
-
-    def mapping(self) -> dict[Variable, object]:
-        return dict(zip(self.variables, self.values))
-
-    def star_count(self) -> int:
-        return sum(1 for value in self.values if value is WILDCARD)
-
-    def sort_key(self) -> tuple[int, int]:
-        """A linear extension of the database-preferring order ``≺db``."""
-        return (len(self.atoms), self.star_count())
-
-
-class _TreeNode:
-    """A node of the doubly-linked ``trees(v, h)`` list."""
-
-    __slots__ = ("tree", "prev", "next", "removed")
-
-    def __init__(self, tree: ProgressTree | None = None) -> None:
-        self.tree = tree
-        self.prev: "_TreeNode | None" = None
-        self.next: "_TreeNode | None" = None
-        self.removed = False
-
-
-class _TreeList:
-    """A doubly-linked list supporting O(1) removal of known nodes.
-
-    Removal keeps the removed node's ``next`` pointer intact so that an
-    iteration that is currently paused on the node can continue; this mirrors
-    the lookup-table/linked-list combination described in Section 5.
-    """
-
-    def __init__(self) -> None:
-        self.head = _TreeNode()
-        self.tail = _TreeNode()
-        self.head.next = self.tail
-        self.tail.prev = self.head
-
-    def append(self, tree: ProgressTree) -> _TreeNode:
-        node = _TreeNode(tree)
-        last = self.tail.prev
-        last.next = node
-        node.prev = last
-        node.next = self.tail
-        self.tail.prev = node
-        return node
-
-    def remove(self, node: _TreeNode) -> None:
-        if node.removed:
-            return
-        node.removed = True
-        node.prev.next = node.next
-        node.next.prev = node.prev
-        # node.next is intentionally left untouched.
-
-
-@dataclass(frozen=True)
-class _Subtree:
-    """A connected subtree of the block join tree, compiled for pruning:
-    ``variables`` in name order, the order of the locator keys."""
-
-    root: Atom
-    atoms: frozenset[Atom]
-    pred: tuple[Variable, ...]
-    variables: tuple[Variable, ...]
-
-
-@cache
-def _wildcard_subsets(width: int, mask: int) -> tuple[tuple[int, ...], ...]:
-    """Every non-empty set of positions below ``width`` outside the bit mask
-    ``mask`` (the positions already holding the wildcard)."""
-    free = [p for p in range(width) if not mask >> p & 1]
-    return tuple(c for size in range(1, len(free) + 1) for c in combinations(free, size))
+#: The wildcard inside progress trees and the walk's assignment (ids are >= 0).
+STAR = -1
 
 
 # ---------------------------------------------------------------------------
@@ -157,211 +74,284 @@ class PartialAnswerEnumerator:
         self._null_flags = TERMS.null_flags()
         self._decode = TERMS.decoder()
         self._preorder: list[Atom] = []
+        # Keyed by block atom; Algorithm 2's all-tester reads them too.
         self._pred_vars: dict[Atom, tuple[Variable, ...]] = {}
-        self._children: dict[Atom, list[Atom]] = {}
         self._indexes: dict[Atom, dict[tuple, list[tuple]]] = {}
-        self._trees: dict[tuple, _TreeList] = {}
-        self._locator: dict[tuple, _TreeNode] = {}
-        self._subtrees: list[_Subtree] = []
+        # Per atom number: its row's slots, its predecessors' slots, their
+        # positions in its row and in its parent's, its children, and the
+        # positions of its row in slot order.
+        self._row_slots: list[tuple[int, ...]] = []
+        self._pred_slots: list[tuple[int, ...]] = []
+        self._pred_positions: list[tuple[int, ...]] = []
+        self._in_parent: list[tuple[int, ...]] = []
+        self._children: list[list[int]] = []
+        self._slot_order: list[tuple[int, ...]] = []
+        self._width = 0
+        self._head_slots: tuple[int, ...] = ()
+        # The arena of all ``trees(v, h)`` lists.
+        self._trees: list[tuple | None] = []
+        self._next: list[int] = []
+        self._prev: list[int] = []
+        self._removed = bytearray()
+        self._heads: dict[tuple, int] = {}
+        self._locator: dict[tuple, int] = {}
+        # Per connected subtree (root, pred slots, mask, slots), the slots of
+        # each such mask, the walk's next atom; then, from the build, the
+        # wildcard patterns (bitmasks over a mask's slots) its trees have.
+        self._subtrees: list[tuple] = []
+        self._mask_slots: dict[int, tuple[int, ...]] = {}
+        self._after: dict[tuple[int, int], int] = {}
+        self._patterns: dict[int, set[int]] = {}
+        self._weaker: dict[tuple[int, int], tuple] = {}
         if not self.reduced.is_empty and self.reduced.join_tree is not None:
             self._prepare_structure()
+            self._compile_subtrees()
             self._build_progress_trees()
-            self._enumerate_subtrees()
+            # Only subtrees with wildcarded trees can lose one to pruning.
+            self._subtrees = [t for t in self._subtrees if any(self._patterns.get(t[2], ()))]
 
     # -- preprocessing ------------------------------------------------------
 
     def _prepare_structure(self) -> None:
         tree = self.reduced.join_tree
         self._preorder = tree.preorder()
-        for atom in self._preorder:
-            relation = self.reduced.relations[atom]
+        number = {atom: i for i, atom in enumerate(self._preorder)}
+        relations = [self.reduced.relations[atom] for atom in self._preorder]
+        names = sorted({v for r in relations for v in r.variables}, key=lambda v: v.name)
+        slot = {variable: s for s, variable in enumerate(names)}
+        self._width = len(names)
+        self._head_slots = tuple(slot[v] for v in self.original_query.answer_variables)
+        for atom, relation in zip(self._preorder, relations):
             parent = tree.parent(atom)
             if parent is None:
                 pred: tuple[Variable, ...] = ()
             else:
                 pred = tuple(v for v in relation.variables if v in parent.variables())
             self._pred_vars[atom] = pred
-            self._children[atom] = tree.children(atom)
             self._indexes[atom] = relation.index_on(pred)
+            row_slots = tuple(slot[v] for v in relation.variables)
+            self._row_slots.append(row_slots)
+            self._pred_slots.append(tuple(slot[v] for v in pred))
+            self._pred_positions.append(relation.positions(pred))
+            self._in_parent.append(
+                () if parent is None else self.reduced.relations[parent].positions(pred)
+            )
+            self._children.append([number[child] for child in tree.children(atom)])
+            self._slot_order.append(
+                tuple(sorted(range(len(row_slots)), key=row_slots.__getitem__))
+            )
 
-    def _extend_tree(
-        self, atom: Atom, assignment: dict[Variable, object]
-    ) -> list[tuple[frozenset[Atom], dict[Variable, object]]]:
-        """All ways of extending ``atom``'s fact into a full excursion.
-
-        ``assignment`` covers the variables of ``atom``.  A child of ``atom``
-        must be included exactly when one of its predecessor variables is
-        mapped to a null (progress-tree condition (2)); included children are
-        matched against compatible rows of their block relation, which — the
-        nulls living in constant-size chase blocks — yields constantly many
-        combinations per root fact.
-        """
-        null_flags = self._null_flags
-        required_children = []
-        for child in self._children[atom]:
-            shared = self._pred_vars[child]
-            if any(null_flags[assignment[x]] for x in shared):
-                required_children.append(child)
-        if not required_children:
-            return [(frozenset([atom]), dict(assignment))]
-
-        per_child_options: list[list[tuple[frozenset[Atom], dict[Variable, object]]]] = []
-        for child in required_children:
-            relation = self.reduced.relations[child]
-            shared = self._pred_vars[child]
-            key = tuple(assignment[x] for x in shared)
-            options: list[tuple[frozenset[Atom], dict[Variable, object]]] = []
-            for row in self._indexes[child].get(key, ()):
-                child_assignment = dict(zip(relation.variables, row))
-                options.extend(self._extend_tree(child, child_assignment))
-            if not options:
-                return []
-            per_child_options.append(options)
-
-        results: list[tuple[frozenset[Atom], dict[Variable, object]]] = []
-        for combination in product(*per_child_options):
-            atoms: set[Atom] = {atom}
-            merged = dict(assignment)
-            for child_atoms, child_map in combination:
-                atoms |= child_atoms
-                merged.update(child_map)
-            results.append((frozenset(atoms), merged))
-        return results
-
-    def _build_progress_trees(self) -> None:
-        null_flags = self._null_flags
-        name_order: dict[frozenset[Atom], tuple[Variable, ...]] = {}
-        for atom in self._preorder:
-            relation = self.reduced.relations[atom]
-            pred = self._pred_vars[atom]
-            pending: dict[tuple, dict[tuple, ProgressTree]] = {}
-            for row in relation.tuples:
-                assignment = dict(zip(relation.variables, row))
-                if any(null_flags[assignment[x]] for x in pred):
-                    continue  # condition (1): roots need constant predecessors
-                key = (atom, tuple(assignment[x] for x in pred))
-                for atoms, mapping in self._extend_tree(atom, assignment):
-                    variables = name_order.setdefault(
-                        atoms, tuple(sorted(mapping, key=lambda v: v.name))
-                    )
-                    values = tuple(
-                        WILDCARD if null_flags[value] else value
-                        for value in map(mapping.__getitem__, variables)
-                    )
-                    tree = ProgressTree(atom, atoms, variables, values)
-                    pending.setdefault(key, {})[(atoms, values)] = tree
-            for key, candidates in pending.items():
-                ordered = sorted(candidates.values(), key=ProgressTree.sort_key)
-                tree_list = self._trees.setdefault(key, _TreeList())
-                for tree in ordered:
-                    node = tree_list.append(tree)
-                    self._locator[(key, tree.atoms, tree.values)] = node
-
-    def _enumerate_subtrees(self) -> None:
+    def _compile_subtrees(self) -> None:
         """All connected subtrees of the block join tree (data independent)."""
 
-        def rooted_at(atom: Atom) -> list[frozenset[Atom]]:
-            options_per_child: list[list[frozenset[Atom] | None]] = []
-            for child in self._children[atom]:
-                child_subtrees: list[frozenset[Atom] | None] = [None]
-                child_subtrees.extend(rooted_at(child))
-                options_per_child.append(child_subtrees)
-            results: list[frozenset[Atom]] = []
-            for combination in product(*options_per_child) if options_per_child else [()]:
-                atoms: set[Atom] = {atom}
-                for chosen in combination:
-                    if chosen is not None:
-                        atoms |= chosen
-                results.append(frozenset(atoms))
-            return results
+        def rooted_at(i: int) -> list[int]:
+            masks = [1 << i]
+            for child in self._children[i]:
+                options = [0, *rooted_at(child)]
+                masks = [mask | option for mask in masks for option in options]
+            return masks
 
-        for atom in self._preorder:
-            for atoms in rooted_at(atom):
-                variables = sorted(
-                    {v for a in atoms for v in self.reduced.relations[a].variables},
-                    key=lambda v: v.name,
+        for i in range(len(self._preorder)):
+            for mask in rooted_at(i):
+                slots = self._slots_of(mask)
+                self._mask_slots[mask] = slots
+                self._subtrees.append((i, self._pred_slots[i], mask, slots))
+
+    def _slots_of(self, mask: int) -> tuple[int, ...]:
+        """The slots of the atoms in ``mask``, in slot (variable name) order."""
+        atoms = [j for j in range(len(self._preorder)) if mask >> j & 1]
+        return tuple(sorted({s for j in atoms for s in self._row_slots[j]}))
+
+    def _required(self, i: int, row: tuple) -> list[int]:
+        """The children of atom ``i`` whose predecessor variables ``row`` maps
+        to a null: a progress tree must include them (condition (2))."""
+        flag = self._null_flags.__getitem__
+        in_parent = self._in_parent
+        return [c for c in self._children[i] if any(flag(row[p]) for p in in_parent[c])]
+
+    def _extend(self, assignment: list[int], pending: list[int], mask: int) -> Iterator[int]:
+        """Cover the ``pending`` atoms with rows compatible with
+        ``assignment``, writing each row into it; yield every covered mask.
+        The nulls living in constant-size chase blocks, a root row has
+        constantly many extensions."""
+        if not pending:
+            yield mask
+            return
+        child = pending[-1]
+        key = tuple([assignment[s] for s in self._pred_slots[child]])
+        slots = self._row_slots[child]
+        for row in self._indexes[self._preorder[child]].get(key, ()):
+            for s, value in zip(slots, row):
+                assignment[s] = value
+            more = self._required(child, row)
+            yield from self._extend(assignment, pending[:-1] + more, mask | 1 << child)
+
+    def _build_progress_trees(self) -> None:
+        """Fill the arena.  Per atom, trees are bucketed by their rank in
+        ``≺db`` (covered atoms, then wildcards) and appended rank by rank, so
+        every list is in database-preferring order without a sort."""
+        flag = self._null_flags.__getitem__
+        assignment = [STAR] * self._width
+        stride = self._width + 1
+        trees, following, preceding = self._trees, self._next, self._prev
+        heads, locator, patterns = self._heads, self._locator, self._patterns
+        for i, atom in enumerate(self._preorder):
+            buckets: list[list[tuple]] = [[] for _ in range(stride * (len(self._preorder) + 1))]
+            plain = buckets[stride]  # one atom, no wildcard
+            positions, order = self._pred_positions[i], self._slot_order[i]
+            in_order = order == tuple(range(len(order)))
+
+            def place(key: tuple, mask: int, values: tuple) -> None:
+                pattern = sum([1 << p for p, v in enumerate(values) if v == STAR])
+                patterns.setdefault(mask, set()).add(pattern)
+                buckets[mask.bit_count() * stride + pattern.bit_count()].append(
+                    (i, key, mask, values)
                 )
-                self._subtrees.append(
-                    _Subtree(atom, atoms, self._pred_vars[atom], tuple(variables))
-                )
+
+            for row in self.reduced.relations[atom].tuples:
+                key = tuple([row[p] for p in positions])
+                if any(map(flag, key)):
+                    continue  # condition (1): roots need constant predecessors
+                if not any(map(flag, row)):
+                    values = row if in_order else tuple([row[p] for p in order])
+                    plain.append((i, key, 1 << i, values))
+                    continue
+                required = self._required(i, row)
+                if not required:
+                    place(key, 1 << i, tuple([STAR if flag(row[p]) else row[p] for p in order]))
+                    continue
+                for s, value in zip(self._row_slots[i], row):
+                    assignment[s] = value
+                for mask in self._extend(assignment, required, 1 << i):
+                    values = [assignment[s] for s in self._mask_slots[mask]]
+                    place(key, mask, tuple([STAR if flag(v) else v for v in values]))
+            if plain:
+                patterns.setdefault(1 << i, set()).add(0)
+            for bucket in buckets:
+                for located in bucket:
+                    if located in locator:
+                        continue  # the same tree from another row
+                    head = heads.get(located[:2])
+                    if head is None:
+                        head = heads[located[:2]] = len(trees)
+                        trees += (None, None)
+                        following += (head + 1, head + 1)
+                        preceding += (head, head)
+                        self._removed += b"\0\0"
+                    node, last = len(trees), preceding[head + 1]
+                    following[last] = preceding[head + 1] = locator[located] = node
+                    trees.append(located)
+                    following.append(head + 1)
+                    preceding.append(last)
+                    self._removed.append(0)
+
+    # -- the arena --------------------------------------------------------------
+
+    def _live(self, head: int) -> Iterator[int]:
+        """The live nodes of the list at ``head``, read one ``_next`` at a
+        time, so nodes unlinked while the iteration is paused are skipped."""
+        following, removed = self._next, self._removed
+        tail, node = head + 1, following[head]
+        while node != tail:
+            if not removed[node]:
+                yield node
+            node = following[node]
+
+    def _remove(self, node: int) -> None:
+        """Unlink ``node`` in O(1), leaving its own ``_next`` intact."""
+        if self._removed[node]:
+            return
+        self._removed[node] = 1
+        before, after = self._prev[node], self._next[node]
+        self._next[before] = after
+        self._prev[after] = before
 
     # -- enumeration ----------------------------------------------------------
 
     def is_empty(self) -> bool:
         return self.reduced.is_empty
 
-    def _next_atom(self, start: int, assignment: dict[Variable, object]) -> int | None:
-        for index in range(start, len(self._preorder)):
-            atom = self._preorder[index]
-            relation = self.reduced.relations[atom]
-            if any(variable not in assignment for variable in relation.variables):
-                return index
-        return None
+    def _next_atom(self, start: int, covered: int) -> int:
+        """The first atom from ``start`` on with a slot that the trees over
+        ``covered`` leave unassigned, or ``-1``; memoised per pair."""
+        found = self._after.get((start, covered))
+        if found is None:
+            assigned = set(self._slots_of(covered)).issuperset
+            atoms = range(start, len(self._preorder))
+            found = next((j for j in atoms if not assigned(self._row_slots[j])), -1)
+            self._after[(start, covered)] = found
+        return found
 
-    def _prune(self, assignment: dict[Variable, object]) -> None:
+    def _weakenings(self, mask: int, wild: int) -> tuple[tuple[int, ...], ...]:
+        """Per wildcard pattern strictly above ``wild`` that some tree over
+        ``mask`` has, the positions it adds; memoised per pair."""
+        found = self._weaker.get((mask, wild))
+        if found is None:
+            positions = range(len(self._mask_slots[mask]))
+            self._weaker[(mask, wild)] = found = tuple(
+                tuple(p for p in positions if (pattern & ~wild) >> p & 1)
+                for pattern in self._patterns.get(mask, ())
+                if pattern & wild == wild and pattern != wild
+            )
+        return found
+
+    def _prune(self, assignment: list[int]) -> None:
         """Remove the trees strictly more wildcarded than the answer just
         emitted: locator ``get``s only."""
-        get = assignment.__getitem__
-        locator = self._locator
-        for subtree in self._subtrees:
-            pred_key = tuple(map(get, subtree.pred))
-            if WILDCARD in pred_key:
+        heads, get = self._heads, self._locator.get
+        for i, pred_slots, mask, slots in self._subtrees:
+            key = tuple([assignment[s] for s in pred_slots])
+            if STAR in key or (i, key) not in heads:
                 continue  # roots need constant predecessors
-            list_key = (subtree.root, pred_key)
-            if list_key not in self._trees:
-                continue
-            values = list(map(get, subtree.variables))
-            mask = sum(1 << p for p, value in enumerate(values) if value is WILDCARD)
-            for chosen in _wildcard_subsets(len(values), mask):
+            values = [assignment[s] for s in slots]
+            wild = sum([1 << p for p, v in enumerate(values) if v == STAR])
+            for chosen in self._weakenings(mask, wild):
                 candidate = values.copy()
                 for position in chosen:
-                    candidate[position] = WILDCARD
-                node = locator.get((list_key, subtree.atoms, tuple(candidate)))
-                if node is not None and not node.removed:
-                    self._trees[list_key].remove(node)
+                    candidate[position] = STAR
+                node = get((i, key, mask, tuple(candidate)))
+                if node is not None:
+                    self._remove(node)
 
-    def enumerate(self) -> Iterator[tuple]:
-        """Yield exactly the minimal partial answers, without repetition."""
-        decode = self._decode
-        for answer in self.id_answers():
-            yield tuple([v if v is WILDCARD else decode(v) for v in answer])
-
-    def id_answers(self) -> Iterator[tuple]:
-        """The walk: each answer over the original head as ids and ``*``."""
+    def _walk(self) -> Iterator[tuple]:
+        """Each answer over the original head as ids and :data:`STAR`."""
         if self.reduced.is_empty:
             return
         if not self._preorder:
             yield ()
             return
+        assignment, head_slots, trees = [STAR] * self._width, self._head_slots, self._trees
 
-        assignment: dict[Variable, object] = {}
-        head = self.original_query.answer_variables
-
-        def walk(index: int | None) -> Iterator[tuple]:
-            if index is None:
-                yield tuple(map(assignment.__getitem__, head))
-                self._prune(assignment)
+        def walk(i: int, covered: int) -> Iterator[tuple]:
+            key = tuple([assignment[s] for s in self._pred_slots[i]])
+            head = self._heads.get((i, key))
+            if head is None:
                 return
-            atom = self._preorder[index]
-            pred = self._pred_vars[atom]
-            pred_key = tuple(assignment[x] for x in pred)
-            tree_list = self._trees.get((atom, pred_key))
-            if tree_list is None:
-                return
-            node = tree_list.head.next
-            while node is not tree_list.tail:
-                if node.removed:
-                    node = node.next
-                    continue
-                mapping = node.tree.mapping()
-                added = [v for v in mapping if v not in assignment]
-                assignment.update(mapping)
-                yield from walk(self._next_atom(index + 1, assignment))
-                for variable in added:
-                    del assignment[variable]
-                node = node.next
+            for node in self._live(head):
+                _, _, mask, values = trees[node]
+                for s, value in zip(self._mask_slots[mask], values):
+                    assignment[s] = value
+                following = self._next_atom(i + 1, covered | mask)
+                if following < 0:
+                    yield tuple([assignment[s] for s in head_slots])
+                    self._prune(assignment)
+                else:
+                    yield from walk(following, covered | mask)
 
-        yield from walk(self._next_atom(0, assignment))
+        yield from walk(self._next_atom(0, 0), 0)
+
+    def enumerate(self) -> Iterator[tuple]:
+        """Yield exactly the minimal partial answers, without repetition."""
+        decode = self._decode
+        for answer in self._walk():
+            yield tuple([WILDCARD if v == STAR else decode(v) for v in answer])
+
+    def id_answers(self) -> Iterator[tuple]:
+        """The walk: each answer over the original head as ids and ``*``."""
+        for answer in self._walk():
+            if STAR in answer:
+                answer = tuple([WILDCARD if v == STAR else v for v in answer])
+            yield answer
 
     def __iter__(self) -> Iterator[tuple]:
         return self.enumerate()
@@ -402,14 +392,15 @@ class MinimalPartialAnswerEnumerator:
         while the former still produces answers they are forwarded, wildcard
         answers of the latter are buffered, and once the complete enumerator
         is exhausted the buffer and the remaining wildcard answers follow.
+        Both sides read the same chase.
         """
         from repro.core.enumeration import CompleteAnswerEnumerator
 
-        complete = CompleteAnswerEnumerator(self.omq, self.database).enumerate()
+        complete = CompleteAnswerEnumerator(self.omq, self.database, chase=self.chase)
         partial = self.enumerate()
         buffered: list[tuple] = []
 
-        for complete_answer in complete:
+        for complete_answer in complete.enumerate():
             yield complete_answer
             try:
                 candidate = next(partial)

@@ -17,8 +17,10 @@ decode plus ``isinstance``.
 
 This is the only row format: :class:`~repro.data.instance.Instance` keys
 its positional indexes by ids, and the reduction/enumeration pipeline
-stores id rows throughout.  ``baselines/naive.py``, which works on term
-objects directly, is the oracle the differential suite compares against.
+stores id rows throughout.  ``baselines/naive.py``, the oracle the
+differential suite compares against, runs the production chase and
+searches homomorphisms over its instance, so it shares the chase and these
+ids with what it checks.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the OMQ enumerators: Theorems 4.1(1), 5.2, 6.1 and Prop. 2.1."""
 
+import gc
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from repro.core import (
     Wildcard,
 )
 from repro.core import wildcards
-from repro.core.progress import PartialAnswerEnumerator
+from repro.core.progress import STAR, PartialAnswerEnumerator
 from repro.workloads import (
     generate_office_database,
     generate_university_database,
@@ -163,6 +164,25 @@ class TestDatabasePreferringOrder:
                 else:
                     assert not seen_wildcard, "complete answer after a wildcard answer"
 
+    def test_complete_first_shares_the_chase(self, office_omq, office_database, monkeypatch):
+        """Prop. 2.1's complete side reads the enumerator's chase result
+        instead of chasing the database a second time."""
+        from repro.core import enumeration
+
+        built = []
+
+        class Recording(enumeration.CompleteAnswerEnumerator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(enumeration, "CompleteAnswerEnumerator", Recording)
+        enumerator = MinimalPartialAnswerEnumerator(office_omq, office_database)
+        ordered = set(enumerator.enumerate_complete_first())
+        assert ordered == naive_minimal_partial_answers(office_omq, office_database)
+        assert len(built) == 1
+        assert built[0].chase.result is enumerator.chase.result
+
 
 class TestMultiWildcardEnumeration:
     def test_paper_example(self, office_omq, office_database):
@@ -247,3 +267,65 @@ class TestCQLevelPartialEnumerator:
         instance = Instance([Fact("R", ("a", "b"))])
         enumerator = PartialAnswerEnumerator(query, instance)
         assert set(enumerator.enumerate()) == {("a", "b")}
+
+
+class TestProgressArena:
+    """Algorithm 1's ``trees(v, h)`` lists: one arena of int-linked nodes."""
+
+    @staticmethod
+    def _root_list(rows: int) -> tuple[PartialAnswerEnumerator, int, list[int]]:
+        from repro.data import Instance
+
+        query = parse_query("q(x, y) :- R(x, y)")
+        instance = Instance([Fact("R", (f"a{i}", f"b{i}")) for i in range(rows)])
+        enumerator = PartialAnswerEnumerator(query, instance)
+        head = enumerator._heads[(0, ())]
+        return enumerator, head, list(enumerator._live(head))
+
+    @pytest.mark.parametrize("successor_first", [False, True])
+    def test_walk_paused_on_a_removed_node_continues(self, successor_first):
+        enumerator, head, nodes = self._root_list(6)
+        assert len(nodes) == 6
+        walk = enumerator._live(head)
+        assert [next(walk), next(walk)] == nodes[:2]
+        paused, successor = nodes[1], nodes[2]
+        for node in (successor, paused) if successor_first else (paused, successor):
+            enumerator._remove(node)
+        # The rest of the paused walk: every remaining live node, once.
+        assert list(walk) == nodes[3:]
+        # Removal unlinks: the live neighbours now point at each other.
+        assert enumerator._next[nodes[0]] == nodes[3]
+        assert enumerator._prev[nodes[3]] == nodes[0]
+        assert list(enumerator._live(head)) == [nodes[0], *nodes[3:]]
+        enumerator._remove(paused)  # removing twice is a no-op
+        assert list(enumerator._live(head)) == [nodes[0], *nodes[3:]]
+
+    def test_every_list_is_in_database_preferring_order(self, office_omq):
+        database = generate_office_database(300, seed=2)
+        enumerator = PartialAnswerEnumerator(office_omq.query, office_omq.chase(database).instance)
+        mixed = 0
+        for head in enumerator._heads.values():
+            ranks = []
+            for node in enumerator._live(head):
+                _, _, mask, values = enumerator._trees[node]
+                ranks.append((mask.bit_count(), values.count(STAR)))
+            assert ranks == sorted(ranks)
+            mixed += len(set(ranks)) > 1
+        assert mixed > 0  # some list holds trees of different ranks
+
+    def test_trees_keep_no_objects_for_the_collector(self, office_omq):
+        """The build keeps at most one gc-tracked object per reduced row, on
+        office-N and office-4N alike: trees are int tuples in int-linked
+        lists.  What remains is the predecessor indexes' bucket lists."""
+        for size in (500, 2000):
+            database = generate_office_database(size, seed=0)
+            instance = office_omq.chase(database).instance
+            PartialAnswerEnumerator(office_omq.query, instance)  # warm the instance
+            gc.collect()
+            before = len(gc.get_objects())
+            enumerator = PartialAnswerEnumerator(office_omq.query, instance)
+            gc.collect()
+            kept = len(gc.get_objects()) - before
+            rows = enumerator.reduced.size()
+            assert rows >= 2 * size
+            assert kept <= rows, (size, kept / rows)
