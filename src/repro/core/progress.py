@@ -97,7 +97,8 @@ class PartialAnswerEnumerator:
         self._locator: dict[tuple, int] = {}
         # Per connected subtree (root, pred slots, mask, slots), the slots of
         # each such mask, the walk's next atom; then, from the build, the
-        # wildcard patterns (bitmasks over a mask's slots) its trees have.
+        # wildcard patterns (bitmasks over a mask's slots) its wildcarded
+        # trees have.
         self._subtrees: list[tuple] = []
         self._mask_slots: dict[int, tuple[int, ...]] = {}
         self._after: dict[tuple[int, int], int] = {}
@@ -213,6 +214,8 @@ class PartialAnswerEnumerator:
                 if any(map(flag, key)):
                     continue  # condition (1): roots need constant predecessors
                 if not any(map(flag, row)):
+                    # Most rows: no wildcard to map or record, and a row
+                    # already in slot order is its values tuple as is.
                     values = row if in_order else tuple([row[p] for p in order])
                     plain.append((i, key, 1 << i, values))
                     continue
@@ -225,8 +228,6 @@ class PartialAnswerEnumerator:
                 for mask in self._extend(assignment, required, 1 << i):
                     values = [assignment[s] for s in self._mask_slots[mask]]
                     place(key, mask, tuple([STAR if flag(v) else v for v in values]))
-            if plain:
-                patterns.setdefault(1 << i, set()).add(0)
             for bucket in buckets:
                 for located in bucket:
                     if located in locator:

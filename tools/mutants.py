@@ -8,22 +8,17 @@ and tier-1 (``python -m pytest -x -q``) runs in the copy with ``PYTHONPATH``
 pointing at the copy's ``src``.  A mutant is killed when that run fails (or
 times out); a survivor is an open bug in the tests.
 
-Usage::
-
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py NAME ...   # the named ones
-    python3 tools/mutants.py --list
+Usage: ``python3 tools/mutants.py``
 
 Tier-1 first runs once on an unpatched copy, which must pass.  Exit status:
-0 when every selected mutant is killed, 1 when one survives, 2 when the
-unpatched run fails or a patch no longer applies to the source (update the
-snippet with the code it targets).  Standard library only; the nightly CI
-job runs it.
+0 when every mutant is killed, 1 when one survives, 2 when the unpatched
+run fails or a patch no longer applies to the source (update the snippet
+with the code it targets).  Standard library only; the nightly CI job runs
+it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -33,6 +28,9 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Seconds one tier-1 run may take before its mutant counts as killed.
+TIMEOUT = 1800.0
 
 #: name -> (file, snippet, replacement).  Each names a check the tests
 #: must make; keep the snippets short and unique.
@@ -68,7 +66,7 @@ def apply(root: Path, name: str) -> None:
     path.write_text(source.replace(snippet, replacement))
 
 
-def fails(name: str | None, timeout: float) -> bool:
+def fails(name: str | None) -> bool:
     """Run tier-1 on a copy patched with mutant ``name`` (``None``: no
     patch); True when it fails, printing the failing tests."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
@@ -80,10 +78,10 @@ def fails(name: str | None, timeout: float) -> bool:
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         try:
             run = subprocess.run(
-                command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout
+                command, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT
             )
         except subprocess.TimeoutExpired:
-            print(f"  tier-1 timed out after {timeout:.0f} s")
+            print(f"  tier-1 timed out after {TIMEOUT:.0f} s")
             return True
     for line in run.stdout.splitlines():
         if line.startswith(("FAILED", "ERROR")):
@@ -91,26 +89,15 @@ def fails(name: str | None, timeout: float) -> bool:
     return run.returncode != 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    parser.add_argument("--timeout", type=float, default=1800.0, help="seconds per tier-1 run")
-    options = parser.parse_args(argv)
-    if options.list:
-        print("\n".join(MUTANTS))
-        return 0
-    unknown = sorted(set(options.names) - set(MUTANTS))
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    if fails(None, options.timeout):
+def main() -> int:
+    if fails(None):
         print("error: tier-1 fails without a mutant, so it can kill none", file=sys.stderr)
         return 2
     survivors = []
-    for name in options.names or list(MUTANTS):
+    for name in MUTANTS:
         started = time.monotonic()
         try:
-            verdict = fails(name, options.timeout)
+            verdict = fails(name)
         except LookupError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -120,9 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     if survivors:
         print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
         return 1
-    print(f"all {len(options.names or MUTANTS)} mutant(s) killed")
+    print(f"all {len(MUTANTS)} mutant(s) killed")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
