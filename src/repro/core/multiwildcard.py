@@ -10,24 +10,27 @@ multi-wildcards by combining
   sure dominated tuples are never emitted.
 
 ``A2`` runs on the block relations ``A1`` already reduced (id rows, nulls
-kept).  A candidate's pattern — constants, repeated head variables agreeing,
-wildcard groups — is compiled once into a block order starting at a bound
-constant and, per block, its bound positions and the *row code* (null
-positions and their equalities) a row must have.  A test picks one row per
-block from its rows with that code, indexed by the bound ids; equal
+kept).  Its constructor reads every row once, groups each block's rows by
+*row code* (null positions and their equalities, one int; a row without a
+null is code 0) and builds, per block and code, an index on every position
+set a plan can bind: the code's non-null positions plus any subset of its
+null groups.  Its buckets are tuples of id rows, so the collector untracks
+the tables.  A candidate's pattern — constants, repeated head variables
+agreeing, wildcard groups — is compiled once into a block order starting at
+a bound constant and, per block, the index of its bound positions and row
+code.  A test is then a pure probe loop that picks one row per block; equal
 wildcards get equal nulls and distinct ones distinct nulls.  A bucket holds
 the rows whose other positions are nulls attached to the bound values —
 constantly many in a chase-like instance, whose nulls sit in constant-size
-trees; the tester records the most rows one test visited.  Where the bound
-variables are ``A1``'s predecessor variables, ``A1``'s index (which also
-holds the rows with constants there) is reused and filtered by row code.
-Memoised state is data-independent: one plan per pattern, the verdicts of
-constant-free patterns (at most Bell(n + 1)), per-shape ball / cone
-templates.  The walk runs on id tuples and decodes only what it yields.
+trees; the tester records the most rows one test visited.  Memoised state is
+data-independent: one plan per pattern, the verdicts of constant-free
+patterns (at most Bell(n + 1)), per-shape ball / cone templates.  The walk
+runs on id tuples and decodes only what it yields.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.data.instance import Database
@@ -41,11 +44,24 @@ from repro.core.wildcards import Wildcard, ball, cone, lt_multi, shape_of
 def _row_code(row: tuple, null_flags: bytearray) -> int:
     """Which positions of an id row hold nulls and which of those are equal,
     as one int: digit ``0`` for a non-null, ``k`` for the k-th distinct null."""
-    nulls = list(dict.fromkeys(value for value in row if null_flags[value]))
+    local: dict[int, int] = {}
     code = 0
     for value in row:
-        code = code * (len(row) + 1) + (nulls.index(value) + 1 if value in nulls else 0)
+        digit = local.setdefault(value, len(local) + 1) if null_flags[value] else 0
+        code = code * (len(row) + 1) + digit
     return code
+
+
+def _bound_positions(code: int, arity: int) -> Iterator[tuple[int, ...]]:
+    """The position sets a plan can bind in a row of code ``code``: its
+    non-null positions plus any subset of its null groups."""
+    digits = [code // (arity + 1) ** (arity - 1 - p) % (arity + 1) for p in range(arity)]
+    for chosen in range(1 << max(digits)):
+        yield tuple(p for p, d in enumerate(digits) if not d or chosen >> d - 1 & 1)
+
+
+#: The one index of every (positions, code) pair without rows.
+_NO_ROWS: dict[tuple, tuple] = {}
 
 
 class MultiWildcardTester:
@@ -59,11 +75,22 @@ class MultiWildcardTester:
     def __init__(self, single: PartialAnswerEnumerator) -> None:
         self._single = single
         self._head_positions = single.original_query.deduplicated_head()[1]
-        self._null_flags = TERMS.null_flags()
         self._plans: dict[tuple, list | None] = {}
-        self._indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
+        # Per block atom, its rows by row code; per (block atom, bound
+        # positions, row code) with rows, those rows by their ids there.
+        self._codes: dict[object, dict[int, list[tuple]]] = {}
+        self._indexes: dict[tuple, dict[tuple, tuple]] = {}
         self._rows = 0
         self.max_rows_per_test = 0
+        null_flags = TERMS.null_flags()
+        for block in single.reduced.blocks:
+            codes = self._codes[block.atom] = {}
+            for row in block.relation.tuples:
+                code = _row_code(row, null_flags) if any(map(null_flags.__getitem__, row)) else 0
+                codes.setdefault(code, []).append(row)
+            for code in codes:
+                for positions in _bound_positions(code, len(block.variables)):
+                    self._index(block.atom, positions, code)
 
     def test(self, candidate: Sequence) -> bool:
         """Decide a candidate over terms (numbered wildcards and constants)."""
@@ -95,12 +122,10 @@ class MultiWildcardTester:
     def _search(self, steps: tuple, values: list, depth: int) -> bool:
         if depth == len(steps):
             return True
-        index, slots, code, filtered, used, new = steps[depth]
+        index, slots, used, new = steps[depth]
         bound = values[used]
         for row in index.get(tuple([values[s] for s in slots]), ()):
             self._rows += 1
-            if filtered and _row_code(row, self._null_flags) != code:
-                continue
             if new and any(row[p] in bound for p, _ in new):
                 continue  # distinct wildcards denote distinct nulls
             for position, slot in new:
@@ -143,26 +168,34 @@ class MultiWildcardTester:
                 if value.__class__ is not int:
                     local.setdefault(value, len(local) + 1)
                 code = code * (len(variables) + 1) + local.get(value, 0)
-            pred = tuple(variables[p] for p in positions)
-            filtered = bool(pred) and self._single._pred_vars.get(block.atom) == pred
-            if filtered:
-                index = self._single._indexes[block.atom]
-            else:
-                index = self._index(block, tuple(positions), code)
-            used = slice(constant_count, before)
-            steps.append((index, tuple(slots), code, filtered, used, tuple(new)))
+            index = self._index(block.atom, tuple(positions), code)
+            steps.append((index, tuple(slots), slice(constant_count, before), tuple(new)))
         return [tuple(steps), constant_count, width, None]
 
-    def _index(self, block, positions: tuple, code: int) -> dict[tuple, list[tuple]]:
-        """The rows of ``block`` with row code ``code`` by their ids at
-        ``positions``, built on first use."""
-        key = (block.atom, positions, code)
-        if key not in self._indexes:
-            index = self._indexes[key] = {}
-            for row in block.relation.tuples:
-                if _row_code(row, self._null_flags) == code:
-                    index.setdefault(tuple([row[p] for p in positions]), []).append(row)
-        return self._indexes[key]
+    def _index(self, atom, positions: tuple, code: int) -> dict[tuple, tuple]:
+        """The rows of ``atom``'s block with row code ``code`` by their ids at
+        ``positions``; the constructor builds every one that has rows."""
+        index = self._indexes.get((atom, positions, code))
+        if index is None:
+            rows = self._codes[atom].get(code)
+            if not rows:
+                return _NO_ROWS
+            if not positions:
+                keys = [()] * len(rows)
+            elif len(positions) == len(rows[0]):
+                keys = rows  # distinct rows, each its own key
+            else:
+                keys = list(zip(*[map(itemgetter(p), rows) for p in positions]))
+            # Buckets are tuples of untracked rows, which the collector
+            # untracks too: the tables add no work to later collections.
+            index = dict(zip(keys, zip(rows)))
+            if len(index) < len(rows):  # some rows share a key
+                shared: dict[tuple, list[tuple]] = {}
+                for key, row in zip(keys, rows):
+                    shared.setdefault(key, []).append(row)
+                index = {key: tuple(bucket) for key, bucket in shared.items()}
+            self._indexes[atom, positions, code] = index
+        return index
 
 
 class MultiWildcardEnumerator:
@@ -185,17 +218,19 @@ class MultiWildcardEnumerator:
         return self._single.is_empty()
 
     def _cone_plan(self, shape: tuple) -> tuple:
-        """Per single-wildcard shape: the cone members over ints (wildcard
-        ``*k`` as ``-k``), their ``A2`` plans, the strictly less informative
-        members of each, and the ball members fewest wildcards first (a
+        """Per single-wildcard shape: the cone members, the same over ints
+        (wildcard ``*k`` as ``-k``), their ``A2`` plans, per member the
+        strictly less informative members (filled the first time the member
+        passes a test), and the ball members fewest wildcards first (a
         linear extension of ``≺``, so the first that passes is minimal)."""
         if shape not in self._cones:
             members = tuple(cone(shape))
             in_ball = ball(shape)
             self._cones[shape] = (
+                members,
                 [tuple([-v.index if v.__class__ is Wildcard else v for v in m]) for m in members],
                 [self.tester.plan(member) for member in members],
-                [[j for j, other in enumerate(members) if lt_multi(m, other)] for m in members],
+                [None] * len(members),
                 sorted(
                     (i for i, member in enumerate(members) if member in in_ball),
                     key=lambda i: len(set(members[i]) - set(shape)),
@@ -215,7 +250,7 @@ class MultiWildcardEnumerator:
 
         for single_answer in self._single.id_answers():
             shape, ids = shape_of(single_answer)
-            templates, plans, weaker, ball_order = self._cone_plan(shape)
+            patterns, templates, plans, weaker, ball_order = self._cone_plan(shape)
             members = [tuple([ids[v] if v >= 0 else v for v in t]) for t in templates]
             for i, candidate in enumerate(members):
                 if candidate in marked:
@@ -224,6 +259,8 @@ class MultiWildcardEnumerator:
                 if not check(plans[i], ids):
                     continue
                 pending[candidate] = None
+                if weaker[i] is None:
+                    weaker[i] = [j for j, other in enumerate(patterns) if lt_multi(patterns[i], other)]
                 for j in weaker[i]:
                     marked.add(members[j])
                     pending.pop(members[j], None)

@@ -113,6 +113,9 @@ QUERY_TEMPLATES = (
     "q(x, y) :- A(x), B(y)",
     # A repeated head variable.
     "q(x, x) :- R(x, y)",
+    # A 4-ary head: cones of Bell(5) members, blocks binding null positions
+    # in different orders.
+    "q(x, y, z, w) :- R(x, y), R(x, z), S(z, w)",
 )
 
 #: Integers far above any dense term id the process will ever mint: as a

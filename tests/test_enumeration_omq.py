@@ -19,7 +19,7 @@ from repro.core import (
     MultiWildcardEnumerator,
     Wildcard,
 )
-from repro.core import wildcards
+from repro.core import multiwildcard, wildcards
 from repro.core.progress import STAR, PartialAnswerEnumerator
 from repro.workloads import (
     generate_office_database,
@@ -27,6 +27,7 @@ from repro.workloads import (
     office_omq,
     university_omq,
 )
+from repro.workloads.office import OfficeProfile
 from tests.conftest import random_office_database
 
 
@@ -250,6 +251,76 @@ class TestMultiWildcardEnumeration:
         # Single-wildcard shapes of arity 3: set partitions of the three
         # positions plus one optional wildcard block = Bell(4).
         assert memo_sizes[0][0] <= 15
+
+    def test_nothing_is_built_inside_the_walk(self):
+        """Theorem 6.1's preprocessing is over before the first answer: on
+        office data whose answers carry wildcards (offices without
+        buildings, plus one complete researcher), ``A2``'s index table is
+        the same after its constructor, at the first answer and after the
+        drain, its buckets are untracked by the collector, and the most
+        rows one test visits is the same on office-N and office-16N."""
+        work = []
+        for size in (150, 2400):
+            database = generate_office_database(size, OfficeProfile(building_probability=0.0))
+            for fact in (
+                Fact("Researcher", ("ada",)),
+                Fact("HasOffice", ("ada", "room0")),
+                Fact("InBuilding", ("room0", "main")),
+            ):
+                database.add(fact)
+            enumerator = MultiWildcardEnumerator(office_omq(), database)
+            indexes = enumerator.tester._indexes
+            tables = dict(indexes)
+            answers = iter(enumerator)
+            first = next(answers)
+            assert indexes == tables
+            got = {first, *answers}
+            assert len(got) == size + 1 and ("ada", "room0", "main") in got
+            assert indexes == tables
+            assert all(indexes[key] is tables[key] for key in tables)
+            # The buckets are tuples of id rows: nothing for the collector.
+            gc.collect()
+            assert not any(gc.is_tracked(b) for index in tables.values() for b in index.values())
+            work.append(enumerator.tester.max_rows_per_test)
+        assert 0 < work[0] == work[1]
+
+    def test_star_computes_weaker_members_only_for_members_that_pass(self, monkeypatch):
+        """A k-ary star's cones have Bell(k + 2) members; the pruning table
+        is filled per member that passes a test, not for every pair."""
+        k = 6
+        ontology = parse_ontology("\n".join(f"A(x) -> R{i}(x, y)" for i in range(k)))
+        query = parse_query(
+            f"q(x, {', '.join(f'y{i}' for i in range(k))}) :- "
+            + ", ".join(f"R{i}(x, y{i})" for i in range(k))
+        )
+        omq = OMQ.from_parts(ontology, query)
+        database = Database(
+            [Fact("A", ("a",)), Fact("A", ("b",))]
+            + [Fact(f"R{i}", ("b", f"c{i}")) for i in range(k)]
+        )
+        comparisons = 0
+
+        def counted_lt_multi(left, right):
+            nonlocal comparisons
+            comparisons += 1
+            return wildcards.lt_multi(left, right)
+
+        monkeypatch.setattr(multiwildcard, "lt_multi", counted_lt_multi)
+        enumerator = MultiWildcardEnumerator(omq, database)
+        check, passed = enumerator.tester.check, []
+
+        def counted_check(plan, ids):
+            verdict = check(plan, ids)
+            passed.append(verdict)
+            return verdict
+
+        enumerator.tester.check = counted_check
+        got = list(enumerator)
+        assert len(got) == len(set(got))
+        assert set(got) == naive_minimal_partial_answers_multi(omq, database)
+        cone_size = max(len(plan[0]) for plan in enumerator._cones.values())
+        assert cone_size == 4140  # Bell(8)
+        assert comparisons <= sum(passed) * cone_size
 
 
 class TestCQLevelPartialEnumerator:

@@ -49,6 +49,26 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "buckets[mask.bit_count() * stride + pattern.bit_count()].append(",
         "buckets[stride].append(",
     ),
+    # A2 lets two distinct wildcards land on one null.
+    "a2-distinct-nulls-dropped": (
+        "src/repro/core/multiwildcard.py",
+        "            if new and any(row[p] in bound for p, _ in new):\n",
+        "            if False:\n",
+    ),
+    # A2 groups every row under one row code, so a pattern's nulls and
+    # their equalities stop selecting rows.
+    "a2-code-ignored": (
+        "src/repro/core/multiwildcard.py",
+        "                code = _row_code(row, null_flags) if any(map(null_flags.__getitem__, row)) else 0\n",
+        "                code = 0\n",
+    ),
+    # A2's constructor builds no index, so each is built on first use,
+    # inside the walk.
+    "a2-lazy-index": (
+        "src/repro/core/multiwildcard.py",
+        "                    self._index(block.atom, positions, code)\n",
+        "                    pass\n",
+    ),
 }
 
 _IGNORE = shutil.ignore_patterns(
