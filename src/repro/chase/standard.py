@@ -120,10 +120,11 @@ class ChaseRecorder:
     The chase hands a recorder what its loop already holds — the trigger
     key (``(tgd_index, frontier ids)``), the matched body facts, the lists
     of created facts and nulls, the facts witnessing a satisfied head —
-    without copying any of it; a recorder that keeps those references
-    pays one append per trigger.  :class:`repro.incremental.provenance.
-    ChaseMaintainer` is the recorder every incremental materialization
-    attaches; a run with ``recorder=None`` pays nothing.  ``compiled``, when
+    without copying any of it.  The lists and tuples are the loop's own
+    and are not read again, so a recorder keeps what it needs of them:
+    :class:`repro.incremental.provenance.ChaseMaintainer`, the recorder
+    every incremental materialization attaches, keeps their integer ids
+    only.  A run with ``recorder=None`` pays nothing.  ``compiled``, when
     set, is reused by the run instead of compiling the ontology again.
     """
 
@@ -525,7 +526,7 @@ def chase(
     raise :class:`ChaseNotTerminating` when exhausted.  ``recorder``, when
     given, is handed every fired and suppressed trigger (see
     :class:`ChaseRecorder`); it is how the incremental-maintenance subsystem
-    captures provenance for one append per trigger.
+    captures provenance, as integer rows.
     """
     instance = Instance(database)
     result = ChaseResult(instance)

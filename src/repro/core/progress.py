@@ -74,8 +74,7 @@ class PartialAnswerEnumerator:
         self._null_flags = TERMS.null_flags()
         self._decode = TERMS.decoder()
         self._preorder: list[Atom] = []
-        # Keyed by block atom; Algorithm 2's all-tester reads them too.
-        self._pred_vars: dict[Atom, tuple[Variable, ...]] = {}
+        # Keyed by block atom: its rows by their predecessor values.
         self._indexes: dict[Atom, dict[tuple, list[tuple]]] = {}
         # Per atom number: its row's slots, its predecessors' slots, their
         # positions in its row and in its parent's, its children, and the
@@ -128,7 +127,6 @@ class PartialAnswerEnumerator:
                 pred: tuple[Variable, ...] = ()
             else:
                 pred = tuple(v for v in relation.variables if v in parent.variables())
-            self._pred_vars[atom] = pred
             self._indexes[atom] = relation.index_on(pred)
             row_slots = tuple(slot[v] for v in relation.variables)
             self._row_slots.append(row_slots)

@@ -4,15 +4,22 @@ A :class:`ChaseMaintainer` doubles as the :class:`~repro.chase.standard.
 ChaseRecorder` of the initial chase run and as the mutation engine that
 keeps the chased instance valid afterwards.  Provenance has three stages:
 
-1. **Log** — during the run the maintainer appends what the chase loop
-   already holds: per fired trigger ``(key, body_facts, created_facts,
-   created_nulls)``, per suppressed trigger (body matched, head already
-   satisfied) ``(key, witness_facts)``.  No copies, no new facts, no
-   indexes: a database that is only ever read pays one tuple per trigger.
+1. **Log** — during the run the maintainer appends integers to
+   ``array('q')`` logs, which the collector does not track: per fired
+   trigger the key, the ``(relation, ids)`` row of each body and created
+   fact and the ids of the created nulls; per suppressed trigger (body
+   matched, head already satisfied) the key and the witness facts' rows.
+   A TGD whose body and head are both positional (every ELI rule) logs
+   fixed-width rows of its own — a firing is its body fact's ids then its
+   created fact's ids, a suppression its witness's ids — from which the
+   key and the nulls decode; every other trigger logs a generic row.  A
+   database that is only ever read keeps no object per trigger.
 2. **Index on the first delta** — the first :meth:`ChaseMaintainer.apply`
-   replays the log, once, into the store (a one-off cost linear in the
+   decodes the log, once, into the store (a one-off cost linear in the
    number of triggers; ``revalidate`` spans report it as
-   ``provenance_indexed``).
+   ``provenance_indexed``).  Rows resolve to the instance's own facts, the
+   run's own fired keys and the dictionary's own nulls, column by column
+   at C level, so the store holds no copy.
 3. **Compact store** — ``firings[key] = (body_facts, created_facts,
    created_nulls)`` and ``suppressed[key] = witness_facts`` as plain
    tuples; the tgd index is ``key[0]`` and the frontier is decoded from the
@@ -62,8 +69,11 @@ via the recorded satisfaction witnesses.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Iterable
+from array import array
+from collections import Counter, defaultdict, deque
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator
 
 from repro.data.facts import Fact
 from repro.data.instance import Database, Instance
@@ -74,6 +84,7 @@ from repro.chase.standard import (
     ChaseRecorder,
     ChaseResult,
     CompiledOntology,
+    TriggerPlan,
     chase_round,
     compile_ontology,
     trigger_examiner,
@@ -82,6 +93,34 @@ from repro.cq.atoms import Variable
 from repro.cq.homomorphism import find_homomorphism
 from repro.incremental.delta import Delta
 from repro.tgds.ontology import Ontology
+
+_IARGS = attrgetter("iargs")
+
+
+class _OwnFacts(dict):
+    """``relation -> {ids: fact}`` over an instance's own facts, per relation
+    on first use: how a logged id row resolves without a copy."""
+
+    def __init__(self, instance: Instance) -> None:
+        super().__init__()
+        self.instance = instance
+
+    def __missing__(self, relation: str) -> dict[tuple[int, ...], Fact]:
+        facts = self.instance.relation(relation)
+        table = self[relation] = dict(zip(map(_IARGS, facts), facts))
+        return table
+
+
+def _file(index: dict, keys: Iterable[tuple], groups: Iterable[tuple]) -> None:
+    """``index[fact].append(key)`` for each fact of each key's group, at C
+    level (``groups`` is iterated twice)."""
+    owners = chain.from_iterable(map(repeat, keys, map(len, groups)))
+    deque(map(list.append, map(index.__getitem__, chain.from_iterable(groups)), owners), 0)
+
+
+def _columns(rows: array, width: int) -> list[array]:
+    """The fixed-width ``rows`` as one strided column per position."""
+    return [rows[position::width] for position in range(width)]
 
 
 class ChaseMaintainer(ChaseRecorder):
@@ -109,9 +148,9 @@ class ChaseMaintainer(ChaseRecorder):
         self.max_rounds = max_rounds
         self.compiled: CompiledOntology = compile_ontology(ontology)
         self.result: ChaseResult | None = None
-        # The chase run's log, rows exactly as the loop handed them over.
-        self._fire_log: list[tuple] = []
-        self._suppress_log: list[tuple] = []
+        # Relation ids of the generic rows.
+        self._relation_ids: dict[str, int] = {}
+        self._clear_log()
         # The store: trigger key -> (body_facts, created_facts, created_nulls)
         # and trigger key -> witness facts; the tgd index is ``key[0]`` and
         # the frontier decodes from ``key[1]``.
@@ -121,13 +160,29 @@ class ChaseMaintainer(ChaseRecorder):
         # and fact -> number of live firings that created it.
         self._by_support: defaultdict[Fact, list[tuple]] = defaultdict(list)
         self._by_witness: defaultdict[Fact, list[tuple]] = defaultdict(list)
-        self._creators: defaultdict[Fact, int] = defaultdict(int)
+        self._creators: Counter[Fact] = Counter()
         self._fired: set[tuple] = set()
         # Placeholder until bind() hands over the chase run's own factory;
         # drawing from the shared counter keeps labels process-unique even
         # if a delta is applied before any chase ran.
         self._fresh: NullFactory = shared_null_factory()
         self._instance: Instance | None = None
+
+    def _clear_log(self) -> None:
+        """Empty logs: per plan, the fixed-width rows where the plan allows
+        them (``None`` elsewhere), plus one generic log per kind."""
+        plans = self.compiled.plans
+        self._fire_rows: list[array | None] = [
+            array("q") if plan.body_relation is not None and plan.head_relation is not None
+            else None
+            for plan in plans
+        ]
+        self._suppress_rows: list[array | None] = [
+            array("q") if plan.head_relation is not None else None for plan in plans
+        ]
+        self._fire_log = array("q")
+        self._suppress_log = array("q")
+        self._generic_rows = 0
 
     # -- ChaseRecorder protocol -------------------------------------------
 
@@ -143,10 +198,41 @@ class ChaseMaintainer(ChaseRecorder):
         created_facts: list[Fact],
         created_nulls: list[Null],
     ) -> None:
-        self._fire_log.append((key, body_facts, created_facts, created_nulls))
+        rows = self._fire_rows[key[0]]
+        if rows is None:
+            self._log_generic(self._fire_log, key, (body_facts, created_facts))
+            self._fire_log.append(len(created_nulls))
+            self._fire_log.extend(map(TERMS.intern, created_nulls))
+        else:
+            rows.extend(body_facts[0].iargs)
+            rows.extend(created_facts[0].iargs)
 
     def log_suppress(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:
-        self._suppress_log.append((key, witness_facts))
+        index = key[0]
+        rows = self._suppress_rows[index]
+        # The chase's witness is always a head fact; a hand-seeded one may
+        # not be, and then it needs the generic row's relation.
+        if rows is None or witness_facts[0].relation != self.compiled.plans[index].head_relation:
+            self._log_generic(self._suppress_log, key, (witness_facts,))
+        else:
+            rows.extend(witness_facts[0].iargs)
+
+    def _log_generic(self, log: array, key: tuple, groups: tuple) -> None:
+        """Append ``index, len(ids), *ids`` then, per group of facts, its
+        size and per fact ``relation id, arity, *ids`` (a firing then
+        appends its created nulls as ``count, *ids``)."""
+        self._generic_rows += 1
+        relation_ids = self._relation_ids
+        log.append(key[0])
+        log.append(len(key[1]))
+        log.extend(key[1])
+        for facts in groups:
+            log.append(len(facts))
+            for fact in facts:
+                iargs = fact.iargs
+                log.append(relation_ids.setdefault(fact.relation, len(relation_ids)))
+                log.append(len(iargs))
+                log.extend(iargs)
 
     def attach(self, result: ChaseResult) -> None:
         """Adopt the finished chase run this maintainer recorded."""
@@ -157,23 +243,105 @@ class ChaseMaintainer(ChaseRecorder):
     @property
     def pending_rows(self) -> int:
         """Log rows not yet indexed (0 once the first delta replayed them)."""
-        return len(self._fire_log) + len(self._suppress_log)
+        rows = self._generic_rows
+        for plan, fires, suppressions in zip(
+            self.compiled.plans, self._fire_rows, self._suppress_rows
+        ):
+            if fires:
+                rows += len(fires) // (plan.body_arity + len(plan.head_slots))
+            if suppressions:
+                rows += len(suppressions) // len(plan.head_slots)
+        return rows
 
     # -- bookkeeping helpers ----------------------------------------------
 
     def _index_log(self) -> None:
-        """Replay the chase run's log into the store (first delta only).
+        """Decode the chase run's log into the store (first delta only).
 
-        Suppressions first: the chase never re-examines a fired trigger, so
-        a key in both logs was suppressed *before* it fired and must end up
-        fired (``_record_firing`` drops the stale suppression).
+        Facts resolve through per-relation tables over the instance, from
+        which nothing was removed yet; fired keys resolve to the run's own
+        tuples in ``_fired``.  A key in both logs was suppressed *before*
+        it fired (the chase never re-examines a fired trigger), so it ends
+        up fired; of repeated suppressions of one key, the last one stands.
         """
-        fire_log, suppress_log = self._fire_log, self._suppress_log
-        self._fire_log, self._suppress_log = [], []
-        for key, witness_facts in suppress_log:
-            self._record_suppressed(key, witness_facts)
-        for row in fire_log:
-            self._record_firing(*row)
+        assert self._instance is not None
+        facts = _OwnFacts(self._instance)
+        own_keys = dict(zip(self._fired, self._fired))
+        firings, suppressed = self.firings, self.suppressed
+        for plan, rows in zip(self.compiled.plans, self._fire_rows):
+            if rows:
+                firings.update(self._decode_fires(plan, rows, facts, own_keys))
+        for key, witness_facts in self._read_generic(self._suppress_log, 1, facts):
+            suppressed[key] = witness_facts
+        for plan, rows in zip(self.compiled.plans, self._suppress_rows):
+            if rows:
+                suppressed.update(self._decode_suppressions(plan, rows, facts))
+        for key, body_facts, created_facts, created_nulls in self._read_generic(
+            self._fire_log, 2, facts
+        ):
+            firings[own_keys[key]] = (body_facts, created_facts, created_nulls)
+        del own_keys, facts
+        self._clear_log()
+        for key in suppressed.keys() & firings.keys():
+            del suppressed[key]
+        _file(self._by_support, firings.keys(), list(map(itemgetter(0), firings.values())))
+        _file(self._by_witness, suppressed.keys(), suppressed.values())
+        self._creators.update(chain.from_iterable(map(itemgetter(1), firings.values())))
+
+    def _decode_fires(
+        self, plan: TriggerPlan, rows: array, facts: _OwnFacts, own_keys: dict
+    ) -> Iterator[tuple]:
+        """``(key, (body_facts, created_facts, created_nulls))`` per fixed-width
+        firing row of ``plan``."""
+        body_arity, head_slots = plan.body_arity, plan.head_slots
+        columns = _columns(rows, body_arity + len(head_slots))
+        body, head = columns[:body_arity], columns[body_arity:]
+        frontier = len(plan.frontier_positions)
+        keys = map(
+            own_keys.__getitem__,
+            zip(repeat(plan.index), zip(*[columns[p] for p in plan.frontier_positions])),
+        )
+        # Each existential's first head position carries its null's id.
+        null_columns = [
+            head[head_slots.index(slot)]
+            for slot in range(frontier, frontier + len(self.compiled.existentials[plan.index]))
+        ]
+        decode = TERMS.decoder()
+        nulls = (
+            zip(*[map(decode, column) for column in null_columns]) if null_columns else repeat(())
+        )
+        bodies = map(facts[plan.body_relation].__getitem__, zip(*body))
+        created = map(facts[plan.head_relation].__getitem__, zip(*head))
+        return zip(keys, zip(zip(bodies), zip(created), nulls))
+
+    @staticmethod
+    def _decode_suppressions(plan: TriggerPlan, rows: array, facts: _OwnFacts) -> Iterator[tuple]:
+        """``(key, witness_facts)`` per fixed-width suppression row of ``plan``."""
+        head_slots = plan.head_slots
+        columns = _columns(rows, len(head_slots))
+        frontier = [columns[head_slots.index(slot)] for slot in range(len(plan.frontier_positions))]
+        keys = zip(repeat(plan.index), zip(*frontier))
+        return zip(keys, zip(map(facts[plan.head_relation].__getitem__, zip(*columns))))
+
+    def _read_generic(self, log: array, groups: int, facts: _OwnFacts) -> Iterator[tuple]:
+        """The generic rows of ``log``: ``(key, *fact groups)``, plus the
+        created nulls after the two groups of a firing."""
+        relations = list(self._relation_ids)
+        decode = TERMS.decoder()
+        values = iter(log)
+
+        def take() -> tuple[int, ...]:
+            return tuple(islice(values, next(values)))
+
+        for index in values:
+            row: list = [(index, take())]
+            for _ in range(groups):
+                row.append(
+                    tuple([facts[relations[next(values)]][take()] for _ in range(next(values))])
+                )
+            if groups == 2:
+                row.append(tuple(map(decode, take())))
+            yield row
 
     def _record_firing(
         self,

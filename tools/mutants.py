@@ -69,6 +69,21 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "                    self._index(block.atom, positions, code)\n",
         "                    pass\n",
     ),
+    # The provenance log drops every suppressed trigger, so losing a head
+    # witness never re-checks the trigger it suppressed.
+    "prov-suppress-unlogged": (
+        "src/repro/incremental/provenance.py",
+        "    def log_suppress(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:\n",
+        "    def log_suppress(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:\n"
+        "        return\n",
+    ),
+    # Replaying a positional firing row drops its created fact, so a
+    # retracted firing leaves its products behind.
+    "prov-created-dropped": (
+        "src/repro/incremental/provenance.py",
+        "zip(zip(bodies), zip(created), nulls)",
+        "zip(zip(bodies), repeat(()), nulls)",
+    ),
 }
 
 _IGNORE = shutil.ignore_patterns(
