@@ -169,17 +169,15 @@ class ChaseMaintainer(ChaseRecorder):
         self._instance: Instance | None = None
 
     def _clear_log(self) -> None:
-        """Empty logs: per plan, the fixed-width rows where the plan allows
-        them (``None`` elsewhere), plus one generic log per kind."""
-        plans = self.compiled.plans
-        self._fire_rows: list[array | None] = [
-            array("q") if plan.body_relation is not None and plan.head_relation is not None
-            else None
-            for plan in plans
+        """Empty logs: per plan whose body and head are both positional, a
+        fixed-width log of firings and one of suppressions (``None`` for
+        every other plan), plus one generic log per kind."""
+        fixed = [
+            plan.body_relation is not None and plan.head_relation is not None
+            for plan in self.compiled.plans
         ]
-        self._suppress_rows: list[array | None] = [
-            array("q") if plan.head_relation is not None else None for plan in plans
-        ]
+        self._fire_rows: list[array | None] = [array("q") if f else None for f in fixed]
+        self._suppress_rows: list[array | None] = [array("q") if f else None for f in fixed]
         self._fire_log = array("q")
         self._suppress_log = array("q")
         self._generic_rows = 0
@@ -208,11 +206,10 @@ class ChaseMaintainer(ChaseRecorder):
             rows.extend(created_facts[0].iargs)
 
     def log_suppress(self, key: tuple, witness_facts: tuple[Fact, ...]) -> None:
-        index = key[0]
-        rows = self._suppress_rows[index]
-        # The chase's witness is always a head fact; a hand-seeded one may
-        # not be, and then it needs the generic row's relation.
-        if rows is None or witness_facts[0].relation != self.compiled.plans[index].head_relation:
+        # On a fixed-width plan the chase's witness is the head fact it
+        # probed for, so its relation goes without saying.
+        rows = self._suppress_rows[key[0]]
+        if rows is None:
             self._log_generic(self._suppress_log, key, (witness_facts,))
         else:
             rows.extend(witness_facts[0].iargs)

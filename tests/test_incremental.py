@@ -273,8 +273,10 @@ def _first_delta(database, kind):
                 )
 
 
-def _large_office(researchers):
-    """Example 2.2's shape: office plus a rule joining two body atoms."""
+def _large_office(researchers, witnessed=False):
+    """Example 2.2's shape: office plus a rule joining two body atoms
+    (``witnessed``: every explicit office is also a base ``LargeOffice``
+    fact, so that rule's triggers start out suppressed)."""
     ontology = parse_ontology(
         "Researcher(x) -> HasOffice(x, y)\n"
         "Prof(x), HasOffice(x, y) -> LargeOffice(y)\n"
@@ -284,6 +286,10 @@ def _large_office(researchers):
     database.add_facts(
         Fact("Prof", fact.args) for fact in sorted(database.relation("Researcher"), key=repr)[::2]
     )
+    if witnessed:
+        database.add_facts(
+            Fact("LargeOffice", (fact.args[1],)) for fact in list(database.relation("HasOffice"))
+        )
     query = parse_query("q(x, y, z) :- HasOffice(x, y), LargeOffice(y), InBuilding(y, z)")
     return OMQ.from_parts(ontology, query), database
 
@@ -338,9 +344,11 @@ class TestProvenanceLog:
     def test_suppressed_then_fired_replays_as_fired(self):
         # The log holds an early suppression and a later firing of one
         # trigger: replay must leave it fired, and losing the old witness
-        # must not re-check (and double-book) it.
-        ontology = parse_ontology("A(x) -> B(x)")
-        database = Database([Fact("A", ("a",)), Fact("C", ("a",))])
+        # must not re-check (and double-book) it.  Only a hand-seeded row
+        # has a witness outside the head relation, so the rule has a
+        # two-atom body, whose rows carry relation ids.
+        ontology = parse_ontology("A(x), D(x) -> B(x)")
+        database = Database([Fact("A", ("a",)), Fact("D", ("a",)), Fact("C", ("a",))])
         maintainer = ChaseMaintainer(database, ontology)
         compiled = maintainer.compiled
         (variable,) = compiled.frontier_orders[0]
@@ -372,6 +380,9 @@ class TestProvenanceLog:
             # A two-atom body: its delta rounds reach the shared examine
             # through the homomorphism search, not the positional plan.
             pytest.param(lambda: _large_office(40), id="multi-atom-body"),
+            # The same rule suppressed by base facts of its head relation,
+            # some of which the delete removes.
+            pytest.param(lambda: _large_office(40, witnessed=True), id="multi-atom-witnessed"),
         ],
     )
     def test_first_delta_equals_cold_engine(self, setup, kind):
