@@ -24,6 +24,7 @@ Run with:  python examples/live_updates.py
 import random
 import time
 
+from repro.config import ExecutionOptions
 from repro.data.facts import Fact
 from repro.engine import QueryEngine
 from repro.workloads import generate_university_database, university_omq
@@ -79,7 +80,9 @@ def main() -> None:
     # drops the materialization and rebuilds it from scratch.
     rebuild_db = generate_university_database(1000, seed=7)
     rebuild_db.add_facts(Fact("GradStudent", (f"bulk{i}",)) for i in range(500))
-    rebuild_engine = QueryEngine(omq.ontology, rebuild_db, incremental=False)
+    rebuild_engine = QueryEngine(
+        omq.ontology, rebuild_db, options=ExecutionOptions(incremental=False)
+    )
     rebuild_engine.execute(omq.query)
     rebuild_seconds = replay(rebuild_engine, rebuild_db, omq.query, batch_size, seed=1)
 

@@ -67,6 +67,19 @@ from repro.obs import TRACES, SlowQueryLog, explain_report, format_span_tree, st
 from repro.workloads import get_workload, list_workloads
 
 
+def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
+    """The engine options behind ``run``, ``explain`` and ``serve``'s flags.
+
+    A subcommand without a flag keeps that field's default.
+    """
+    return ExecutionOptions(
+        incremental=not getattr(args, "no_incremental", False),
+        strict=not args.no_strict,
+        tracing=getattr(args, "trace", False),
+        plan_cache_size=getattr(args, "plan_cache_size", ExecutionOptions.plan_cache_size),
+    )
+
+
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     """The scenario named by ``--workload`` or assembled from file flags."""
     if args.rules or args.data:
@@ -191,15 +204,7 @@ def _run(args: argparse.Namespace) -> int:
         return 2
     database = scenario.database
 
-    engine = QueryEngine(
-        scenario.ontology,
-        database,
-        options=ExecutionOptions(
-            incremental=not args.no_incremental,
-            strict=not args.no_strict,
-            tracing=True if args.trace else None,
-        ),
-    )
+    engine = QueryEngine(scenario.ontology, database, options=_execution_options(args))
     slow_log = SlowQueryLog(args.slow_query_ms)
     prep_started = time.perf_counter()
     try:
@@ -391,9 +396,7 @@ def _explain(args: argparse.Namespace) -> int:
         # A fresh engine per query, so EXPLAIN shows every phase paying its
         # real cost (plan compile, chase, reduction) instead of cache hits.
         engine = QueryEngine(
-            scenario.ontology,
-            scenario.database,
-            options=ExecutionOptions(strict=not args.no_strict),
+            scenario.ontology, scenario.database, options=_execution_options(args)
         )
         target = _explain_target(query)
         try:
@@ -423,20 +426,6 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.server import ServiceConfig
     from repro.server.runner import run as run_server
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        max_inflight=args.max_inflight,
-        query_timeout=args.timeout,
-        page_size=args.page_size,
-        max_cursors=args.max_cursors,
-        drain_timeout=args.drain_timeout,
-        plan_cache_size=args.plan_cache_size,
-        strict=not args.no_strict,
-        incremental=not args.no_incremental,
-        tracing=True if args.trace else None,
-        slow_query_ms=args.slow_query_ms,
-    )
     tenants: list[tuple[str, str, int, int]] = []
     for spec in args.tenant:
         name, separator, workload = spec.partition("=")
@@ -447,6 +436,17 @@ def _serve(args: argparse.Namespace) -> int:
     if not tenants:
         tenants.append(("default", args.workload or "university", args.size or 300, args.seed))
     try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            max_inflight=args.max_inflight,
+            query_timeout=args.timeout,
+            page_size=args.page_size,
+            max_cursors=args.max_cursors,
+            drain_timeout=args.drain_timeout,
+            execution=_execution_options(args),
+            slow_query_ms=args.slow_query_ms,
+        )
         return run_server(config, tenants)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

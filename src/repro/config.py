@@ -3,17 +3,11 @@
 The tuning knobs the engine accumulated — incremental maintenance
 (``incremental``, ``incremental_fallback_ratio``), the plan cache
 (``plan_cache_size``), the query-class check (``strict``) and tracing — live
-in :class:`ExecutionOptions`, one frozen dataclass that
-:class:`repro.engine.QueryEngine`, :class:`repro.server.QueryService` and the
-CLI consume.  No environment variable and no process-wide toggle is read.
-
-**Precedence** (most specific wins):
-
-1. an *explicit keyword argument* at a call site
-   (``QueryEngine(..., strict=False)``);
-2. the :class:`ExecutionOptions` object passed to that component
-   (``QueryEngine(..., options=ExecutionOptions(strict=False))``);
-3. the dataclass field default.
+in :class:`ExecutionOptions`, one frozen dataclass.  It is the only way to
+set them: :class:`repro.engine.QueryEngine` takes it as ``options=``,
+:class:`repro.server.ServiceConfig` holds one as ``execution``, and the CLI
+builds one from its flags.  A field left alone keeps its dataclass default.
+No environment variable and no process-wide toggle is read.
 
 There is no execution-strategy switch: rows are tuples of dense term ids
 (:mod:`repro.data.interning`) on every path, every plan reduces its one
@@ -28,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-__all__ = ["ExecutionOptions", "resolve_option", "validate_fallback_ratio"]
+__all__ = ["ExecutionOptions", "validate_fallback_ratio"]
 
 
 def planner_enabled() -> bool:
@@ -62,21 +56,6 @@ def validate_fallback_ratio(ratio: float) -> float:
     return float(ratio)
 
 
-def resolve_option(explicit, options_value, default):
-    """Apply the documented precedence: explicit arg > options > default.
-
-    ``None`` marks "not given" at the first two levels, so a component
-    resolves each knob with one call::
-
-        strict = resolve_option(strict_kwarg, options.strict, True)
-    """
-    if explicit is not None:
-        return explicit
-    if options_value is not None:
-        return options_value
-    return default
-
-
 @dataclass(frozen=True)
 class ExecutionOptions:
     """Every engine tuning knob in one (immutable) place.
@@ -86,10 +65,9 @@ class ExecutionOptions:
       above which a full rebuild beats in-place maintenance.
     * ``plan_cache_size`` — capacity of the prepared-plan LRU.
     * ``strict`` — reject queries outside the acyclic ∧ free-connex class.
-    * ``tracing`` — the span-tracing tri-state: ``True`` records a trace for
-      every execution, ``False`` hard-disables all instrumentation (spans
-      are never even looked for), ``None`` joins an ambient trace but never
-      starts one.
+    * ``tracing`` — ``True`` starts a trace for every execution.  Either
+      way an execution joins an ambient trace (an outer ``start_trace``,
+      a traced HTTP request, ``repro explain``).
 
     Invalid values are rejected at construction: ``plan_cache_size`` must
     be at least 1 and ``incremental_fallback_ratio`` a finite number in
@@ -100,7 +78,7 @@ class ExecutionOptions:
     incremental_fallback_ratio: float = 0.1
     plan_cache_size: int = 64
     strict: bool = True
-    tracing: bool | None = None
+    tracing: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.plan_cache_size, int) or self.plan_cache_size < 1:

@@ -5,7 +5,9 @@ structural properties (acyclic, weakly acyclic, free-connex acyclic,
 self-join free, ...) are those of the CQ, lifted to the OMQ as in the paper.
 Evaluation always goes through the query-directed chase: ``Q(D)`` is the set
 of answers of ``q`` on ``ch^q_O(D)`` that use only database constants
-(Lemma 3.2).
+(Lemma 3.2).  The OMQ itself only builds that chase; the enumerators of
+:mod:`repro.core` evaluate it, and
+:func:`repro.baselines.naive.naive_certain_answers` is the reference.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ from dataclasses import dataclass
 
 from repro.data.instance import Database
 from repro.data.schema import Schema
-from repro.data.terms import is_null
 from repro.chase.query_directed import QueryDirectedChase, query_directed_chase
 from repro.cq.acyclicity import (
     is_acyclic,
     is_free_connex_acyclic,
     is_weakly_acyclic,
 )
-from repro.cq.homomorphism import evaluate
 from repro.cq.query import ConjunctiveQuery
 from repro.tgds.ontology import Ontology
 
@@ -93,24 +93,6 @@ class OMQ:
         return query_directed_chase(
             database, self.ontology, self.query, null_depth=null_depth, reuse=reuse
         )
-
-    def certain_answers(self, database: Database) -> set[tuple]:
-        """``Q(D)``: the complete (certain) answers on ``database``.
-
-        This is the straightforward (non constant-delay) evaluation used as a
-        reference; the enumeration classes in :mod:`repro.core.enumeration`
-        provide the two-phase algorithms of the paper.
-        """
-        chased = self.chase(database)
-        answers = evaluate(self.query, chased.instance)
-        return {
-            answer
-            for answer in answers
-            if not any(is_null(value) for value in answer)
-        }
-
-    def is_empty_on(self, database: Database) -> bool:
-        return not self.certain_answers(database)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -22,20 +22,17 @@ Entry points::
         for answer in cursor: ...
 
 All preprocessing runs under the engine lock; the enumeration phase is
-read-only and runs outside it, which is what makes ``execute_batch``'s
-thread pool safe.
+read-only and runs outside it, so open cursors finish over a consistent
+snapshot while a mutation is maintained.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator
 
-from repro.config import ExecutionOptions, resolve_option, validate_fallback_ratio
+from repro.config import ExecutionOptions
 from repro.obs.trace import NULL_SPAN, current_trace, span, start_trace
 from repro.data.instance import Database
 from repro.data.interning import TERMS
@@ -51,12 +48,6 @@ from repro.engine.stats import EngineCounters
 from repro.tgds.ontology import Ontology
 
 QueryLike = "str | ConjunctiveQuery | OMQ | PreparedQuery"
-
-#: The single source of per-knob fallback values: the field defaults of
-#: :class:`ExecutionOptions` itself.  ``QueryEngine.__init__`` resolves
-#: against these instead of repeating literals, so the documented defaults
-#: cannot drift between the dataclass and the engine.
-_OPTION_DEFAULTS = ExecutionOptions()
 
 
 @dataclass(frozen=True)
@@ -227,11 +218,10 @@ class AnswerCursor:
 class QueryEngine:
     """Prepared-query execution over one ontology and its databases.
 
-    Tuning knobs are carried by one :class:`~repro.config.ExecutionOptions`
-    object; the individual keyword arguments remain as per-knob overrides
-    (the documented precedence: explicit argument > ``options`` > process
-    default) and for source compatibility with pre-``options`` callers —
-    see the migration table in ``docs/engine.md``.
+    Every tuning knob comes from one :class:`~repro.config.ExecutionOptions`
+    object, ``options`` (its field defaults when omitted).  The other two
+    keywords are not knobs but wiring: how many databases keep their
+    materialized state, and an externally owned plan cache to share.
     """
 
     def __init__(
@@ -240,45 +230,21 @@ class QueryEngine:
         database: Database | None = None,
         *,
         options: ExecutionOptions | None = None,
-        plan_cache_size: int | None = None,
         materialization_cache_size: int = 8,
-        strict: bool | None = None,
-        incremental: bool | None = None,
-        incremental_fallback_ratio: float | None = None,
         plan_cache: LRUCache[PreparedQuery] | None = None,
-        tracing: bool | None = None,
     ) -> None:
-        resolved = options if options is not None else ExecutionOptions()
-        self.options = resolved
+        self.options = options if options is not None else ExecutionOptions()
         self.ontology = ontology
         self.ontology_fingerprint = ontology_fingerprint(ontology)
-        self.strict = resolve_option(strict, resolved.strict, _OPTION_DEFAULTS.strict)
-        self.incremental = resolve_option(
-            incremental, resolved.incremental, _OPTION_DEFAULTS.incremental
-        )
-        # Validated here too: an explicit kwarg bypasses the
-        # ``ExecutionOptions`` post-init check, and a NaN ratio must fail
-        # at construction, not at the first (lazy) materialization build.
-        self.incremental_fallback_ratio = validate_fallback_ratio(
-            resolve_option(
-                incremental_fallback_ratio,
-                resolved.incremental_fallback_ratio,
-                _OPTION_DEFAULTS.incremental_fallback_ratio,
-            )
-        )
-        # Tri-state kept as-is: ``None`` means "join an ambient trace, never
-        # start one".
-        self.tracing = resolve_option(tracing, resolved.tracing, _OPTION_DEFAULTS.tracing)
-        plan_cache_size = resolve_option(
-            plan_cache_size, resolved.plan_cache_size, _OPTION_DEFAULTS.plan_cache_size
-        )
         self._default_database = database
         # ``plan_cache`` may be an externally owned cache shared by several
         # engines: plan keys carry the ontology fingerprint, so engines over
         # different ontologies can pool one cache without collisions (the
         # multi-tenant server shares plans across tenants this way).
         self._plans: LRUCache[PreparedQuery] = (
-            plan_cache if plan_cache is not None else LRUCache(plan_cache_size)
+            plan_cache
+            if plan_cache is not None
+            else LRUCache(self.options.plan_cache_size)
         )
         # Bounded LRU over databases: evicting a live database only costs a
         # rebuild on its next use, so the engine never pins state (or the
@@ -286,7 +252,6 @@ class QueryEngine:
         self._materializations: LRUCache[Materialization] = LRUCache(
             materialization_cache_size
         )
-        self._plan_cache_size = plan_cache_size
         self._lock = threading.RLock()
         self._counters = EngineCounters()
 
@@ -349,7 +314,7 @@ class QueryEngine:
                 )
             return query.query
         if isinstance(query, str):
-            with self._span("parse", query=query):
+            with span("parse", query=query):
                 return parse_query(query)
         if isinstance(query, ConjunctiveQuery):
             return query
@@ -359,7 +324,7 @@ class QueryEngine:
         """Compile (or fetch from the plan cache) the plan for ``query``."""
         cq = self._coerce_query(query)
         key = (self.ontology_fingerprint, query_fingerprint(cq))
-        with self._span("plan", query=name or cq.name) as sp:
+        with span("plan", query=name or cq.name) as sp:
             with self._lock:
                 plan = self._plans.get(key)
                 cached = plan is not None
@@ -367,7 +332,7 @@ class QueryEngine:
                     plan = prepare_query(
                         self.ontology,
                         cq,
-                        strict=self.strict,
+                        strict=self.options.strict,
                         name=name or cq.name,
                     )
                     self._plans.put(key, plan)
@@ -395,10 +360,8 @@ class QueryEngine:
             materialization = Materialization(
                 self.ontology,
                 database,
+                self.options,
                 state_cache_size=self._plans.capacity,
-                incremental=self.incremental,
-                fallback_ratio=self.incremental_fallback_ratio,
-                tracing=self.tracing,
             )
             self._materializations.put(id(database), materialization)
         return materialization
@@ -441,25 +404,17 @@ class QueryEngine:
 
     # -- tracing -----------------------------------------------------------
 
-    def _span(self, name: str, **attributes):
-        """A span on the ambient trace; the no-op singleton when hard-off."""
-        if self.tracing is False:
-            return NULL_SPAN
-        return span(name, **attributes)
-
     def _trace_scope(self, name: str):
         """The tracing context wrapped around one execution entry point.
 
-        ``tracing=False`` → the shared no-op (nothing is ever recorded);
-        an ambient trace (the HTTP service or ``repro explain`` already
-        started one) → a child span joining it; ``tracing=True`` → a fresh
-        root trace, recorded into the process ring buffer on exit.
+        An ambient trace (the HTTP service or ``repro explain`` already
+        started one) → a child span joining it; else ``tracing=True`` → a
+        fresh root trace, recorded into the process ring buffer on exit;
+        else the shared no-op.
         """
-        if self.tracing is False:
-            return NULL_SPAN
         if current_trace() is not None:
             return span(name)
-        if self.tracing:
+        if self.options.tracing:
             return start_trace(name)
         return NULL_SPAN
 
@@ -468,10 +423,8 @@ class QueryEngine:
     def _evaluate_state(self, state: QueryState) -> set[tuple]:
         """One counted enumeration of a materialized state.
 
-        This is the function the ``execute_batch`` thread pool maps over
-        its states, so the execution counter is bumped *from the workers* —
-        the :class:`EngineCounters` lock is what keeps those concurrent
-        increments exact (a bare ``+=`` here loses updates under load).
+        Server threads execute concurrently, so the counter goes through
+        the :class:`EngineCounters` lock (a bare ``+=`` loses updates).
         """
         answers = state.answers()
         self._counters.bump("executions")
@@ -486,50 +439,20 @@ class QueryEngine:
             return self._evaluate_state(state)
 
     def execute_batch(
-        self,
-        queries: Iterable[QueryLike],
-        database: Database | None = None,
-        max_workers: int | None = None,
+        self, queries: Iterable[QueryLike], database: Database | None = None
     ) -> list[set[tuple]]:
         """Evaluate many queries, amortizing preprocessing across the batch.
 
-        ``queries`` may be any iterable (it is consumed once); the result
-        list is aligned with the iteration order — ``results[i]`` is the
-        answer set of the ``i``-th query yielded — regardless of how the
-        worker pool interleaves the evaluations.
-
-        Plans and materialized states are built sequentially under the
-        engine lock (they mutate shared structures); the enumeration phase
-        — read-only by construction — then fans out over a thread pool.
-        ``max_workers=0`` or ``1`` forces the sequential worker loop.
+        ``queries`` may be any iterable (it is consumed once); ``results[i]``
+        is the answer set of the ``i``-th query yielded.  Every plan and
+        materialized state is built first, under the engine lock; the
+        enumerations then run one after another.
         """
         with self._trace_scope("execute_batch"):
             resolved = self._resolve_database(database)
             plans = [self.prepare(query) for query in queries]
-            if not plans:
-                return []
             states = [self._materialized_state(plan, resolved) for plan in plans]
-            if max_workers is None:
-                max_workers = min(len(states), os.cpu_count() or 1, 8)
-            if max_workers <= 1:
-                return [self._evaluate_state(state) for state in states]
-            # ThreadPoolExecutor does not propagate contextvars, so inside a
-            # trace each worker task gets its own copy of the calling context
-            # (one Context object cannot be entered concurrently) — the
-            # per-query enumerate spans then attach to this batch's trace.
-            if self.tracing is not False and current_trace() is not None:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    futures = [
-                        pool.submit(
-                            contextvars.copy_context().run,
-                            self._evaluate_state,
-                            state,
-                        )
-                        for state in states
-                    ]
-                    return [future.result() for future in futures]
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(self._evaluate_state, states))
+            return [self._evaluate_state(state) for state in states]
 
     def open(
         self,

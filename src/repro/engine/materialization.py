@@ -18,10 +18,10 @@ the snapshot taken at chase time before every use.  What happens on a
 mismatch is no longer all-or-nothing: with ``incremental`` enabled (the
 default) the materialization asks the database's mutation log for the net
 delta since the snapshot and — when the delta is small enough relative to
-``fallback_ratio`` — applies it in place through the provenance-tracking
-delta chase (:class:`repro.incremental.ChaseMaintainer`) and the per-query
-reduction maintenance (:meth:`CDLinEnumerator.maintain`), leaving every
-untouched block index alive.  Deltas that are too large, unreconstructable
+``incremental_fallback_ratio`` — applies it in place through the
+provenance-tracking delta chase (:class:`repro.incremental.ChaseMaintainer`)
+and the per-query reduction maintenance (:meth:`CDLinEnumerator.maintain`),
+leaving every untouched block index alive.  Deltas that are too large, unreconstructable
 (log trimmed), or that blow the chase budget fall back to the old behaviour:
 drop everything and rebuild (``chase_rebuilds`` counts those full builds,
 ``chase_increments`` the in-place maintenance passes).
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.config import validate_fallback_ratio
+from repro.config import ExecutionOptions
 from repro.data.instance import Database
 from repro.data.terms import is_null
 from repro.chase.query_directed import QueryDirectedChase, query_directed_chase
@@ -46,7 +46,7 @@ from repro.enumeration.cdlin import CDLinEnumerator
 from repro.engine.cache import LRUCache
 from repro.engine.plan import PreparedQuery
 from repro.incremental.provenance import ChaseMaintainer
-from repro.obs.trace import NULL_SPAN, current_trace, span, traced_answers
+from repro.obs.trace import current_trace, span, traced_answers
 from repro.tgds.ontology import Ontology
 
 
@@ -60,17 +60,16 @@ class MaterializedAnswers:
     which varies under ``PYTHONHASHSEED``).
     """
 
-    __slots__ = ("_answers", "_tracing")
+    __slots__ = ("_answers",)
 
-    def __init__(self, answers: set[tuple], tracing: bool | None = None) -> None:
+    def __init__(self, answers: set[tuple]) -> None:
         self._answers = tuple(sorted(set(answers), key=repr))
-        self._tracing = tracing
 
     def is_empty(self) -> bool:
         return not self._answers
 
     def enumerate(self) -> Iterator[tuple]:
-        if self._tracing is not False and current_trace() is not None:
+        if current_trace() is not None:
             return traced_answers(iter(self._answers), materialized=True)
         return iter(self._answers)
 
@@ -95,30 +94,24 @@ class Materialization:
     engine's plan cache) so a long-lived engine serving many distinct
     queries does not accumulate reduced relations without limit.
 
-    ``incremental`` enables in-place maintenance under database mutations;
-    ``fallback_ratio`` is the delta-size threshold (as a fraction of the
-    database) above which a full rebuild is cheaper than maintenance —
-    ``0.0`` disables maintenance entirely (every mutation rebuilds), and a
-    ratio outside ``[0, 1]`` or non-finite is rejected at construction by
-    :func:`repro.config.validate_fallback_ratio`.
-    ``tracing`` is the span tri-state forwarded to the enumerators;
-    ``False`` additionally skips the chase/revalidate spans recorded here.
+    ``options`` is the engine's :class:`~repro.config.ExecutionOptions`:
+    ``incremental`` enables in-place maintenance under database mutations,
+    and ``incremental_fallback_ratio`` is the delta-size threshold (as a
+    fraction of the database) above which a full rebuild is cheaper than
+    maintenance — ``0.0`` disables maintenance entirely (every mutation
+    rebuilds).
     """
 
     def __init__(
         self,
         ontology: Ontology,
         database: Database,
+        options: ExecutionOptions,
         state_cache_size: int = 64,
-        incremental: bool = True,
-        fallback_ratio: float = 0.1,
-        tracing: bool | None = None,
     ) -> None:
         self.ontology = ontology
         self.database = database
-        self.incremental = incremental
-        self.fallback_ratio = validate_fallback_ratio(fallback_ratio)
-        self.tracing = tracing
+        self.options = options
         self.chase: QueryDirectedChase | None = None
         self._maintainer: ChaseMaintainer | None = None
         self._states: LRUCache[QueryState] = LRUCache(state_cache_size)
@@ -161,7 +154,7 @@ class Materialization:
         """
         if self.chase is None or self.chase.is_current():
             return
-        with self._span("revalidate") as sp:
+        with span("revalidate") as sp:
             maintainer = self._maintainer
             pending = maintainer.pending_rows if maintainer is not None else 0
             incremental = self._apply_incremental()
@@ -180,12 +173,6 @@ class Materialization:
             self._states.clear()
             self.invalidations += 1
 
-    def _span(self, name: str, **attributes):
-        """A span on the ambient trace — skipped entirely when hard-off."""
-        if self.tracing is False:
-            return NULL_SPAN
-        return span(name, **attributes)
-
     def _apply_incremental(self) -> bool:
         """Apply the pending database delta in place; False means rebuild.
 
@@ -196,16 +183,17 @@ class Materialization:
         the documented "always rebuild" contract), or blew the chase
         budget mid-application.
         """
-        if not self.incremental or self._maintainer is None or self.chase is None:
+        if not self.options.incremental or self._maintainer is None or self.chase is None:
             return False
-        if self.fallback_ratio <= 0.0:
+        ratio = self.options.incremental_fallback_ratio
+        if ratio <= 0.0:
             self.incremental_fallbacks += 1
             return False
         delta = self.database.changes_since(self.chase.database_version)
         if delta is None:
             self.incremental_fallbacks += 1
             return False
-        budget = max(1, int(self.fallback_ratio * len(self.database)))
+        budget = max(1, int(ratio * len(self.database)))
         if len(delta) > budget:
             self.incremental_fallbacks += 1
             return False
@@ -236,8 +224,7 @@ class Materialization:
             if query_relations & touched:
                 assert self.chase is not None
                 state.enumerator = MaterializedAnswers(
-                    self._fallback_answers(state.prepared, self.chase),
-                    tracing=self.tracing,
+                    self._fallback_answers(state.prepared, self.chase)
                 )
 
     def invalidate(self) -> None:
@@ -256,10 +243,10 @@ class Materialization:
             depth = prepared.null_depth
             if self.chase is not None:
                 depth = max(depth, self.chase.null_depth_bound)
-            with self._span("chase", null_depth=depth) as sp:
+            with span("chase", null_depth=depth) as sp:
                 recorder = (
                     ChaseMaintainer(self.database, self.ontology, max_null_depth=depth)
-                    if self.incremental
+                    if self.options.incremental
                     else None
                 )
                 self.chase = query_directed_chase(
@@ -294,13 +281,11 @@ class Materialization:
                     # The plan's own closure cache: compiled walks are shared
                     # across databases and dropped on plan-cache eviction.
                     codegen_cache=prepared.codegen,
-                    tracing=self.tracing,
                 )
             else:
-                with self._span("reduce", materialized=True):
+                with span("reduce", materialized=True):
                     enumerator = MaterializedAnswers(
-                        self._fallback_answers(prepared, chase),
-                        tracing=self.tracing,
+                        self._fallback_answers(prepared, chase)
                     )
             state = QueryState(prepared=prepared, chase=chase, enumerator=enumerator)
             self._states.put(prepared.query_fingerprint, state)

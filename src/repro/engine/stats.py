@@ -1,10 +1,10 @@
 """Thread-safe engine counters and latency histograms.
 
 The engine's execution counters used to be bare ``int`` attributes bumped
-with ``+=``.  That read–modify–write is not atomic in Python: two
-``execute_batch`` thread-pool workers (or a worker racing the event loop of
-the HTTP service) can interleave between the load and the store and lose an
-increment, so long-serving processes slowly under-count.  Both classes here
+with ``+=``.  That read–modify–write is not atomic in Python: two worker
+threads of the HTTP service (or a worker racing its event loop) can
+interleave between the load and the store and lose an increment, so
+long-serving processes slowly under-count.  Both classes here
 close that hole with one small lock per object:
 
 * :class:`EngineCounters` — a named-counter block.  Every ``bump`` takes the

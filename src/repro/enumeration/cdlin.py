@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.obs.trace import NULL_SPAN, current_trace, span, traced_answers
+from repro.obs.trace import current_trace, span, traced_answers
 from repro.data.instance import Instance
 from repro.data.interning import TERMS
 from repro.cq.atoms import Atom, Variable
@@ -65,7 +65,6 @@ class CDLinEnumerator:
         keep_nulls: bool = False,
         decomposition: "FreeConnexDecomposition | None" = None,
         codegen_cache: "object | None" = None,
-        tracing: bool | None = None,
     ) -> None:
         self.original_query = query
         self.deduplicated, self._head_positions = query.deduplicated_head()
@@ -75,10 +74,7 @@ class CDLinEnumerator:
         # pass theirs so closures die with the plan-cache entry; standalone
         # enumerators lazily create their own).
         self._codegen_cache = codegen_cache
-        # ``False`` hard-disables the per-call ambient-trace check in
-        # :meth:`enumerate`; ``None``/``True`` join whatever trace is active.
-        self._tracing = tracing
-        with (NULL_SPAN if tracing is False else span("reduce", query=query.name)) as sp:
+        with span("reduce", query=query.name) as sp:
             self.reduced: ReducedQuery = build_reduced_query(
                 self.deduplicated,
                 instance,
@@ -285,12 +281,11 @@ class CDLinEnumerator:
         them).  Ids are decoded to terms here — and only here.
 
         This is a plain dispatcher, not a generator: when a trace is
-        ambient (and tracing was not hard-disabled at construction) the
-        walk is wrapped in an ``enumerate`` span that samples per-answer
-        delay; otherwise the walk generator is returned as-is, so the
-        disabled path adds no frame to the per-answer hot loop.
+        ambient the walk is wrapped in an ``enumerate`` span that samples
+        per-answer delay; otherwise the walk generator is returned as-is,
+        so the untraced path adds no frame to the per-answer hot loop.
         """
-        if self._tracing is not False and current_trace() is not None:
+        if current_trace() is not None:
             return traced_answers(
                 self._enumerate_impl(), query=self.original_query.name
             )

@@ -89,7 +89,6 @@ from repro.chase.standard import (
     compile_ontology,
     trigger_examiner,
 )
-from repro.cq.atoms import Variable
 from repro.cq.homomorphism import find_homomorphism
 from repro.incremental.delta import Delta
 from repro.tgds.ontology import Ontology
@@ -454,7 +453,7 @@ class ChaseMaintainer(ChaseRecorder):
         # still has a body match, or a suppressed trigger whose witness
         # died, either re-fires or records a fresh witness (straight into
         # the store).  The frontier is not stored: the key's id tuple
-        # decodes back to it.
+        # gives it back.
         compiled = self.compiled
         examine = trigger_examiner(
             compiled,
@@ -468,16 +467,11 @@ class ChaseMaintainer(ChaseRecorder):
         )
         for key in recheck:
             self._drop_suppressed(key)
-            tgd_index, frontier_ids = key
-            order = compiled.frontier_orders[tgd_index]
-            frontier = dict(zip(order, TERMS.decode_tuple(frontier_ids)))
-            body_query = compiled.body_queries[tgd_index]
-            body_map: dict[Variable, object] | None = frontier
-            if body_query is not None:
-                body_map = find_homomorphism(body_query, instance, partial=frontier)
-            if body_map is None:
+            plan = compiled.plans[key[0]]
+            body = self._body_match(instance, plan, key[1])
+            if body is None:
                 continue  # the trigger itself vanished with the deletions
-            examine(compiled.plans[tgd_index], key, frontier_ids, body_map, seeds)
+            examine(plan, key, key[1], body, seeds)
         chase_added = set(seeds)
 
         # Phase 4 — close under the chase's own semi-naive rounds (empty
@@ -500,6 +494,27 @@ class ChaseMaintainer(ChaseRecorder):
         chase_added -= overlap
         chase_removed -= overlap
         return Delta(frozenset(chase_added), frozenset(chase_removed))
+
+    def _body_match(self, instance: Instance, plan: TriggerPlan, frontier_ids: tuple[int, ...]):
+        """A body match of the trigger ``(plan.index, frontier_ids)`` in
+        ``instance``, or ``None``.
+
+        A positional body is one probe of the instance's index on the
+        frontier positions, and the match is the instance's own fact, so the
+        store keeps no copy of it.  Any other body is a homomorphism search
+        from the decoded frontier.
+        """
+        if plan.body_relation is not None:
+            bucket = instance._raw_index(plan.body_relation, plan.frontier_positions).get(
+                frontier_ids, ()
+            )
+            return next((fact for fact in bucket if len(fact.iargs) == plan.body_arity), None)
+        index = plan.index
+        frontier = dict(zip(self.compiled.frontier_orders[index], TERMS.decode_tuple(frontier_ids)))
+        body_query = self.compiled.body_queries[index]
+        if body_query is None:
+            return frontier
+        return find_homomorphism(body_query, instance, partial=frontier)
 
     def apply_delta(self, delta: Delta) -> Delta:
         """Convenience wrapper over :meth:`apply` for a :class:`Delta`."""

@@ -15,14 +15,13 @@ Design constraints, in priority order:
 1. **Near-zero overhead when off.**  The ambient trace lives in one
    :class:`contextvars.ContextVar`; :func:`span` performs exactly one
    ``ContextVar.get`` and returns the shared :data:`NULL_SPAN` when no
-   trace is active, and components constructed with ``tracing=False`` skip
-   even that check.  Per-answer sampling only happens inside an active
+   trace is active.  Per-answer sampling only happens inside an active
    trace, and nothing starts one unless asked (``tracing=True``,
    ``--trace``, an ``X-Repro-Trace`` header, ``repro explain``).
 2. **Thread-friendly.**  Traces are shared objects guarded by one lock;
    spans opened from worker threads (``asyncio.to_thread`` propagates the
-   context automatically, ``QueryEngine.execute_batch`` copies it per task)
-   attach to the same trace with correct parent links.
+   context automatically) attach to the same trace with correct parent
+   links.
 3. **Bounded memory.**  Finished traces land in a ring buffer
    (:class:`TraceStore`, default 256 traces); each trace caps its span
    count, so a runaway enumeration cannot balloon the process.
@@ -405,8 +404,7 @@ def span(name: str, **attributes: Any) -> "_SpanContext | _NullSpan":
     """A span context on the ambient trace — the shared no-op without one.
 
     The disabled fast path is one ``ContextVar.get`` plus a shared-object
-    return; hot loops that cannot afford even that capture ``tracing=False``
-    at construction and skip the call entirely.
+    return.
     """
     trace = _ACTIVE_TRACE.get()
     if trace is None:

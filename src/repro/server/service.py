@@ -74,26 +74,14 @@ class ServiceConfig:
     max_page_size: int = 10_000
     max_cursors: int = 64
     drain_timeout: float = 5.0
-    plan_cache_size: int = 256
-    strict: bool = True
-    incremental: bool = True
-    #: Request-tracing tri-state: ``True`` traces every request, ``False``
-    #: hard-disables tracing (the ``X-Repro-Trace`` header is ignored),
-    #: ``None`` traces requests that ask for it — an ``X-Repro-Trace``
-    #: header or ``?explain=1``.
-    tracing: bool | None = None
+    #: The engine knobs of every tenant.  ``plan_cache_size`` sizes the one
+    #: plan cache all engines share; ``tracing=True`` traces every request,
+    #: and a request with an ``X-Repro-Trace`` header or ``?explain=1`` is
+    #: traced either way.
+    execution: ExecutionOptions = ExecutionOptions(plan_cache_size=256)
     #: Queries/pages slower than this (milliseconds) are written to the
     #: slow-query log as JSON lines on stderr; ``None`` disables the log.
     slow_query_ms: float | None = None
-
-    def execution_options(self) -> ExecutionOptions:
-        """The engine-facing view of this config (one options object)."""
-        return ExecutionOptions(
-            incremental=self.incremental,
-            strict=self.strict,
-            plan_cache_size=self.plan_cache_size,
-            tracing=self.tracing,
-        )
 
 
 @dataclass
@@ -153,7 +141,7 @@ class QueryService:
         # One plan cache for the whole process: engines add their ontology
         # fingerprint to every key, so tenants over different ontologies
         # coexist and tenants over the same ontology share compiled plans.
-        self._plan_cache: LRUCache = LRUCache(self.config.plan_cache_size)
+        self._plan_cache: LRUCache = LRUCache(self.config.execution.plan_cache_size)
         self._engines: dict[str, QueryEngine] = {}
         self._tenants: dict[str, Tenant] = {}
         self._counters = EngineCounters()
@@ -187,7 +175,7 @@ class QueryService:
         """The shared engine for an ontology (one per distinct fingerprint)."""
         probe = QueryEngine(
             ontology,
-            options=self.config.execution_options(),
+            options=self.config.execution,
             plan_cache=self._plan_cache,
         )
         return self._engines.setdefault(probe.ontology_fingerprint, probe)
@@ -340,18 +328,14 @@ class QueryService:
     def _trace_scope(self, request: Request, name: str, force: bool = False):
         """The trace context for one request, or ``None`` when untraced.
 
-        ``tracing=False`` in the config hard-disables request tracing (the
-        ``X-Repro-Trace`` header is ignored); otherwise a request is traced
-        when the client sent a trace id, asked for ``?explain=1``
-        (``force``), or the config says to trace everything.  The
-        client-supplied id is adopted so the trace can be correlated across
-        systems; the id is echoed back in the ``X-Repro-Trace`` response
-        header either way.
+        A request is traced when the client sent a trace id, asked for
+        ``?explain=1`` (``force``), or the config says to trace everything
+        (``execution.tracing``).  The client-supplied id is adopted so the
+        trace can be correlated across systems; the id is echoed back in the
+        ``X-Repro-Trace`` response header either way.
         """
-        if self.config.tracing is False:
-            return None
         trace_id = request.headers.get("x-repro-trace") or None
-        if force or trace_id is not None or self.config.tracing:
+        if force or trace_id is not None or self.config.execution.tracing:
             return start_trace(name, trace_id=trace_id)
         return None
 

@@ -134,7 +134,7 @@ class TestStatsAndEviction:
 
     def test_compiled_walks_die_with_the_evicted_plan(self):
         """The eviction regression: no global cache outlives PreparedQuery."""
-        engine = _office_engine(plan_cache_size=1)
+        engine = _office_engine(options=ExecutionOptions(plan_cache_size=1))
         engine.execute(OFFICE_QUERY)
         (prepared,) = engine._plans.values()
         assert len(prepared.codegen) >= 1

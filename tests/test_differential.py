@@ -15,6 +15,9 @@ reference implementation:
 * the prepared-query engine, cold, cached and batched, and after database
   mutations both maintained in place (``incremental=True``) and rebuilt
   from scratch (``incremental=False``),
+* order metamorphics: shuffling the TGDs, the facts or the query's atoms,
+  or renaming the query's variables, changes no answer of the engine or of
+  the three enumerators,
 * the interpreted CD∘Lin walk, which only a plan too deep to compile
   reaches (a fixed 17-block query; every generated query compiles).
 
@@ -43,6 +46,7 @@ from repro.baselines.naive import (
     naive_partial_answers_multi,
     naive_single_test,
 )
+from repro.config import ExecutionOptions
 from repro.core import (
     OMQ,
     WILDCARD,
@@ -54,7 +58,9 @@ from repro.core import (
 )
 from repro.core.enumeration import CompleteAnswerEnumerator
 from repro.core.wildcards import is_normalized_multi
+from repro.cq.atoms import Variable
 from repro.cq.parser import parse_query
+from repro.cq.query import ConjunctiveQuery
 from repro.data import Database, Fact
 from repro.engine import QueryEngine
 from repro.engine.codegen import MAX_WALK_DEPTH, walk_source
@@ -212,8 +218,10 @@ def test_engine_incremental_after_mutation_matches_naive(
     omq = _build_omq(templates, query_text)
     database = Database(facts)
     expected = naive_certain_answers(omq, database)
-    engine = QueryEngine(omq.ontology, database, incremental=True)
-    rebuilding = QueryEngine(omq.ontology, database, incremental=False)
+    engine = QueryEngine(omq.ontology, database)
+    rebuilding = QueryEngine(
+        omq.ontology, database, options=ExecutionOptions(incremental=False)
+    )
     assert engine.execute(omq.query) == expected
     assert rebuilding.execute(omq.query) == expected
     assert rebuilding.execute_batch([omq.query, omq.query]) == [expected, expected]
@@ -307,6 +315,43 @@ def test_testers_match_naive_on_every_candidate(templates, query_text, facts):
         expected = naive_single_test(omq, database, candidate)
         assert single.test_complete(candidate) == expected, candidate
         assert tester.test(candidate) == expected, candidate
+
+
+#: Names a renaming draws from; ``v10`` sorts before ``v2``, so a renaming
+#: also reorders the variables by name.
+VARIABLE_NAMES = ("a", "m", "v10", "v2", "x", "y", "z", "zz")
+
+
+def _all_answers(omq: OMQ, database: Database) -> tuple:
+    """The engine's answers and those of the three ``repro.core`` enumerators."""
+    return (
+        QueryEngine(omq.ontology, database).execute(omq.query),
+        set(CompleteAnswerEnumerator(omq, database)),
+        set(MinimalPartialAnswerEnumerator(omq, database)),
+        set(MultiWildcardEnumerator(omq, database)),
+    )
+
+
+@given(
+    templates=ontology_strategy,
+    query_text=query_strategy,
+    facts=facts_strategy,
+    rng=st.randoms(use_true_random=False),
+)
+def test_answers_ignore_order_and_variable_names(templates, query_text, facts, rng):
+    """Order metamorphics: the TGD order, the fact order, the query's atom
+    order and its variable names change no answer on any path."""
+    query = parse_query(query_text)
+    variables = sorted(query.variables())
+    renaming = dict(zip(variables, map(Variable, rng.sample(VARIABLE_NAMES, len(variables)))))
+    atoms = [atom.substitute(renaming) for atom in sorted(query.atoms, key=repr)]
+    rng.shuffle(atoms)
+    renamed = ConjunctiveQuery([renaming[v] for v in query.answer_variables], atoms)
+    shuffled = OMQ.from_parts(
+        _build_omq(rng.sample(templates, len(templates)), query_text).ontology, renamed
+    )
+    expected = _all_answers(_build_omq(templates, query_text), Database(facts))
+    assert _all_answers(shuffled, Database(rng.sample(facts, len(facts)))) == expected
 
 
 def _check_minimal_single_tests(omq: OMQ, database: Database) -> None:
@@ -408,7 +453,9 @@ def test_semijoin_key_nine_variables_wide():
         + [Fact("S", far + ("d2",))]
     )
     # The 2-fact delta is 40 % of the database: maintain it in place anyway.
-    engine = QueryEngine(omq.ontology, database, incremental_fallback_ratio=1.0)
+    engine = QueryEngine(
+        omq.ontology, database, options=ExecutionOptions(incremental_fallback_ratio=1.0)
+    )
     for count in (2, 4):
         expected = naive_certain_answers(omq, database)
         assert len(expected) == count

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro import Database, Fact, parse_ontology, parse_query
+from repro.baselines.naive import naive_certain_answers
 from repro.cli import main as cli_main
 from repro.config import ExecutionOptions
 from repro.core import OMQ, CompleteAnswerEnumerator
@@ -31,7 +32,6 @@ from repro.engine import (
     prepare_query,
     query_fingerprint,
 )
-from repro.engine.materialization import Materialization
 from repro.tgds.ontology import Ontology
 from repro.workloads import generate_university_database, university_omq
 
@@ -121,7 +121,9 @@ class TestPlanCache:
         assert via_text is via_object
 
     def test_lru_eviction_recompiles(self, univ_omq, univ_db):
-        engine = QueryEngine(univ_omq.ontology, univ_db, plan_cache_size=1)
+        engine = QueryEngine(
+            univ_omq.ontology, univ_db, options=ExecutionOptions(plan_cache_size=1)
+        )
         first = engine.prepare(QUERY_TEXT)
         engine.prepare(PROJECTION_TEXT)  # evicts the first plan
         again = engine.prepare(QUERY_TEXT)
@@ -152,12 +154,14 @@ class TestPlanCache:
         projection = parse_query("q(s, d) :- HasAdvisor(s, a), WorksFor(a, d)")
         reference = OMQ.from_parts(univ_omq.ontology, projection)
         assert reference.is_acyclic() and not reference.is_free_connex_acyclic()
-        engine = QueryEngine(univ_omq.ontology, univ_db, strict=False)
+        engine = QueryEngine(
+            univ_omq.ontology, univ_db, options=ExecutionOptions(strict=False)
+        )
         plan = engine.prepare(projection)
         assert not plan.supports_enumeration
-        assert engine.execute(projection) == reference.certain_answers(univ_db)
+        assert engine.execute(projection) == naive_certain_answers(reference, univ_db)
         with engine.open(projection) as cursor:
-            assert set(cursor) == reference.certain_answers(univ_db)
+            assert set(cursor) == naive_certain_answers(reference, univ_db)
 
     def test_omq_with_foreign_ontology_rejected(self, engine):
         other = OMQ.from_parts(parse_ontology("A(x) -> B(x)"), parse_query("q(x) :- A(x)"))
@@ -232,7 +236,9 @@ class TestInvalidation:
         assert stats.invalidations == 0
 
     def test_add_invalidates_without_incremental(self, univ_omq, univ_db):
-        engine = QueryEngine(univ_omq.ontology, univ_db, incremental=False)
+        engine = QueryEngine(
+            univ_omq.ontology, univ_db, options=ExecutionOptions(incremental=False)
+        )
         before = engine.execute(univ_omq.query)
         univ_db.add(Fact("HasAdvisor", ("newstudent", "prof0")))
         univ_db.add(Fact("WorksFor", ("prof0", "dept0")))
@@ -309,10 +315,6 @@ class TestBatch:
             for text in batch
         ]
         assert batched == fresh
-
-    def test_batch_sequential_worker_loop(self, engine):
-        batched = engine.execute_batch(list(self.QUERIES), max_workers=1)
-        assert batched == [engine.execute(query) for query in self.QUERIES]
 
     def test_batch_empty(self, engine):
         assert engine.execute_batch([]) == []
@@ -465,7 +467,7 @@ class TestCLI:
 
 class TestStatsConcurrency:
     """Regression tests for the stats race: counters bumped from worker
-    threads (``execute_batch`` maps over a thread pool) must never lose
+    threads (the HTTP service runs executions in threads) must never lose
     increments, and ``snapshot()`` must be one consistent cut."""
 
     def test_counters_survive_a_thread_hammer(self):
@@ -595,9 +597,11 @@ def test_engine_and_server_import_no_multiprocessing():
 
 def test_environment_never_starts_a_trace():
     """No environment variable turns tracing on: with ``REPRO_TRACE=1`` set,
-    an engine left at ``tracing=None`` and run with no ambient trace records
-    nothing into the ring buffer.  ``tracing=True`` still does."""
+    an engine left at the default ``tracing=False`` and run with no ambient
+    trace records nothing into the ring buffer.  ``tracing=True`` still
+    does."""
     probe = (
+        "from repro.config import ExecutionOptions; "
         "from repro.engine import QueryEngine; "
         "from repro.obs.trace import TRACES; "
         "from repro.workloads import generate_university_database, university_omq; "
@@ -605,7 +609,8 @@ def test_environment_never_starts_a_trace():
         "database = generate_university_database(20, seed=1); "
         "answers = QueryEngine(omq.ontology, database).execute(omq.query); "
         "untraced = len(TRACES); "
-        "QueryEngine(omq.ontology, database, tracing=True).execute(omq.query); "
+        "QueryEngine(omq.ontology, database, options=ExecutionOptions(tracing=True))"
+        ".execute(omq.query); "
         "print(bool(answers), untraced, len(TRACES))"
     )
     assert _run_probe(probe, REPRO_TRACE="1") == "True 0 1"
@@ -637,48 +642,16 @@ def test_execution_options_validation():
         ExecutionOptions(plan_cache_size=0)
     with pytest.raises(ValueError):
         ExecutionOptions(plan_cache_size=16.0)
-    with pytest.raises(ValueError):
-        ExecutionOptions(incremental_fallback_ratio=float("nan"))
-    with pytest.raises(ValueError):
-        ExecutionOptions(incremental_fallback_ratio=-0.1)
-    with pytest.raises(ValueError):
-        ExecutionOptions(incremental_fallback_ratio=1.5)
-    with pytest.raises(ValueError):
-        ExecutionOptions(incremental_fallback_ratio=True)
-    # The engine kwarg bypasses ExecutionOptions and takes the same check.
-    for ratio in (float("nan"), -0.1, 1.5, 5.0):
+    for ratio in (float("nan"), float("inf"), -0.1, 1.5, 5.0, True):
         with pytest.raises(ValueError):
-            QueryEngine(EMPTY, incremental_fallback_ratio=ratio)
-
-
-def test_engine_defaults_derive_from_execution_options():
-    defaults = ExecutionOptions()
-    engine = QueryEngine(EMPTY)
-    assert engine.strict == defaults.strict
-    assert engine.incremental == defaults.incremental
-    assert engine.incremental_fallback_ratio == defaults.incremental_fallback_ratio
-    assert engine._plan_cache_size == defaults.plan_cache_size
-
-
-def test_materialization_rejects_bad_fallback_ratio():
-    database = Database([])
-    with pytest.raises(ValueError):
-        Materialization(EMPTY, database, fallback_ratio=-0.1)
-    with pytest.raises(ValueError):
-        Materialization(EMPTY, database, fallback_ratio=float("nan"))
-    with pytest.raises(ValueError):
-        Materialization(EMPTY, database, fallback_ratio=float("inf"))
-    with pytest.raises(ValueError):
-        Materialization(EMPTY, database, fallback_ratio=True)
-    with pytest.raises(ValueError):
-        Materialization(EMPTY, database, fallback_ratio=5.0)
+            ExecutionOptions(incremental_fallback_ratio=ratio)
 
 
 def test_fallback_ratio_zero_always_rebuilds():
     database = Database(_tie_facts())
     query = parse_query(TIE_QUERY)
     engine = QueryEngine(
-        EMPTY, database, incremental=True, incremental_fallback_ratio=0.0
+        EMPTY, database, options=ExecutionOptions(incremental_fallback_ratio=0.0)
     )
     before = engine.execute(query)
     database.add(Fact("R", ("a0", "zz")))
@@ -742,8 +715,8 @@ def test_histogram_empty_and_invalid_fraction():
 
 
 def test_nan_never_reaches_budget_math():
-    # The engine rejects NaN before any budget computation can silently
-    # swallow it (NaN comparisons are all False).
+    # The options reject NaN before any engine exists, so no budget
+    # computation can silently swallow it (NaN comparisons are all False).
     assert math.isnan(float("nan"))
     with pytest.raises(ValueError):
-        QueryEngine(EMPTY, incremental_fallback_ratio=float("nan"))
+        QueryEngine(EMPTY, options=ExecutionOptions(incremental_fallback_ratio=float("nan")))

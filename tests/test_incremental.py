@@ -21,6 +21,7 @@ from repro import Database, Fact, parse_ontology, parse_query
 from repro.core import OMQ, CompleteAnswerEnumerator
 from repro.chase.query_directed import default_null_depth
 from repro.chase.standard import ChaseRecorder, _trigger_key, chase
+from repro.config import ExecutionOptions
 from repro.engine import QueryEngine
 from repro.enumeration.cdlin import CDLinEnumerator
 from repro.incremental import ChaseMaintainer, Delta
@@ -33,6 +34,9 @@ from repro.workloads import (
 )
 from repro.workloads.graphs import random_graph
 from repro.workloads.lubm import generate_lubm_database, lubm_ontology
+
+#: Maintain every delta in place, however large relative to the database.
+MAINTAIN_ALL = ExecutionOptions(incremental_fallback_ratio=1.0)
 
 
 class TestMutationLog:
@@ -387,7 +391,7 @@ class TestProvenanceLog:
     )
     def test_first_delta_equals_cold_engine(self, setup, kind):
         omq, database = setup()
-        engine = QueryEngine(omq.ontology, database, incremental_fallback_ratio=1.0)
+        engine = QueryEngine(omq.ontology, database, options=MAINTAIN_ALL)
         engine.execute(omq.query)
         _first_delta(database, kind)
         warm = engine.execute(omq.query)
@@ -466,6 +470,18 @@ class TestProvenanceLog:
         database.add_facts(added)
         maintainer.apply(added, [])
         assert maintainer.pending_rows == 0 and maintainer.suppressed
+        _assert_own_objects(maintainer, result)
+
+    def test_deletion_recheck_keeps_the_runs_own_objects(self):
+        # A deletion re-checks the triggers it retracted: the one that
+        # re-fires must store the instance's own body fact, not a copy.
+        database = generate_lubm_database(60, seed=2)
+        maintainer, result = _maintained_chase(database, lubm_ontology(), depth=3)
+        victim = min(database.relation("HasAdvisor"), key=repr)
+        database.discard(victim)
+        fired = result.fired_triggers
+        maintainer.apply([], [victim])
+        assert result.fired_triggers > fired  # some trigger re-fired
         _assert_own_objects(maintainer, result)
 
     def test_generic_rows_index_the_runs_own_objects(self):
@@ -587,9 +603,7 @@ class TestMetamorphic:
     @pytest.mark.parametrize("setup", WORKLOADS)
     def test_interleaved_mutations_match_cold_engine(self, setup):
         omq, database = setup()
-        engine = QueryEngine(
-            omq.ontology, database, incremental_fallback_ratio=1.0
-        )
+        engine = QueryEngine(omq.ontology, database, options=MAINTAIN_ALL)
         engine.execute(omq.query)  # warm the materialization
         rng = random.Random(0xC0FFEE)
         for step in range(24):
@@ -610,9 +624,7 @@ class TestMetamorphic:
     @pytest.mark.parametrize("setup", WORKLOADS)
     def test_cursor_and_batch_follow_mutations(self, setup):
         omq, database = setup()
-        engine = QueryEngine(
-            omq.ontology, database, incremental_fallback_ratio=1.0
-        )
+        engine = QueryEngine(omq.ontology, database, options=MAINTAIN_ALL)
         cursor = engine.open(omq.query)
         rng = random.Random(31337)
         for step in range(8):

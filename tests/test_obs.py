@@ -3,8 +3,8 @@
 Unit tests for the ``repro.obs`` primitives plus the two integration
 properties the instrumentation must never lose:
 
-* trace context propagates into ``QueryEngine.execute_batch`` worker
-  threads (spans from the pool attach to the calling trace), and
+* ``QueryEngine.execute_batch`` joins the calling trace (each query's
+  enumerate span is a child of the batch span), and
 * a server-side timeout closes the request's spans with an error status —
   a cancelled execution may never leave an open span behind.
 """
@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.config import ExecutionOptions
 from repro.engine import QueryEngine
 from repro.obs import (
     NULL_SPAN,
@@ -214,28 +215,22 @@ class TestEngineTracing:
         assert enum.attributes["answers"] == len(answers)
         assert trace.open_spans() == []
 
-    def test_hard_off_engine_stays_silent_inside_a_trace(self):
-        engine = _engine(tracing=False)
-        with start_trace("silent", store=None) as trace:
-            engine.execute(QUERY)
-        assert [s.name for s in trace.spans] == ["silent"]
-
     def test_execute_batch_workers_join_the_calling_trace(self):
         engine = _engine()
         queries = [QUERY, JOIN_QUERY]
         with start_trace("batch", store=None) as trace:
-            results = engine.execute_batch(queries, max_workers=2)
+            results = engine.execute_batch(queries)
         assert [len(r) for r in results] == [
             len(engine.execute(q)) for q in queries
         ]
         enum_spans = [s for s in trace.spans if s.name == "enumerate"]
-        # One enumerate span per query, recorded from the pool's worker
-        # threads, all attached to this trace and all closed.
+        # One enumerate span per query, each a child of this trace's batch
+        # span, and all closed.
         assert len(enum_spans) == len(queries)
         assert all(s.status == "ok" for s in enum_spans)
         assert trace.open_spans() == []
         batch = next(s for s in trace.spans if s.name == "execute_batch")
-        assert all(s.parent_id is not None for s in enum_spans)
+        assert all(s.parent_id == batch.span_id for s in enum_spans)
         assert batch.status == "ok"
 
 
@@ -277,6 +272,19 @@ class TestServerTracing:
         assert trace is not None
         assert {"plan", "enumerate"} <= {s.name for s in trace.spans}
 
+    def test_tracing_option_traces_requests_that_did_not_ask(self):
+        # The default config joins traces requests ask for and starts none;
+        # ``execution.tracing`` traces every request.
+        assert ServiceConfig().execution == ExecutionOptions(plan_cache_size=256)
+        for tracing in (False, True):
+            service = _service(execution=ExecutionOptions(tracing=tracing))
+            response = asyncio.run(
+                service.handle(_request("POST", "/tenants/t/query", {"query": QUERY}))
+            )
+            assert response.status == 200
+            assert ("X-Repro-Trace" in response.headers) is tracing
+            assert ("trace_id" in json.loads(response.body)) is tracing
+
     def test_explain_param_embeds_phase_report(self):
         service = _service()
         response = asyncio.run(
@@ -295,22 +303,6 @@ class TestServerTracing:
         assert explain["trace_id"] == body["trace_id"]
         assert {"plan", "enumerate"} <= set(explain["phases"])
         assert explain["answers"] == body["count"]
-
-    def test_hard_off_config_ignores_trace_header(self):
-        service = _service(tracing=False)
-        response = asyncio.run(
-            service.handle(
-                _request(
-                    "POST",
-                    "/tenants/t/query",
-                    {"query": QUERY},
-                    headers={"x-repro-trace": "竜ignored"},
-                )
-            )
-        )
-        assert response.status == 200
-        assert "X-Repro-Trace" not in response.headers
-        assert "trace_id" not in json.loads(response.body)
 
     def test_mutation_trace_attributes_the_first_write_indexing(self):
         # The eager refresh behind POST /facts is traced like a query: its

@@ -84,6 +84,20 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "zip(zip(bodies), zip(created), nulls)",
         "zip(zip(bodies), repeat(()), nulls)",
     ),
+    # The query-directed chase stops below depth 1: no null has a child,
+    # so any answer that needs a null two levels down is lost.
+    "depth-cap-1": (
+        "src/repro/chase/query_directed.py",
+        "    return query_radius + ontology_radius + 1\n",
+        "    return 1\n",
+    ),
+    # The chase's depth bound two levels short of the one the paper's
+    # argument needs.
+    "depth-cap-bound-minus-2": (
+        "src/repro/chase/query_directed.py",
+        "    return query_radius + ontology_radius + 1\n",
+        "    return query_radius + ontology_radius - 1\n",
+    ),
 }
 
 _IGNORE = shutil.ignore_patterns(
