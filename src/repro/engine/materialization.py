@@ -21,10 +21,10 @@ delta since the snapshot and — when the delta is small enough relative to
 ``incremental_fallback_ratio`` — applies it in place through the
 provenance-tracking delta chase (:class:`repro.incremental.ChaseMaintainer`)
 and the per-query reduction maintenance (:meth:`CDLinEnumerator.maintain`),
-leaving every untouched block index alive.  Deltas that are too large, unreconstructable
-(log trimmed), or that blow the chase budget fall back to the old behaviour:
-drop everything and rebuild (``chase_rebuilds`` counts those full builds,
-``chase_increments`` the in-place maintenance passes).
+leaving every untouched block index alive.  Deltas that are too large,
+unreconstructable (log trimmed), or that blow the chase budget fall back to
+the old behaviour: drop everything and rebuild (``chase_rebuilds`` counts
+those full builds, ``chase_increments`` the in-place maintenance passes).
 
 Not thread-safe on its own: :class:`repro.engine.QueryEngine` serializes all
 calls through its lock and only the read-only enumeration phase runs outside
