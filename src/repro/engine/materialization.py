@@ -107,7 +107,7 @@ class Materialization:
         ontology: Ontology,
         database: Database,
         options: ExecutionOptions,
-        state_cache_size: int = 64,
+        state_cache_size: int,
     ) -> None:
         self.ontology = ontology
         self.database = database
