@@ -183,6 +183,62 @@ class TestQueryDirectedChase:
         answers = evaluate(query, chased.instance)
         assert any(a[0] == "alice" for a in answers)
 
+    def test_default_depth_reaches_an_answer_at_its_bound(self):
+        # The counter's first all-ones node is 63 nulls below c.  With 50
+        # TGDs and 12 query variables the default bound is 12 + 50 + 1 = 63
+        # levels, so c's one answer sits exactly on it.  The P chain only
+        # pads the query's variable count: every z maps to c.
+        from repro.core import OMQ
+        from repro.core.enumeration import CompleteAnswerEnumerator
+        from repro.engine import QueryEngine
+
+        ontology = _binary_counter(6)
+        chain = ", ".join(f"P(z{i}, z{i + 1})" for i in range(10))
+        query = parse_query(f"q(x) :- Up(x), P(x, z0), {chain}")
+        database = Database([Fact("Start", ("c",)), Fact("P", ("c", "c"))])
+        assert len(ontology) == 50 and len(query.variables()) == 12
+        for depth, expected in ((62, set()), (63, {("c",)})):
+            chased = query_directed_chase(database, ontology, query, null_depth=depth)
+            assert set(evaluate(query, chased.instance)) == expected
+        assert QueryEngine(ontology, database).execute(query) == {("c",)}
+        omq = OMQ.from_parts(ontology, query)
+        assert set(CompleteAnswerEnumerator(omq, database)) == {("c",)}
+
+
+def _binary_counter(bits):
+    """ELI TGDs that count from 0 to ``2**bits - 1`` down an R-chain of nulls
+    below each ``Start`` constant, then send ``Up`` back to the constant.
+
+    A node holds bit ``i`` as ``B{i}`` (one) or ``N{i}`` (zero); ``C{i}``
+    marks bits 1..i all one (the carry into bit i + 1) and ``D{i}`` some
+    bit among 1..i zero.  The child of a node holds its value plus one, so
+    the node at depth ``d`` holds ``d``, and ``Up`` first holds at depth
+    ``2**bits - 1``.
+    """
+    rules = [f"Start(x) -> N{i}(x)" for i in range(1, bits + 1)]
+    rules += [
+        "Start(x) -> Node(x)",
+        "Node(x) -> R(x, y)",
+        "R(x, y) -> Node(y)",
+        "B1(x) -> C1(x)",
+        "N1(x) -> D1(x)",
+        "R(x, y), B1(x) -> N1(y)",
+        "R(x, y), N1(x) -> B1(y)",
+        f"C{bits}(x) -> Up(x)",
+        "R(x, y), Up(y) -> Up(x)",
+    ]
+    for i in range(2, bits + 1):
+        rules += [
+            f"C{i - 1}(x), B{i}(x) -> C{i}(x)",
+            f"N{i}(x) -> D{i}(x)",
+            f"D{i - 1}(x) -> D{i}(x)",
+            f"R(x, y), C{i - 1}(x), B{i}(x) -> N{i}(y)",
+            f"R(x, y), C{i - 1}(x), N{i}(x) -> B{i}(y)",
+            f"R(x, y), D{i - 1}(x), B{i}(x) -> B{i}(y)",
+            f"R(x, y), D{i - 1}(x), N{i}(x) -> N{i}(y)",
+        ]
+    return parse_ontology("\n".join(rules))
+
 
 class TestHornSaturation:
     def test_saturation_adds_entailed_unary_facts(self):
