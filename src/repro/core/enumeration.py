@@ -6,10 +6,10 @@ the enumeration phase is the constant-delay walk of
 :class:`repro.enumeration.cdlin.CDLinEnumerator`, restricted to answers over
 database constants.
 
-The two phases are separable: callers that amortize preprocessing across
-many evaluations (notably :class:`repro.engine.QueryEngine`) pass a shared
-``chase`` and a precomputed free-connex ``decomposition`` instead of letting
-the constructor recompute them per call.
+The chase comes from :func:`repro.core.omq.shared_chase`, so it is shared
+with every other live :mod:`repro.core` object over the same database
+version.  :class:`repro.engine.QueryEngine` amortizes both phases across
+evaluations on its own path.
 """
 
 from __future__ import annotations
@@ -17,30 +17,19 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.data.instance import Database
-from repro.chase.query_directed import QueryDirectedChase
 from repro.cq.query import QueryError
-from repro.core.omq import OMQ
+from repro.core.omq import OMQ, shared_chase
 from repro.enumeration.cdlin import CDLinEnumerator
-from repro.yannakakis.decomposition import FreeConnexDecomposition
 
 
 class CompleteAnswerEnumerator:
     """Two-phase enumerator for the complete answers of an OMQ.
 
-    ``chase`` may carry a current, sufficiently deep query-directed chase of
-    the same database (it is reused instead of recomputed), and
-    ``decomposition`` the free-connex decomposition of the head-deduplicated
-    query; both are what a prepared query caches.
+    The constructor runs the preprocessing; its chase is shared with every
+    other live :mod:`repro.core` object over the same database version.
     """
 
-    def __init__(
-        self,
-        omq: OMQ,
-        database: Database,
-        strict: bool = True,
-        chase: QueryDirectedChase | None = None,
-        decomposition: FreeConnexDecomposition | None = None,
-    ) -> None:
+    def __init__(self, omq: OMQ, database: Database, strict: bool = True) -> None:
         if strict and not (omq.is_acyclic() and omq.is_free_connex_acyclic()):
             raise QueryError(
                 f"{omq.name} is not acyclic and free-connex acyclic: CD∘Lin "
@@ -48,13 +37,8 @@ class CompleteAnswerEnumerator:
             )
         self.omq = omq
         self.database = database
-        self.chase = omq.chase(database, reuse=chase)
-        self._enumerator = CDLinEnumerator(
-            omq.query,
-            self.chase.instance,
-            keep_nulls=False,
-            decomposition=decomposition,
-        )
+        self.chase = shared_chase(omq, database)
+        self._enumerator = CDLinEnumerator(omq.query, self.chase.instance, keep_nulls=False)
 
     def is_empty(self) -> bool:
         return self._enumerator.is_empty()

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 from repro.data.instance import Database
 from repro.data.interning import TERMS
 from repro.cq.query import QueryError
-from repro.core.omq import OMQ
+from repro.core.omq import OMQ, shared_chase
 from repro.core.progress import PartialAnswerEnumerator
 from repro.core.wildcards import Wildcard, ball, cone, lt_multi, shape_of
 
@@ -199,7 +199,11 @@ class MultiWildcardTester:
 
 
 class MultiWildcardEnumerator:
-    """Enumerate ``Q(D)^W`` for an acyclic, free-connex acyclic OMQ."""
+    """Enumerate ``Q(D)^W`` for an acyclic, free-connex acyclic OMQ.
+
+    The constructor runs the preprocessing; its chase is shared with every
+    other live :mod:`repro.core` object over the same database version.
+    """
 
     def __init__(self, omq: OMQ, database: Database, strict: bool = True) -> None:
         if strict and not (omq.is_acyclic() and omq.is_free_connex_acyclic()):
@@ -209,7 +213,7 @@ class MultiWildcardEnumerator:
             )
         self.omq = omq
         self.database = database
-        self.chase = omq.chase(database)
+        self.chase = shared_chase(omq, database)
         self._single = PartialAnswerEnumerator(omq.query, self.chase.instance)
         self.tester = MultiWildcardTester(self._single)
         self._cones: dict[tuple, tuple] = {}

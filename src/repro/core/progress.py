@@ -42,7 +42,7 @@ from repro.data.instance import Database, Instance
 from repro.data.interning import TERMS
 from repro.cq.atoms import Atom, Variable
 from repro.cq.query import ConjunctiveQuery, QueryError
-from repro.core.omq import OMQ
+from repro.core.omq import OMQ, shared_chase
 from repro.core.wildcards import WILDCARD
 from repro.enumeration.reduction import ReducedQuery, build_reduced_query
 
@@ -362,7 +362,11 @@ class PartialAnswerEnumerator:
 
 
 class MinimalPartialAnswerEnumerator:
-    """Enumerate ``Q(D)*`` for an acyclic, free-connex acyclic OMQ."""
+    """Enumerate ``Q(D)*`` for an acyclic, free-connex acyclic OMQ.
+
+    The constructor runs the preprocessing; its chase is shared with every
+    other live :mod:`repro.core` object over the same database version.
+    """
 
     def __init__(self, omq: OMQ, database: Database, strict: bool = True) -> None:
         if strict and not (omq.is_acyclic() and omq.is_free_connex_acyclic()):
@@ -372,7 +376,7 @@ class MinimalPartialAnswerEnumerator:
             )
         self.omq = omq
         self.database = database
-        self.chase = omq.chase(database)
+        self.chase = shared_chase(omq, database)
         self._inner = PartialAnswerEnumerator(omq.query, self.chase.instance)
 
     def is_empty(self) -> bool:
@@ -395,7 +399,7 @@ class MinimalPartialAnswerEnumerator:
         """
         from repro.core.enumeration import CompleteAnswerEnumerator
 
-        complete = CompleteAnswerEnumerator(self.omq, self.database, chase=self.chase)
+        complete = CompleteAnswerEnumerator(self.omq, self.database)
         partial = self.enumerate()
         buffered: list[tuple] = []
 

@@ -1,7 +1,11 @@
 """Single-testing and all-testing of OMQ answers (Sections 3 and 4).
 
 The testers precompute the query-directed chase once (the linear-time
-preprocessing of Theorem 3.1 / 4.1) and then answer membership questions:
+preprocessing of Theorem 3.1 / 4.1) and then answer membership questions.
+The chase comes from :func:`repro.core.omq.shared_chase`: it is shared
+while any :mod:`repro.core` object over the same database version holds
+it, so a single tester and an all-tester built side by side chase once.
+The testers decide
 
 * complete answers for weakly acyclic OMQs (Theorem 3.1(1)),
 * minimal partial answers with a single wildcard for acyclic OMQs
@@ -32,11 +36,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.data.instance import Database
-from repro.chase.query_directed import QueryDirectedChase
 from repro.cq.atoms import Variable
 from repro.cq.homomorphism import find_homomorphism
 from repro.cq.query import ConjunctiveQuery, QueryError
-from repro.core.omq import OMQ
+from repro.core.omq import OMQ, shared_chase
 from repro.core.wildcards import WILDCARD, Wildcard, is_wildcard
 from repro.enumeration.alltesting import FreeConnexAllTester
 from repro.yannakakis.evaluation import BooleanQueryPlan, NotAcyclicError
@@ -45,21 +48,18 @@ from repro.yannakakis.evaluation import BooleanQueryPlan, NotAcyclicError
 class OMQSingleTester:
     """Single-testing of complete and (minimal) partial answers.
 
-    The constructor runs the preprocessing (the query-directed chase); each
-    ``test_*`` method then runs in time linear in the data, and in time
-    independent of it when the candidate's constants reach a bounded number
-    of facts.  ``rows_read`` counts the rows all checks so far materialised.
+    The constructor runs the preprocessing (the query-directed chase, shared
+    with every other live :mod:`repro.core` object over the same database
+    version); each ``test_*`` method then runs in time linear in the data,
+    and in time independent of it when the candidate's constants reach a
+    bounded number of facts.  ``rows_read`` counts the rows all checks so
+    far materialised.
     """
 
-    def __init__(
-        self,
-        omq: OMQ,
-        database: Database,
-        chase: "QueryDirectedChase | None" = None,
-    ) -> None:
+    def __init__(self, omq: OMQ, database: Database) -> None:
         self.omq = omq
         self.database = database
-        self.chase = omq.chase(database, reuse=chase)
+        self.chase = shared_chase(omq, database)
         self.database_constants = frozenset(database.adom())
         self.rows_read = 0
 
@@ -126,7 +126,7 @@ class OMQSingleTester:
         assignment = self._coherent(candidate)
         if assignment is None:
             return False
-        if any(value not in self.database_constants for value in candidate):
+        if not self.database_constants.issuperset(candidate):
             return False
         return self._certain(self._grounded_query(assignment))
 
@@ -227,15 +227,11 @@ class OMQAllTester:
 
     Preprocessing is linear in the data (query-directed chase plus the
     component projections of Proposition 4.2); each test then takes time
-    independent of the data.
+    independent of the data.  The chase is shared with every other live
+    :mod:`repro.core` object over the same database version.
     """
 
-    def __init__(
-        self,
-        omq: OMQ,
-        database: Database,
-        chase: "QueryDirectedChase | None" = None,
-    ) -> None:
+    def __init__(self, omq: OMQ, database: Database) -> None:
         if not omq.is_free_connex_acyclic():
             raise QueryError(
                 f"{omq.name} is not free-connex acyclic: all-testing in "
@@ -243,7 +239,7 @@ class OMQAllTester:
             )
         self.omq = omq
         self.database_constants = frozenset(database.adom())
-        self.chase = omq.chase(database, reuse=chase)
+        self.chase = shared_chase(omq, database)
         self._tester = FreeConnexAllTester(omq.query, self.chase.instance)
 
     def test(self, candidate: Sequence) -> bool:
@@ -251,7 +247,7 @@ class OMQAllTester:
             raise QueryError(
                 f"candidate has length {len(candidate)}, OMQ arity is {self.omq.arity}"
             )
-        if any(value not in self.database_constants for value in candidate):
+        if not self.database_constants.issuperset(candidate):
             return False
         return self._tester.test(candidate)
 

@@ -4,11 +4,12 @@ An :class:`Instance` may contain labelled nulls (it is the object produced by
 the chase); a :class:`Database` is an instance that is promised to be
 null-free.  Both maintain the fact set and per-relation sets eagerly;
 everything else — positional indexes, the per-element adjacency behind
-:meth:`Instance.facts_with` / :meth:`Instance.adom` — is built on first
-request and maintained from then on, so an instance that is
-only ever chased and joined pays for no structure nobody reads.  Together
-they give the algorithms in the rest of the library the (amortised) constant
-time lookups the paper's RAM model assumes.
+:meth:`Instance.facts_with` — is built on first request and maintained from
+then on, so an instance that is only ever chased and joined pays for no
+structure nobody reads.  :meth:`Instance.adom` scans the facts instead of
+building the adjacency, which every later add and discard would maintain.
+Together they give the algorithms in the rest of the library the
+(amortised) constant time lookups the paper's RAM model assumes.
 
 Index API
 ---------
@@ -79,6 +80,7 @@ from collections.abc import Mapping as AbstractMapping
 from collections.abc import Set as AbstractSet
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 from repro.data.facts import Fact
 from repro.data.interning import TERMS
@@ -510,7 +512,7 @@ class Instance:
 
     def adom(self) -> set:
         """The active domain: every constant or null used in some fact."""
-        return {element for element, bucket in self._adjacency().items() if bucket}
+        return {arg for fact in self._facts for arg in fact.args}
 
     def nulls(self) -> set:
         """All labelled nulls occurring in the instance."""
@@ -581,6 +583,18 @@ class Database(Instance):
         super().__init__(facts)
         self._change_log = []
         self._change_floor = self._version
+        # Chase runs over this database, keyed by (ontology, null depth,
+        # version) and held weakly: see repro.core.omq.shared_chase.
+        self.chase_memo: WeakValueDictionary = WeakValueDictionary()
+
+    def __getstate__(self) -> dict:
+        # Weak references do not pickle: a pickled database arrives with an
+        # empty chase memo, as any new database does.
+        return {**self.__dict__, "chase_memo": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.chase_memo = WeakValueDictionary()
 
     def add(self, fact: Fact) -> bool:
         if fact.has_null():

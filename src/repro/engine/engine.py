@@ -215,13 +215,18 @@ class AnswerCursor:
         self.close()
 
 
+#: How many databases one engine keeps materialized state for (an LRU).
+MATERIALIZATION_CACHE_SIZE = 8
+
+
 class QueryEngine:
     """Prepared-query execution over one ontology and its databases.
 
     Every tuning knob comes from one :class:`~repro.config.ExecutionOptions`
-    object, ``options`` (its field defaults when omitted).  The other two
-    keywords are not knobs but wiring: how many databases keep their
-    materialized state, and an externally owned plan cache to share.
+    object, ``options`` (its field defaults when omitted).  ``plan_cache``
+    is not a knob but wiring: an externally owned plan cache to share.  At
+    most :data:`MATERIALIZATION_CACHE_SIZE` databases keep their
+    materialized state.
     """
 
     def __init__(
@@ -230,7 +235,6 @@ class QueryEngine:
         database: Database | None = None,
         *,
         options: ExecutionOptions | None = None,
-        materialization_cache_size: int = 8,
         plan_cache: LRUCache[PreparedQuery] | None = None,
     ) -> None:
         self.options = options if options is not None else ExecutionOptions()
@@ -250,7 +254,7 @@ class QueryEngine:
         # rebuild on its next use, so the engine never pins state (or the
         # databases themselves) without limit.
         self._materializations: LRUCache[Materialization] = LRUCache(
-            materialization_cache_size
+            MATERIALIZATION_CACHE_SIZE
         )
         self._lock = threading.RLock()
         self._counters = EngineCounters()

@@ -204,6 +204,26 @@ class TestQueryDirectedChase:
         omq = OMQ.from_parts(ontology, query)
         assert set(CompleteAnswerEnumerator(omq, database)) == {("c",)}
 
+    def test_a_live_deeper_chase_is_not_shared(self):
+        # The default bound misses the counter's answer at 1 + 50 + 1 = 52
+        # levels and reaches it at 63, so an OMQ whose bound is 52 must not
+        # read the depth-63 chase of an OMQ that is still alive: its answers
+        # would then depend on which object was built first.
+        from repro.core import OMQ
+        from repro.core.enumeration import CompleteAnswerEnumerator
+
+        ontology = _binary_counter(6)
+        chain = ", ".join(f"P(z{i}, z{i + 1})" for i in range(10))
+        padded = OMQ.from_parts(ontology, parse_query(f"q(x) :- Up(x), P(x, z0), {chain}"))
+        bare = OMQ.from_parts(ontology, parse_query("q(x) :- Up(x)"))
+        database = Database([Fact("Start", ("c",)), Fact("P", ("c", "c"))])
+        alone = set(CompleteAnswerEnumerator(bare, database))
+        deep = CompleteAnswerEnumerator(padded, database)
+        shallow = CompleteAnswerEnumerator(bare, database)
+        assert (deep.chase.null_depth_bound, shallow.chase.null_depth_bound) == (63, 52)
+        assert set(shallow) == alone == set()
+        assert set(deep) == {("c",)}
+
 
 def _binary_counter(bits):
     """ELI TGDs that count from 0 to ``2**bits - 1`` down an R-chain of nulls

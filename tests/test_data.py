@@ -320,15 +320,14 @@ class TestLazyAdjacency:
         assert instance._by_constant is None
         assert instance.copy()._by_constant is None
         assert instance.adom() == {"a", "b"}
+        assert instance._by_constant is None
+        instance.facts_with("a")
         assert instance._by_constant is not None
 
     @pytest.mark.parametrize(
         "ask",
         [
             lambda i: i.facts_with("a"),
-            lambda i: i.adom(),
-            lambda i: i.nulls(),
-            lambda i: i.constants(),
             lambda i: i.is_guarded_set(["a", "b"]),
         ],
     )
@@ -336,6 +335,32 @@ class TestLazyAdjacency:
         instance = Instance(self.FACTS)
         ask(instance)
         assert instance._by_constant == self._rebuilt(instance)
+
+    @pytest.mark.parametrize(
+        "ask, expected",
+        [
+            (lambda i: i.adom(), {"a", "b", Null(7)}),
+            (lambda i: i.nulls(), {Null(7)}),
+            (lambda i: i.constants(), {"a", "b"}),
+            (lambda i: set(i.gaifman_graph()), {"a", "b", Null(7)}),
+        ],
+        ids=["adom", "nulls", "constants", "gaifman_graph"],
+    )
+    def test_domain_readers_scan_the_facts(self, ask, expected):
+        instance = Instance(self.FACTS + [Fact("S", ("b", Null(7)))])
+        assert ask(instance) == expected
+        assert instance._by_constant is None
+
+    def test_adom_exact_after_add_and_discard(self):
+        instance = Instance(self.FACTS)
+        instance.add(Fact("S", ("c", Null(8))))
+        assert instance.discard(Fact("A", ("a",)))
+        assert instance.adom() == {"a", "b", "c", Null(8)}
+        assert instance.discard(Fact("R", ("a", "b")))
+        assert instance.adom() == {"b", "c", Null(8)}
+        assert instance.discard(Fact("S", ("c", Null(8))))
+        assert instance.adom() == {"b"}
+        assert instance._by_constant is None
 
     def test_maintained_like_a_rebuild_once_built(self):
         instance = Instance(self.FACTS)

@@ -32,6 +32,7 @@ from repro.engine import (
     prepare_query,
     query_fingerprint,
 )
+from repro.engine.engine import MATERIALIZATION_CACHE_SIZE
 from repro.tgds.ontology import Ontology
 from repro.workloads import generate_university_database, university_omq
 
@@ -201,11 +202,14 @@ class TestExecution:
         assert engine.stats.chase_builds == 1  # only the override database chased
 
     def test_materialization_cache_is_bounded(self, univ_omq):
-        engine = QueryEngine(univ_omq.ontology, materialization_cache_size=2)
-        databases = [generate_university_database(20, seed=s) for s in range(4)]
+        engine = QueryEngine(univ_omq.ontology)
+        databases = [
+            generate_university_database(20, seed=s)
+            for s in range(MATERIALIZATION_CACHE_SIZE + 2)
+        ]
         for database in databases:
             engine.execute(univ_omq.query, database=database)
-        assert len(engine._materializations) == 2
+        assert len(engine._materializations) == MATERIALIZATION_CACHE_SIZE
         # An evicted database is transparently re-materialized on next use.
         expected = set(CompleteAnswerEnumerator(univ_omq, databases[0]))
         assert engine.execute(univ_omq.query, database=databases[0]) == expected

@@ -98,6 +98,21 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "    return query_radius + ontology_radius + 1\n",
         "    return query_radius + ontology_radius - 1\n",
     ),
+    # The shared chase ignores the database version, so an object built
+    # after a mutation reads a live holder's stale chase.
+    "chase-memo-ignores-version": (
+        "src/repro/core/omq.py",
+        "    key = (ontology, depth, version)\n",
+        "    key = (ontology, depth)\n",
+    ),
+    # The shared chase serves any live run at least as deep as needed, so
+    # under an unsound depth bound the answers follow the build order.
+    "chase-memo-reuses-deeper": (
+        "src/repro/core/omq.py",
+        "    result = memo.get(key)\n",
+        "    result = next((r for (o, d, v), r in list(memo.items())\n"
+        "                   if (o, v) == (ontology, version) and d >= depth), None)\n",
+    ),
 }
 
 _IGNORE = shutil.ignore_patterns(
