@@ -328,6 +328,9 @@ class TestLazyAdjacency:
         "ask",
         [
             lambda i: i.facts_with("a"),
+            lambda i: i.facts_with("c"),  # no fact mentions c
+            lambda i: i.is_guarded_set(["b"]),
+            lambda i: i.is_guarded_set(["a", "c"]),  # not guarded
             lambda i: i.is_guarded_set(["a", "b"]),
         ],
     )
