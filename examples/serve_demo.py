@@ -4,7 +4,8 @@ Starts :class:`repro.server.QueryService` on an ephemeral port inside this
 process, provisions two tenants that *share one ontology* (so the second
 tenant's queries are plan-cache hits), and then plays a client session:
 
-1. execute a query over HTTP and print the first answers,
+1. execute a query over HTTP and print the first answers, then repeat it
+   (served from the answer cache: the database has not changed),
 2. open a server-side cursor and paginate it,
 3. apply a mutation batch while the cursor is mid-flight — the cursor
    finishes over the pre-batch snapshot, a fresh query sees the new facts,
@@ -60,6 +61,11 @@ async def main() -> None:
     print(f"acme: {body['count']} answers in {body['elapsed_ms']} ms; first three:")
     for row in body["answers"][:3]:
         print(f"  {tuple(row)}")
+    again = await asyncio.to_thread(client, base, "POST", "/tenants/acme/query",
+                                    {"query": QUERY})
+    assert again["answers"] == body["answers"]
+    print(f"repeat at db version {again['db_version']}: same answers from the "
+          f"answer cache in {again['elapsed_ms']} ms")
 
     # The same query on the second tenant reuses the compiled plan.
     await asyncio.to_thread(client, base, "POST", "/tenants/globex/query",
@@ -98,6 +104,8 @@ async def main() -> None:
           f"(plans shared across tenants), "
           f"{engine['chase_increments']} incremental maintenance pass(es)")
     acme = metrics["tenants"]["acme"]
+    print(f"acme: {acme['counters']['queries']} queries, "
+          f"{acme['counters']['answer_cache_hits']} answered from the answer cache")
     print(f"acme latency: p50={acme['latency']['p50_ms']} ms "
           f"p99={acme['latency']['p99_ms']} ms over {acme['latency']['count']} requests")
 

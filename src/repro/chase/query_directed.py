@@ -69,18 +69,6 @@ class QueryDirectedChase:
         """True while the underlying database has not mutated since the run."""
         return self.database_version == self.database.version
 
-    def supports(self, query: ConjunctiveQuery, ontology: Ontology | None = None) -> bool:
-        """True if this chase is deep enough to evaluate ``query``.
-
-        A run truncated at depth ``d`` is a superset of every shallower
-        truncation and a subset of the full chase, so complete-answer
-        evaluation of any query whose default depth is at most ``d`` is
-        exact on it (answers are monotone in the instance and agree with
-        certain answers at both ends of the sandwich).
-        """
-        target = ontology if ontology is not None else self.ontology
-        return default_null_depth(target, query) <= self.null_depth_bound
-
     def database_constants(self) -> frozenset:
         """The constants of the live database (computed on demand)."""
         return frozenset(self.database.constants())

@@ -4,9 +4,15 @@ A :class:`Materialization` owns every piece of data-dependent derived state
 for one ``(ontology, database)`` pair:
 
 * the *shared* query-directed chase — built once at the deepest truncation
-  any prepared query has requested so far, and reused by all of them (a
-  deeper truncation is sandwiched between the required one and the full
-  chase, so complete-answer evaluation is unchanged), and
+  any prepared query has requested so far, and reused by all of them.  A
+  deeper truncation lies between the one a query requires and the full
+  chase, so reuse is exact only when the required depth is itself a sound
+  bound (its answers already equal the certain answers).
+  ``default_null_depth`` is not sound on every ELI ontology (ROADMAP
+  7(v)): there a shallow query answers more after a deeper query ran on
+  the same engine than on a fresh one (the expected failure
+  ``test_engine_answers_do_not_depend_on_query_order`` in
+  ``tests/test_chase.py``), and
 * one :class:`QueryState` per prepared query: the reduced block relations
   and per-block indexes of the CD∘Lin enumerator, ready for constant-delay
   enumeration.

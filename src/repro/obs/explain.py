@@ -23,7 +23,7 @@ __all__ = ["explain_report", "format_span_tree"]
 
 #: The canonical pipeline phases, in execution order; the rollup reports
 #: them in this order, other span names follow alphabetically.
-PHASES = ("parse", "plan", "chase", "revalidate", "reduce", "enumerate")
+PHASES = ("parse", "plan", "chase", "revalidate", "reduce", "enumerate", "answers")
 
 
 def _walk(nodes: list[dict[str, Any]]):

@@ -24,17 +24,22 @@ wires the :class:`repro.engine.QueryEngine` into that shape:
 * **Mutations** coalesce through ``Database.batch()`` (one atomic version
   step) and then eagerly refresh the materialization while still holding
   the tenant's write gate, so maintenance never races a later batch.
+* **Answer cache.**  A query's sorted answers are JSON-encoded once per
+  database version and kept per tenant, keyed by the query text; a repeat
+  ``POST .../query`` at the same version is answered from those bytes.
 * **Graceful shutdown** stops admitting, waits for in-flight work to
   drain, then closes every remaining cursor through its lifecycle hooks.
 
-Handlers never block the event loop: parsing and routing are synchronous
-and cheap, enumeration and maintenance run in threads.
+Handlers never block the event loop for long: parsing, routing and answer
+cache hits run on the loop and cost a dictionary lookup plus a small
+``json.dumps``; enumeration and maintenance run in threads.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import threading
 import time
 from dataclasses import dataclass
@@ -50,9 +55,22 @@ from repro.obs.explain import explain_report
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import TRACES, start_trace
+from repro.obs.trace import TRACES, span, start_trace
 from repro.server.http import BadRequest, Request, Response
 from repro.workloads import get_workload
+
+
+def _answers_body(answers: bytes, payload: dict) -> bytes:
+    """``Response.json({"answers": ..., **payload}).body`` with the answers
+    already encoded.
+
+    Every other key of a query payload sorts after ``"answers"``, so under
+    ``sort_keys=True`` the answers are the first member and the rest of the
+    object follows them unchanged.
+    """
+    rest = json.dumps(payload, sort_keys=True)
+    return b'{"answers": ' + answers + b", " + rest[1:].encode("utf-8") + b"\n"
+
 
 class QueryTimeout(Exception):
     """An enumeration exceeded the per-query timeout and was cancelled."""
@@ -84,6 +102,19 @@ class ServiceConfig:
     slow_query_ms: float | None = None
 
 
+@dataclass(frozen=True)
+class CachedAnswers:
+    """One query's answers at one database version, encoded once.
+
+    ``answers`` is the JSON text (UTF-8 bytes) of the sorted answer rows,
+    exactly as :meth:`Response.json` would render the ``"answers"`` member.
+    """
+
+    version: int
+    answers: bytes
+    count: int
+
+
 @dataclass
 class CursorSession:
     """One server-side cursor: id, the engine cursor, and pagination state."""
@@ -97,7 +128,14 @@ class CursorSession:
 class Tenant:
     """One named database plus its serving state."""
 
-    def __init__(self, name: str, database: Database, engine: QueryEngine, spec: dict):
+    def __init__(
+        self,
+        name: str,
+        database: Database,
+        engine: QueryEngine,
+        spec: dict,
+        answer_cache_size: int,
+    ):
         self.name = name
         self.database = database
         self.engine = engine
@@ -106,6 +144,12 @@ class Tenant:
         self.cursors: dict[str, CursorSession] = {}
         self.cursor_seq = 0
         self.counters = EngineCounters()
+        # Seeded so /metrics shows the hit count (as 0) before the first hit.
+        self.counters.bump("answer_cache_hits", 0)
+        # Encoded answers by query text, all of one database version
+        # (``_answers_version``): touched only on the event loop.
+        self.answers: LRUCache[CachedAnswers] = LRUCache(answer_cache_size)
+        self._answers_version = -1
         self.latency = LatencyHistogram()
         # Write gate: held (in a worker thread) across a mutation batch and
         # the eager refresh that follows, and around engine state
@@ -113,6 +157,20 @@ class Tenant:
         # database's internal structures.  Enumeration itself runs outside
         # the gate, over the enumerator's published snapshots.
         self.state_lock = threading.Lock()
+
+    def cached_answers(self, query: str) -> CachedAnswers | None:
+        """The cached encoding of ``query``'s answers, if it is current."""
+        entry = self.answers.get(query)
+        if entry is not None and entry.version == self.database.version:
+            return entry
+        return None
+
+    def store_answers(self, query: str, entry: CachedAnswers) -> None:
+        """Keep ``entry``; the first entry of a newer version drops the rest."""
+        if entry.version != self._answers_version:
+            self.answers.clear()
+            self._answers_version = entry.version
+        self.answers.put(query, entry)
 
     def info(self) -> dict:
         return {
@@ -167,6 +225,7 @@ class QueryService:
             scenario.database,
             engine,
             {"workload": workload, "size": size, "seed": seed},
+            answer_cache_size=self.config.execution.plan_cache_size,
         )
         self._tenants[name] = tenant
         return tenant
@@ -412,6 +471,10 @@ class QueryService:
     async def _query(self, tenant: Tenant, request: Request) -> Response:
         """Execute one query to completion: sorted complete answers.
 
+        A repeat of a query at an unchanged database version is served from
+        the tenant's answer cache on the event loop; anything else runs in a
+        worker thread.  Tracing does not change which of the two happens.
+
         ``?explain=1`` forces a trace and embeds the phase-level EXPLAIN
         report (span tree, per-phase rollup, delay stats) in the response;
         an ``X-Repro-Trace`` request header adopts the caller's trace id.
@@ -428,15 +491,8 @@ class QueryService:
         started = time.perf_counter()
         try:
             try:
-                if scope is None:
-                    rows = await self._in_thread(
-                        tenant, self._execute_blocking, tenant, query
-                    )
-                else:
-                    with scope as trace:
-                        rows = await self._in_thread(
-                            tenant, self._execute_blocking, tenant, query
-                        )
+                with scope if scope is not None else contextlib.nullcontext() as trace:
+                    entry = await self._answers(tenant, query)
             except QueryTimeout as exc:
                 self.slow_log.record(
                     query=query,
@@ -457,20 +513,43 @@ class QueryService:
             elapsed_ms=1000 * elapsed,
             tenant=tenant.name,
             trace_id=trace.trace_id if trace else None,
-            answers=len(rows),
+            answers=entry.count,
         )
         payload = {
             "tenant": tenant.name,
-            "answers": self._encode_rows(sorted(rows)),
-            "count": len(rows),
+            "count": entry.count,
             "elapsed_ms": round(1000 * elapsed, 3),
             "db_version": tenant.database.version,
         }
         if trace is not None:
             payload["trace_id"] = trace.trace_id
             if explain:
-                payload["explain"] = explain_report(trace, answers=len(rows))
-        return self._with_trace(Response.json(payload), trace)
+                payload["explain"] = explain_report(trace, answers=entry.count)
+        return self._with_trace(
+            Response(body=_answers_body(entry.answers, payload)), trace
+        )
+
+    async def _answers(self, tenant: Tenant, query: str) -> CachedAnswers:
+        """``query``'s encoded answers: cached when current, else computed.
+
+        A miss is stored only when the database version read before the
+        worker ran equals the one read after: writes commit under
+        ``state_lock`` and versions only grow, so the cursor saw exactly
+        that version's state.
+        """
+        entry = tenant.cached_answers(query)
+        if entry is not None:
+            tenant.counters.bump("answer_cache_hits")
+            with span("answers", cached=True, db_version=entry.version, answers=entry.count):
+                return entry
+        version = tenant.database.version
+        rows = await self._in_thread(tenant, self._execute_blocking, tenant, query)
+        with span("answers", cached=False, db_version=version, answers=len(rows)):
+            encoded = json.dumps(self._encode_rows(sorted(rows))).encode("utf-8")
+        entry = CachedAnswers(version, encoded, len(rows))
+        if tenant.database.version == version:
+            tenant.store_answers(query, entry)
+        return entry
 
     def _execute_blocking(
         self, cancel: threading.Event, tenant: Tenant, query: str

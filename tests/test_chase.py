@@ -224,6 +224,30 @@ class TestQueryDirectedChase:
         assert set(shallow) == alone == set()
         assert set(deep) == {("c",)}
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the engine reuses its deepest chase, and the default depth is "
+        "not sound on ELI (ROADMAP 7(v))",
+    )
+    def test_engine_answers_do_not_depend_on_query_order(self):
+        # A fresh engine answers the depth-52 query over its own chase (no
+        # answer); after the depth-63 padded query deepened the engine's
+        # shared chase, the same query reads that chase and finds c.
+        from repro.engine import QueryEngine
+
+        ontology = _binary_counter(6)
+        chain = ", ".join(f"P(z{i}, z{i + 1})" for i in range(10))
+        padded = parse_query(f"q(x) :- Up(x), P(x, z0), {chain}")
+        bare = parse_query("q(x) :- Up(x)")
+
+        def database():
+            return Database([Fact("Start", ("c",)), Fact("P", ("c", "c"))])
+
+        alone = QueryEngine(ontology, database()).execute(bare)
+        engine = QueryEngine(ontology, database())
+        assert engine.execute(padded) == {("c",)}
+        assert engine.execute(bare) == alone
+
 
 def _binary_counter(bits):
     """ELI TGDs that count from 0 to ``2**bits - 1`` down an R-chain of nulls

@@ -214,13 +214,6 @@ class TestExecution:
         expected = set(CompleteAnswerEnumerator(univ_omq, databases[0]))
         assert engine.execute(univ_omq.query, database=databases[0]) == expected
 
-    def test_chase_supports_deeper_reuse(self, univ_omq, univ_db):
-        big_chase = univ_omq.chase(univ_db)
-        small_query = parse_query("q(s, a) :- HasAdvisor(s, a)")
-        assert big_chase.supports(small_query)
-        shallow = univ_omq.chase(univ_db, null_depth=1)
-        assert not shallow.supports(univ_omq.query)
-
 
 class TestInvalidation:
     def test_add_maintains_materialized_state_incrementally(

@@ -1,12 +1,14 @@
 """The observability layer: traces, spans, delay stats, EXPLAIN, telemetry.
 
-Unit tests for the ``repro.obs`` primitives plus the two integration
+Unit tests for the ``repro.obs`` primitives plus the three integration
 properties the instrumentation must never lose:
 
 * ``QueryEngine.execute_batch`` joins the calling trace (each query's
   enumerate span is a child of the batch span), and
 * a server-side timeout closes the request's spans with an error status —
-  a cancelled execution may never leave an open span behind.
+  a cancelled execution may never leave an open span behind, and
+* tracing a request never changes whether the server answers it from its
+  answer cache.
 """
 
 from __future__ import annotations
@@ -303,6 +305,74 @@ class TestServerTracing:
         assert explain["trace_id"] == body["trace_id"]
         assert {"plan", "enumerate"} <= set(explain["phases"])
         assert explain["answers"] == body["count"]
+
+    @pytest.mark.parametrize("how", ["header", "explain", "tracing"])
+    def test_a_traced_repeat_is_an_answer_cache_hit(self, how):
+        # Observation does not change the path: however a request is traced,
+        # a repeat at an unchanged version is served from the answer cache.
+        service = _service(execution=ExecutionOptions(tracing=how == "tracing"))
+        headers = {"x-repro-trace": "ac4e0000ac4e0000"} if how == "header" else None
+        params = {"explain": "1"} if how == "explain" else None
+
+        async def scenario():
+            first = await service.handle(
+                _request("POST", "/tenants/t/query", {"query": QUERY})
+            )
+            second = await service.handle(
+                _request(
+                    "POST",
+                    "/tenants/t/query",
+                    {"query": QUERY},
+                    headers=headers,
+                    params=params,
+                )
+            )
+            return json.loads(first.body), json.loads(second.body)
+
+        first, second = asyncio.run(scenario())
+        assert second["answers"] == first["answers"]
+        assert service.tenants["t"].counters.get("answer_cache_hits") == 1
+        spans = TRACES.get(second["trace_id"]).spans
+        assert "enumerate" not in {s.name for s in spans}
+        [answers] = [s for s in spans if s.name == "answers"]
+        assert answers.attributes == {
+            "cached": True,
+            "db_version": second["db_version"],
+            "answers": second["count"],
+        }
+        if how == "tracing":
+            # The traced first request was the miss that filled the cache.
+            spans = TRACES.get(first["trace_id"]).spans
+            assert "enumerate" in {s.name for s in spans}
+            [answers] = [s for s in spans if s.name == "answers"]
+            assert answers.attributes["cached"] is False
+        if how == "explain":
+            explain = second["explain"]
+            assert explain["answers"] == second["count"]
+            assert explain["phases"]["answers"]["calls"] == 1
+            [node] = [n for n in _span_nodes(explain["spans"]) if n["name"] == "answers"]
+            assert node["attributes"]["cached"] is True
+
+    def test_answer_cache_hits_in_metrics_and_prometheus(self):
+        service = _service()
+
+        async def scenario():
+            before = await service.handle(_request("GET", "/metrics"))
+            for _ in range(3):
+                await service.handle(
+                    _request("POST", "/tenants/t/query", {"query": QUERY})
+                )
+            after = await service.handle(_request("GET", "/metrics"))
+            text = await service.handle(
+                _request("GET", "/metrics", params={"format": "prometheus"})
+            )
+            return json.loads(before.body), json.loads(after.body), text.body.decode()
+
+        before, after, text = asyncio.run(scenario())
+        assert before["tenants"]["t"]["counters"]["answer_cache_hits"] == 0
+        assert after["tenants"]["t"]["counters"]["answer_cache_hits"] == 2
+        assert after["tenants"]["t"]["counters"]["queries"] == 3
+        assert 'repro_tenant_answer_cache_hits_total{tenant="t"} 2' in text.splitlines()
 
     def test_mutation_trace_attributes_the_first_write_indexing(self):
         # The eager refresh behind POST /facts is traced like a query: its

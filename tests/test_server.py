@@ -18,11 +18,15 @@ import time
 
 import pytest
 
+from repro import Fact
+from repro.config import ExecutionOptions
 from repro.engine import QueryEngine
+from repro.incremental.delta import Delta, apply_delta
 from repro.server import (
     HttpServer,
     QueryService,
     Request,
+    Response,
     ServiceConfig,
     serve,
 )
@@ -36,10 +40,10 @@ QUERY = "q(s, a) :- HasAdvisor(s, a)"
 JOIN_QUERY = "q(s, a, d) :- HasAdvisor(s, a), WorksFor(a, d)"
 
 
-def _request(method: str, path: str, payload=None, params=None) -> Request:
+def _request(method: str, path: str, payload=None, params=None, headers=None) -> Request:
     body = json.dumps(payload).encode("utf-8") if payload is not None else b""
     return Request(
-        method=method, path=path, params=params or {}, headers={}, body=body
+        method=method, path=path, params=params or {}, headers=headers or {}, body=body
     )
 
 
@@ -153,8 +157,6 @@ class TestCursorAcrossMutation:
         pre = _direct_answers(QUERY)
 
         def mutate(database):
-            from repro.incremental.delta import Delta, apply_delta
-
             apply_delta(
                 database,
                 Delta.from_wire({"add": [["HasAdvisor", ["newbie", "prof0"]]]}),
@@ -428,6 +430,146 @@ class TestMetrics:
         assert metrics["service"]["counters"]["queries"] == 3
         assert metrics["engine"]["chase_increments"] >= 1
         assert metrics["engine"]["cursors_open"] == 0
+
+
+def _query(query: str = QUERY, **kwargs) -> Request:
+    return _request("POST", "/tenants/t/query", {"query": query}, **kwargs)
+
+
+class TestAnswerCache:
+    """A query's sorted answers are encoded once per database version."""
+
+    @pytest.mark.parametrize(
+        "params, headers",
+        [({}, {}), ({}, {"x-repro-trace": "cafe0000cafe0000"}), ({"explain": "1"}, {})],
+        ids=["untraced", "trace-header", "explain"],
+    )
+    def test_hit_and_miss_bodies_are_response_json(self, params, headers):
+        service = _service()
+
+        async def scenario():
+            return [
+                await service.handle(_query(params=params, headers=headers))
+                for _ in range(2)
+            ]
+
+        responses = asyncio.run(scenario())
+        assert service.tenants["t"].counters.get("answer_cache_hits") == 1
+        for response in responses:
+            assert response.status == 200
+            body = _body(response)
+            assert response.body == Response.json(body).body
+            assert body["answers"] == _direct_answers(QUERY)
+            assert ("trace_id" in body) is bool(params or headers)
+            assert ("explain" in body) is bool(params)
+
+    def test_a_write_is_seen_and_drops_older_versions(self):
+        service = _service()
+        tenant = service.tenants["t"]
+        batch = {"add": [["HasAdvisor", ["newbie", "prof0"]]]}
+
+        async def scenario():
+            for query in (QUERY, JOIN_QUERY):
+                await service.handle(_query(query))
+            assert list(tenant.answers) == [QUERY, JOIN_QUERY]
+            await service.handle(_request("POST", "/tenants/t/facts", batch))
+            return await service.handle(_query())
+
+        fresh = asyncio.run(scenario())
+        post = _direct_answers(
+            QUERY, mutate=lambda db: apply_delta(db, Delta.from_wire(batch))
+        )
+        assert post != _direct_answers(QUERY)
+        assert _body(fresh)["answers"] == post
+        assert tenant.counters.get("answer_cache_hits") == 0
+        assert list(tenant.answers) == [QUERY]
+        assert [entry.version for entry in tenant.answers.values()] == [
+            tenant.database.version
+        ]
+
+    def test_a_miss_overtaken_by_a_write_is_not_stored(self):
+        service = _service()
+        tenant = service.tenants["t"]
+        calls = []
+
+        def execute_then_write(cancel, tenant, query):
+            calls.append(query)
+            with tenant.state_lock:
+                tenant.database.add(Fact("HasAdvisor", (f"late{len(calls)}", "prof0")))
+            return []
+
+        service._execute_blocking = execute_then_write
+
+        async def scenario():
+            return [await service.handle(_query()) for _ in range(2)]
+
+        assert [r.status for r in asyncio.run(scenario())] == [200, 200]
+        assert calls == [QUERY, QUERY]
+        assert len(tenant.answers) == 0
+        assert tenant.counters.get("answer_cache_hits") == 0
+
+    def test_entries_never_exceed_the_plan_cache_size(self):
+        service = _service(execution=ExecutionOptions(plan_cache_size=2))
+        tenant = service.tenants["t"]
+        queries = [QUERY, JOIN_QUERY, "q(a, d) :- WorksFor(a, d)", "q(s) :- HasAdvisor(s, a)"]
+        sizes = []
+
+        async def scenario():
+            for query in queries + queries[:1]:
+                assert (await service.handle(_query(query))).status == 200
+                sizes.append(len(tenant.answers))
+
+        asyncio.run(scenario())
+        assert sizes == [1, 2, 2, 2, 2]
+        # The first query was evicted before it came back: a miss again.
+        assert tenant.counters.get("answer_cache_hits") == 0
+
+    def test_a_hit_takes_an_admission_slot(self):
+        service = _service(max_inflight=1)
+        tenant = service.tenants["t"]
+        started = threading.Event()
+        release = threading.Event()
+        execute = service._execute_blocking
+
+        def slow_join(cancel, tenant, query):
+            if query == JOIN_QUERY:
+                started.set()
+                assert release.wait(10), "test never released the worker"
+            return execute(cancel, tenant, query)
+
+        service._execute_blocking = slow_join
+
+        async def scenario():
+            warm = await service.handle(_query())
+            slow = asyncio.create_task(service.handle(_query(JOIN_QUERY)))
+            await asyncio.to_thread(started.wait, 10)
+            rejected = await service.handle(_query())
+            release.set()
+            await slow
+            hit = await service.handle(_query())
+            return warm, rejected, hit
+
+        warm, rejected, hit = asyncio.run(scenario())
+        assert rejected.status == 429
+        assert _body(hit)["answers"] == _body(warm)["answers"]
+        assert tenant.counters.get("answer_cache_hits") == 1
+        assert tenant.inflight == 0
+
+    def test_a_hit_while_draining_is_refused(self):
+        service = _service()
+        tenant = service.tenants["t"]
+
+        async def scenario():
+            warm = await service.handle(_query())
+            await service.shutdown()
+            return warm, await service.handle(_query())
+
+        warm, refused = asyncio.run(scenario())
+        assert warm.status == 200 and QUERY in tenant.answers
+        assert refused.status == 503
+        assert tenant.inflight == 0
+        assert tenant.counters.get("answer_cache_hits") == 0
+        assert tenant.counters.get("queries") == 1
 
 
 async def _raw_exchange(port: int, payload: bytes, exchanges: int = 1) -> list[bytes]:

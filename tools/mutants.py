@@ -113,6 +113,20 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "    result = next((r for (o, d, v), r in list(memo.items())\n"
         "                   if (o, v) == (ontology, version) and d >= depth), None)\n",
     ),
+    # The server's answer cache serves an entry whatever its version, so a
+    # query after a write returns the pre-write answers.
+    "answer-cache-ignores-version": (
+        "src/repro/server/service.py",
+        "        if entry is not None and entry.version == self.database.version:\n",
+        "        if entry is not None:\n",
+    ),
+    # A miss that a write overtook is stored, dropping the entries of the
+    # newer version it raced with.
+    "answer-cache-stores-overtaken-miss": (
+        "src/repro/server/service.py",
+        "        if tenant.database.version == version:\n",
+        "        if True:\n",
+    ),
 }
 
 _IGNORE = shutil.ignore_patterns(

@@ -4,15 +4,17 @@
 CI's ``server-e2e`` job runs this script.  It
 
 1. boots ``repro serve`` as a real subprocess on an ephemeral port,
-2. drives it like a client: execute a query, paginate a cursor, apply a
-   mutation batch **mid-cursor**, re-query,
+2. drives it like a client: execute a query twice, paginate a cursor,
+   apply a mutation batch **mid-cursor**, re-query twice,
 3. replays the identical workload and mutations through a direct
    :class:`repro.engine.QueryEngine` in this process and asserts every
    answer set is byte-identical — the paginated cursor must finish over the
-   *pre-batch* snapshot, the re-query must see the post-batch database,
-4. exercises the observability surface: an ``?explain=1`` query carrying an
-   ``X-Repro-Trace`` header must echo the trace id and return a span tree,
-   and ``/metrics?format=prometheus`` must serve syntactically valid
+   *pre-batch* snapshot, the re-queries must see the post-batch database,
+   and each repeat is served from the answer cache (``answer_cache_hits``),
+4. exercises the observability surface: ``?explain=1`` queries carrying an
+   ``X-Repro-Trace`` header must echo the trace id and return a span tree
+   (an ``enumerate`` phase on a miss, a ``cached`` ``answers`` span on a
+   hit), and ``/metrics?format=prometheus`` must serve syntactically valid
    text-format 0.0.4 exposition whose histogram buckets are consistent,
 5. shuts the server down with SIGTERM and asserts a clean exit with no
    leaked process.
@@ -141,6 +143,13 @@ def direct_answers(mutated: bool) -> tuple[list[list[str]], list[list[str]]]:
     )
 
 
+def walk_spans(nodes: list[dict]):
+    """Every node of an EXPLAIN span tree, parents before children."""
+    for node in nodes:
+        yield node
+        yield from walk_spans(node.get("children", []))
+
+
 def check(label: str, actual, expected) -> None:
     if actual != expected:
         raise SystemExit(
@@ -182,12 +191,15 @@ def main() -> int:
         print(f"server up at {base} (pid {proc.pid})")
 
         pre_query, pre_page = direct_answers(mutated=False)
-        post_query, _post_page = direct_answers(mutated=True)
+        post_query, post_page = direct_answers(mutated=True)
 
-        # 1. plain query
-        status, body, _ = request(base, "POST", "/tenants/default/query", {"query": QUERY})
-        assert status == 200, f"query returned {status}"
-        check("query (pre-mutation)", body["answers"], pre_query)
+        # 1. the same query twice: a miss, then an answer-cache hit
+        for attempt in ("first", "repeat"):
+            status, body, _ = request(
+                base, "POST", "/tenants/default/query", {"query": QUERY}
+            )
+            assert status == 200, f"query returned {status}"
+            check(f"query (pre-mutation, {attempt})", body["answers"], pre_query)
 
         # 2. open a cursor and fetch the first page
         status, body, _ = request(
@@ -218,40 +230,57 @@ def main() -> int:
         check("cursor across mid-flight mutation (pre-batch snapshot)",
               sorted(collected), pre_page)
 
-        # 5. a fresh query sees the post-batch database
-        status, body, _ = request(base, "POST", "/tenants/default/query", {"query": QUERY})
-        assert status == 200
-        check("query (post-mutation)", body["answers"], post_query)
+        # 5. the re-queries see the post-batch database, not a cached pre-batch one
+        for attempt in ("first", "repeat"):
+            status, body, _ = request(
+                base, "POST", "/tenants/default/query", {"query": QUERY}
+            )
+            assert status == 200
+            check(f"query (post-mutation, {attempt})", body["answers"], post_query)
 
         # 6. metrics are alive and consistent
         status, body, _ = request(base, "GET", "/metrics")
         assert status == 200
-        tenant = body["tenants"]["default"]
-        assert tenant["counters"]["queries"] == 2, tenant["counters"]
+        counters = body["tenants"]["default"]["counters"]
+        assert counters["queries"] == 4, counters
+        assert counters["answer_cache_hits"] >= 2, counters
         assert body["engine"]["chase_increments"] >= 1, (
             "mutation should have been maintained incrementally"
         )
-        print("ok: metrics (2 queries counted, incremental maintenance ticked)")
+        print(
+            f"ok: metrics (4 queries counted, {counters['answer_cache_hits']} answer "
+            "cache hits, incremental maintenance ticked)"
+        )
 
-        # 7. traced explain query: span tree in payload, trace id echoed back
-        trace_id = "e2e0deadbeef0042"
-        status, body, resp_headers = request(
-            base,
-            "POST",
-            "/tenants/default/query?explain=1",
-            {"query": QUERY},
-            headers={"X-Repro-Trace": trace_id},
-        )
-        assert status == 200, f"explain query returned {status}"
-        assert resp_headers.get("X-Repro-Trace") == trace_id, (
-            f"trace id not propagated: {resp_headers.get('X-Repro-Trace')!r}"
-        )
-        explain = body["explain"]
-        assert explain["trace_id"] == trace_id, explain["trace_id"]
-        phase_names = set(explain["phases"])
-        assert {"plan", "enumerate"} <= phase_names, sorted(phase_names)
-        check("explain query (post-mutation)", body["answers"], post_query)
-        print(f"ok: explain payload with phases {sorted(phase_names)}")
+        # 7. traced explain queries: span tree in payload, trace id echoed back
+        for text, expected, phase, cached in (
+            (QUERY, post_query, "answers", True),
+            (PAGE_QUERY, post_page, "enumerate", False),
+        ):
+            trace_id = f"e2e0deadbeef00{42 + cached:02d}"
+            status, body, resp_headers = request(
+                base,
+                "POST",
+                "/tenants/default/query?explain=1",
+                {"query": text},
+                headers={"X-Repro-Trace": trace_id},
+            )
+            assert status == 200, f"explain query returned {status}"
+            assert resp_headers.get("X-Repro-Trace") == trace_id, (
+                f"trace id not propagated: {resp_headers.get('X-Repro-Trace')!r}"
+            )
+            explain = body["explain"]
+            assert explain["trace_id"] == trace_id, explain["trace_id"]
+            phase_names = set(explain["phases"])
+            assert {phase, "answers"} <= phase_names, sorted(phase_names)
+            answer_spans = [
+                node for node in walk_spans(explain["spans"]) if node["name"] == "answers"
+            ]
+            assert len(answer_spans) == 1, answer_spans
+            assert answer_spans[0]["attributes"]["cached"] is cached, answer_spans
+            kind = "hit" if cached else "miss"
+            check(f"explain query (post-mutation, {kind})", body["answers"], expected)
+            print(f"ok: explain payload on a {kind} with phases {sorted(phase_names)}")
 
         # 8. Prometheus scrape: valid 0.0.4 exposition, consistent histogram
         status, ctype, text = request_text(base, "/metrics?format=prometheus")
@@ -259,7 +288,9 @@ def main() -> int:
         assert ctype.startswith("text/plain; version=0.0.4"), ctype
         samples = validate_prometheus(text)
         queries = samples['repro_tenant_queries_total{tenant="default"}']
-        assert queries == 3.0, f"expected 3 queries scraped, got {queries}"
+        assert queries == 6.0, f"expected 6 queries scraped, got {queries}"
+        hits = samples['repro_tenant_answer_cache_hits_total{tenant="default"}']
+        assert hits >= 3.0, f"expected at least 3 answer cache hits, got {hits}"
         inf_bucket = samples[
             'repro_tenant_latency_seconds_bucket{le="+Inf",tenant="default"}'
         ]
