@@ -90,35 +90,13 @@ def query_directed_chase(
     query: ConjunctiveQuery,
     null_depth: int | None = None,
     max_facts: int = 5_000_000,
-    reuse: QueryDirectedChase | None = None,
     recorder: ChaseRecorder | None = None,
 ) -> QueryDirectedChase:
     """Compute ``ch^q_O(D)`` for the given database, ontology and query.
 
-    When ``reuse`` holds a previous run over the *same* database and ontology
-    that is still current and at least as deep as ``query`` requires, the
-    chased instance is shared instead of recomputed — this is the
-    preprocessing/enumeration split the engine relies on.  The returned
-    wrapper still carries the new query.  ``recorder`` observes the
-    underlying run for provenance capture (ignored on the reuse path, where
-    no run happens).
+    ``recorder`` observes the underlying run for provenance capture.
     """
     depth = null_depth if null_depth is not None else default_null_depth(ontology, query)
-    if (
-        reuse is not None
-        and reuse.database is database
-        and reuse.ontology == ontology
-        and reuse.is_current()
-        and reuse.null_depth_bound >= depth
-    ):
-        return QueryDirectedChase(
-            database=database,
-            ontology=ontology,
-            query=query,
-            result=reuse.result,
-            null_depth_bound=reuse.null_depth_bound,
-            database_version=reuse.database_version,
-        )
     snapshot = database.version
     result = chase(
         database,

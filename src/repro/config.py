@@ -12,9 +12,7 @@ No environment variable and no process-wide toggle is read.
 There is no execution-strategy switch: rows are tuples of dense term ids
 (:mod:`repro.data.interning`) on every path, every plan reduces its one
 free-connex decomposition over the atom relations' row sets, and the
-CD∘Lin walk is compiled per plan (:mod:`repro.engine.codegen`).  What the
-input decides stays: a plan deeper than the compiler's nesting limit walks
-interpreted.
+CD∘Lin walk is compiled per plan (:mod:`repro.engine.codegen`).
 """
 
 from __future__ import annotations

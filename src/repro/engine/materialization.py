@@ -260,7 +260,6 @@ class Materialization:
                     self.ontology,
                     prepared.omq.query,
                     null_depth=depth,
-                    reuse=self.chase,
                     recorder=recorder,
                 )
                 if recorder is not None:

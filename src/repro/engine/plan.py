@@ -2,7 +2,7 @@
 
 ``prepare_query`` runs everything that depends only on the ontology and the
 query — parsing/normalization (head deduplication), the acyclicity and
-free-connex verdicts, the join tree, the free-connex decomposition, and the
+free-connex verdicts, the free-connex decomposition, and the
 ontology-specific chase program (the truncation depth of the query-directed
 chase).  A :class:`PreparedQuery` can then be executed against any number of
 databases with only the data-dependent work (chase + reduction) left to do;
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.chase.query_directed import default_null_depth
 from repro.cq.acyclicity import is_weakly_acyclic
-from repro.cq.jointree import JoinTree, build_join_tree
 from repro.cq.query import ConjunctiveQuery, QueryError
 from repro.core.omq import OMQ
 from repro.engine.codegen import PlanCodegen
@@ -34,9 +33,6 @@ class PreparedQuery:
     is_acyclic: bool
     is_weakly_acyclic: bool
     is_free_connex_acyclic: bool
-    deduplicated_query: ConjunctiveQuery
-    head_positions: tuple[int, ...]
-    join_tree: JoinTree | None
     decomposition: FreeConnexDecomposition | None
     null_depth: int
     strict: bool = True
@@ -86,10 +82,10 @@ def prepare_query(
             f"{omq.name} is not acyclic and free-connex acyclic: CD∘Lin "
             "enumeration is not guaranteed (Theorems 4.3 and 4.4)"
         )
-    deduplicated, head_positions = query.deduplicated_head()
-    join_tree = build_join_tree(list(query.atoms)) if acyclic else None
     decomposition = (
-        decompose_free_connex(deduplicated) if acyclic and free_connex else None
+        decompose_free_connex(query.deduplicated_head()[0])
+        if acyclic and free_connex
+        else None
     )
     return PreparedQuery(
         omq=omq,
@@ -98,9 +94,6 @@ def prepare_query(
         is_acyclic=acyclic,
         is_weakly_acyclic=is_weakly_acyclic(query),
         is_free_connex_acyclic=free_connex,
-        deduplicated_query=deduplicated,
-        head_positions=tuple(head_positions),
-        join_tree=join_tree,
         decomposition=decomposition,
         null_depth=default_null_depth(ontology, query),
         strict=strict,

@@ -17,9 +17,11 @@ Two engineering layers keep the constants close to the paper's RAM model:
   :mod:`repro.data.interning`) built by C-level row passes of the
   reducer, and ids are decoded back to terms only when an answer tuple is
   emitted;
-* the walk itself binds rows into a flat slot array computed at
-  preprocessing time (one slot per variable, per-atom write plans), so the
-  per-answer work is a few list writes instead of a dictionary copy per
+* the walk binds rows into slots computed at preprocessing time (one
+  slot per variable, per-atom write plans) and runs as code generated
+  once per plan (:mod:`repro.engine.codegen`): one nested ``for`` per
+  block with the row reads unrolled into local variables, so the
+  per-answer work is a few local writes instead of a dictionary copy per
   visited row.
 
 :meth:`CDLinEnumerator.maintain` additionally keeps the reduced state valid
@@ -248,8 +250,7 @@ class CDLinEnumerator:
     # -- enumeration ---------------------------------------------------------
 
     def _compiled_walk(self, plan: tuple):
-        """The generated walk for ``plan``; ``None`` for a plan deeper than
-        :data:`repro.engine.codegen.MAX_WALK_DEPTH`, which walks interpreted.
+        """The generated walk for ``plan`` (:mod:`repro.engine.codegen`).
 
         The compiled function is a pure function of the (data-independent)
         slot plan, so it is looked up in the plan-level closure cache and
@@ -299,30 +300,8 @@ class CDLinEnumerator:
             yield ()
             return
 
-        assert plan is not None
-        index_list = [indexes[atom] for atom in order]
-        compiled = self._compiled_walk(plan)
-        if compiled is not None:
-            yield from compiled(index_list, TERMS.decoder())
-            return
-        key_slots, stores, final_slots, slot_count = plan
-        values: list = [None] * slot_count
-        depth = len(order)
-        decode = TERMS.decoder()
-
-        def walk(position: int) -> Iterator[tuple]:
-            if position == depth:
-                yield tuple(decode(values[s]) for s in final_slots)
-                return
-            key = tuple(values[s] for s in key_slots[position])
-            store = stores[position]
-            descend = position + 1
-            for row in index_list[position].get(key, ()):
-                for row_position, slot in store:
-                    values[slot] = row[row_position]
-                yield from walk(descend)
-
-        yield from walk(0)
+        walk = self._compiled_walk(plan)
+        yield from walk([indexes[atom] for atom in order], TERMS.decoder())
 
     def count(self) -> int:
         """The number of answers (materialises the enumeration)."""

@@ -52,11 +52,6 @@ def plan_summary(prepared: Any) -> dict[str, Any]:
         value = getattr(prepared, attribute, None)
         if value is not None:
             summary[attribute] = value
-    decomposition = getattr(prepared, "decomposition", None)
-    if decomposition is not None:
-        bags = getattr(decomposition, "bags", None)
-        if bags is not None:
-            summary["decomposition_bags"] = len(bags)
     return summary
 
 

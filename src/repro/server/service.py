@@ -43,6 +43,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
+from typing import Any, Callable, Coroutine
 
 from repro.config import ExecutionOptions
 from repro.cq.query import QueryError
@@ -70,6 +71,11 @@ def _answers_body(answers: bytes, payload: dict) -> bytes:
     """
     rest = json.dumps(payload, sort_keys=True)
     return b'{"answers": ' + answers + b", " + rest[1:].encode("utf-8") + b"\n"
+
+
+#: The counter a successful request of each kind bumps, per tenant and
+#: service-wide.
+_COUNTERS = {"query": "queries", "cursor": "cursors_opened", "page": "pages", "facts": "mutations"}
 
 
 class QueryTimeout(Exception):
@@ -263,8 +269,6 @@ class QueryService:
         parts = [part for part in request.path.split("/") if part]
         try:
             return await self._route(request, parts)
-        except QueryTimeout as exc:
-            return Response.error(504, str(exc))
         except BadRequest as exc:
             # Also mapped by the transport; handled here too so the handler
             # layer is self-contained for tests and embedders.
@@ -382,27 +386,95 @@ class QueryService:
         tenant.inflight += 1
         return None
 
-    # -- request tracing ---------------------------------------------------
+    # -- the request frame -------------------------------------------------
 
     def _trace_scope(self, request: Request, name: str, force: bool = False):
-        """The trace context for one request, or ``None`` when untraced.
+        """The trace context for one request (a ``nullcontext`` when untraced).
 
         A request is traced when the client sent a trace id, asked for
         ``?explain=1`` (``force``), or the config says to trace everything
         (``execution.tracing``).  The client-supplied id is adopted so the
-        trace can be correlated across systems; the id is echoed back in the
-        ``X-Repro-Trace`` response header either way.
+        trace can be correlated across systems.
         """
         trace_id = request.headers.get("x-repro-trace") or None
         if force or trace_id is not None or self.config.execution.tracing:
             return start_trace(name, trace_id=trace_id)
-        return None
+        return contextlib.nullcontext()
 
     @staticmethod
-    def _with_trace(response: Response, trace) -> Response:
-        if trace is not None:
-            response.headers["X-Repro-Trace"] = trace.trace_id
-        return response
+    def _reply(payload: dict, trace, status: int = 200, answers: bytes | None = None) -> Response:
+        """A framed request's response: a traced one carries its id in a
+        ``trace_id`` field and the ``X-Repro-Trace`` header.  ``answers`` is
+        the pre-encoded ``"answers"`` member of a query's payload."""
+        if trace is None:
+            headers = {}
+        else:
+            payload["trace_id"] = trace.trace_id
+            headers = {"X-Repro-Trace": trace.trace_id}
+        if answers is None:
+            return Response.json(payload, status=status, **headers)
+        return Response(status=status, body=_answers_body(answers, payload), headers=headers)
+
+    async def _serve(
+        self,
+        tenant: Tenant,
+        request: Request,
+        kind: str,
+        work: Coroutine[Any, Any, Any],
+        respond: Callable[[Any, Any, float], Response],
+        *,
+        log: dict | None = None,
+        answers: Callable[[Any], int] | None = None,
+        cleanup: Callable[[], None] | None = None,
+        explain: bool = False,
+    ) -> Response:
+        """Run one request to ``tenant`` through the frame all work shares.
+
+        In order: admit (429 or 503; ``work`` is closed unstarted); open
+        the trace scope ``kind:tenant``; await ``work``; release the
+        admission slot.  A timeout runs ``cleanup`` and answers 504.  A
+        success bumps the ``kind`` counter and returns ``respond(result,
+        trace, elapsed)``.  ``log`` holds the slow-query log's fields: a
+        timeout is logged whenever it is given, a success only when
+        ``answers`` counts the result's answers (queries and pages), which
+        also puts it in the latency histogram.
+        """
+        rejection = self._admit(tenant)
+        if rejection is not None:
+            work.close()
+            return rejection
+        started = time.perf_counter()
+        try:
+            with self._trace_scope(request, f"{kind}:{tenant.name}", force=explain) as trace:
+                result = await work
+        except QueryTimeout as exc:
+            if cleanup is not None:
+                cleanup()
+            if log is not None:
+                self.slow_log.record(
+                    elapsed_ms=1000 * (time.perf_counter() - started),
+                    tenant=tenant.name,
+                    trace_id=trace.trace_id if trace else None,
+                    outcome="timeout",
+                    **log,
+                )
+            return self._reply({"error": str(exc), "status": 504}, trace, status=504)
+        finally:
+            tenant.inflight -= 1
+        elapsed = time.perf_counter() - started
+        counter = _COUNTERS[kind]
+        tenant.counters.bump(counter)
+        self._counters.bump(counter)
+        if answers is not None:
+            tenant.latency.observe(elapsed)
+            self.slow_log.record(
+                elapsed_ms=1000 * elapsed,
+                tenant=tenant.name,
+                trace_id=trace.trace_id if trace else None,
+                answers=answers(result),
+                **log,
+            )
+        return respond(result, trace, elapsed)
 
     # -- threaded execution with cancellation ------------------------------
 
@@ -417,18 +489,14 @@ class QueryService:
         cancel = threading.Event()
         task = asyncio.ensure_future(asyncio.to_thread(fn, cancel, *args))
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(task), self.config.query_timeout
-            )
+            return await asyncio.wait_for(asyncio.shield(task), self.config.query_timeout)
         except (asyncio.TimeoutError, TimeoutError):
             cancel.set()
             with contextlib.suppress(Exception):
                 await task
             tenant.counters.bump("timeouts")
             self._counters.bump("timeouts")
-            raise QueryTimeout(
-                f"query exceeded the {self.config.query_timeout}s timeout"
-            ) from None
+            raise QueryTimeout(f"query exceeded the {self.config.query_timeout}s timeout") from None
 
     @staticmethod
     def _drain_rows(
@@ -474,59 +542,32 @@ class QueryService:
         A repeat of a query at an unchanged database version is served from
         the tenant's answer cache on the event loop; anything else runs in a
         worker thread.  Tracing does not change which of the two happens.
-
         ``?explain=1`` forces a trace and embeds the phase-level EXPLAIN
-        report (span tree, per-phase rollup, delay stats) in the response;
-        an ``X-Repro-Trace`` request header adopts the caller's trace id.
-        Traced responses — including 504s — echo the id back in the
-        ``X-Repro-Trace`` header.
+        report (span tree, per-phase rollup, delay stats) in the response.
         """
         query = self._query_text(request)
         explain = request.params.get("explain", "") in ("1", "true", "yes", "on")
-        rejection = self._admit(tenant)
-        if rejection is not None:
-            return rejection
-        scope = self._trace_scope(request, f"query:{tenant.name}", force=explain)
-        trace = None
-        started = time.perf_counter()
-        try:
-            try:
-                with scope if scope is not None else contextlib.nullcontext() as trace:
-                    entry = await self._answers(tenant, query)
-            except QueryTimeout as exc:
-                self.slow_log.record(
-                    query=query,
-                    elapsed_ms=1000 * (time.perf_counter() - started),
-                    tenant=tenant.name,
-                    trace_id=trace.trace_id if trace else None,
-                    outcome="timeout",
-                )
-                return self._with_trace(Response.error(504, str(exc)), trace)
-        finally:
-            tenant.inflight -= 1
-        elapsed = time.perf_counter() - started
-        tenant.latency.observe(elapsed)
-        tenant.counters.bump("queries")
-        self._counters.bump("queries")
-        self.slow_log.record(
-            query=query,
-            elapsed_ms=1000 * elapsed,
-            tenant=tenant.name,
-            trace_id=trace.trace_id if trace else None,
-            answers=entry.count,
-        )
-        payload = {
-            "tenant": tenant.name,
-            "count": entry.count,
-            "elapsed_ms": round(1000 * elapsed, 3),
-            "db_version": tenant.database.version,
-        }
-        if trace is not None:
-            payload["trace_id"] = trace.trace_id
+
+        def respond(entry: CachedAnswers, trace, elapsed: float) -> Response:
+            payload = {
+                "tenant": tenant.name,
+                "count": entry.count,
+                "elapsed_ms": round(1000 * elapsed, 3),
+                "db_version": tenant.database.version,
+            }
             if explain:
                 payload["explain"] = explain_report(trace, answers=entry.count)
-        return self._with_trace(
-            Response(body=_answers_body(entry.answers, payload)), trace
+            return self._reply(payload, trace, answers=entry.answers)
+
+        return await self._serve(
+            tenant,
+            request,
+            "query",
+            self._answers(tenant, query),
+            respond,
+            log={"query": query},
+            answers=lambda entry: entry.count,
+            explain=explain,
         )
 
     async def _answers(self, tenant: Tenant, query: str) -> CachedAnswers:
@@ -551,13 +592,8 @@ class QueryService:
             tenant.store_answers(query, entry)
         return entry
 
-    def _execute_blocking(
-        self, cancel: threading.Event, tenant: Tenant, query: str
-    ) -> list[tuple]:
-        with tenant.state_lock:
-            cursor = tenant.engine.open(
-                query, tenant.database, page_size=self.config.page_size
-            )
+    def _execute_blocking(self, cancel: threading.Event, tenant: Tenant, query: str) -> list[tuple]:
+        cursor = self._open_blocking(cancel, tenant, query)
         try:
             rows, _ = QueryService._drain_rows(cursor, cancel)
             return rows
@@ -574,47 +610,28 @@ class QueryService:
                 f"(limit {self.config.max_cursors})",
                 **{"Retry-After": "1"},
             )
-        rejection = self._admit(tenant)
-        if rejection is not None:
-            return rejection
-        scope = self._trace_scope(request, f"cursor:{tenant.name}")
-        trace = None
-        try:
-            if scope is None:
-                cursor = await self._in_thread(
-                    tenant, self._open_blocking, tenant, query
-                )
-            else:
-                with scope as trace:
-                    cursor = await self._in_thread(
-                        tenant, self._open_blocking, tenant, query
-                    )
-        finally:
-            tenant.inflight -= 1
-        tenant.cursor_seq += 1
-        session = CursorSession(id=f"c{tenant.cursor_seq}", query=query, cursor=cursor)
-        tenant.cursors[session.id] = session
-        # Lifecycle hook: however the cursor closes (explicit DELETE, page
-        # exhaustion, timeout, shutdown drain), the session deregisters.
-        cursor.add_close_hook(lambda _c: tenant.cursors.pop(session.id, None))
-        tenant.counters.bump("cursors_opened")
-        payload = {
-            "tenant": tenant.name,
-            "cursor": session.id,
-            "db_version": tenant.database.version,
-        }
-        if trace is not None:
-            payload["trace_id"] = trace.trace_id
-        return self._with_trace(Response.json(payload, status=201), trace)
 
-    def _open_blocking(
-        self, cancel: threading.Event, tenant: Tenant, query: str
-    ) -> AnswerCursor:
+        def respond(cursor: AnswerCursor, trace, elapsed: float) -> Response:
+            tenant.cursor_seq += 1
+            session = CursorSession(id=f"c{tenant.cursor_seq}", query=query, cursor=cursor)
+            tenant.cursors[session.id] = session
+            # Lifecycle hook: however the cursor closes (explicit DELETE, page
+            # exhaustion, timeout, shutdown drain), the session deregisters.
+            cursor.add_close_hook(lambda _c: tenant.cursors.pop(session.id, None))
+            payload = {
+                "tenant": tenant.name,
+                "cursor": session.id,
+                "db_version": tenant.database.version,
+            }
+            return self._reply(payload, trace, status=201)
+
+        work = self._in_thread(tenant, self._open_blocking, tenant, query)
+        return await self._serve(tenant, request, "cursor", work, respond, log={"query": query})
+
+    def _open_blocking(self, cancel: threading.Event, tenant: Tenant, query: str) -> AnswerCursor:
         del cancel  # preprocessing is not paginated; the timeout still applies
         with tenant.state_lock:
-            return tenant.engine.open(
-                query, tenant.database, page_size=self.config.page_size
-            )
+            return tenant.engine.open(query, tenant.database, page_size=self.config.page_size)
 
     async def _fetch_page(
         self, tenant: Tenant, session: CursorSession, request: Request
@@ -624,55 +641,39 @@ class QueryService:
             raise BadRequest(f"count exceeds max_page_size={self.config.max_page_size}")
         if session.busy:
             return Response.error(409, f"cursor {session.id!r} has a fetch in flight")
-        rejection = self._admit(tenant)
-        if rejection is not None:
-            return rejection
-        session.busy = True
-        scope = self._trace_scope(request, f"page:{tenant.name}")
-        trace = None
-        started = time.perf_counter()
-        try:
-            if scope is None:
-                rows, exhausted = await self._in_thread(
-                    tenant, self._page_blocking, session, count
-                )
-            else:
-                with scope as trace:
-                    rows, exhausted = await self._in_thread(
-                        tenant, self._page_blocking, session, count
-                    )
-        except QueryTimeout:
-            # Clean cancellation: the worker already stopped at a page
-            # boundary; close the cursor so the session does not leak.
-            session.cursor.close()
-            raise
-        finally:
-            session.busy = False
-            tenant.inflight -= 1
-        elapsed = time.perf_counter() - started
-        tenant.latency.observe(elapsed)
-        tenant.counters.bump("pages")
-        self._counters.bump("pages")
-        self.slow_log.record(
-            query=session.query,
-            elapsed_ms=1000 * elapsed,
-            tenant=tenant.name,
-            trace_id=trace.trace_id if trace else None,
-            answers=len(rows),
-            cursor=session.id,
+
+        async def work() -> tuple[list[tuple], bool]:
+            session.busy = True
+            try:
+                return await self._in_thread(tenant, self._page_blocking, session, count)
+            finally:
+                session.busy = False
+
+        def respond(page: tuple[list[tuple], bool], trace, elapsed: float) -> Response:
+            rows, exhausted = page
+            if exhausted:
+                session.cursor.close()
+            payload = {
+                "tenant": tenant.name,
+                "cursor": session.id,
+                "answers": self._encode_rows(rows),
+                "count": len(rows),
+                "done": exhausted,
+            }
+            return self._reply(payload, trace)
+
+        # A timed-out page stopped at a page boundary; closing the cursor
+        # keeps the session from leaking.
+        return await self._serve(
+            tenant,
+            request,
+            "page",
+            work(),
+            respond,
+            log={"query": session.query, "cursor": session.id},
+            answers=lambda page: len(page[0]),
+            cleanup=session.cursor.close,
         )
-        if exhausted:
-            session.cursor.close()
-        payload = {
-            "tenant": tenant.name,
-            "cursor": session.id,
-            "answers": self._encode_rows(rows),
-            "count": len(rows),
-            "done": exhausted,
-        }
-        if trace is not None:
-            payload["trace_id"] = trace.trace_id
-        return self._with_trace(Response.json(payload), trace)
 
     @staticmethod
     def _page_blocking(
@@ -681,36 +682,30 @@ class QueryService:
         return QueryService._drain_rows(session.cursor, cancel, limit=count)
 
     async def _mutate(self, tenant: Tenant, request: Request) -> Response:
-        """Apply one coalesced mutation batch, then refresh eagerly."""
+        """Apply one coalesced mutation batch, then refresh eagerly.
+
+        Traced like a query, so the eager refresh's ``revalidate`` span
+        (incremental or not, provenance rows indexed) lands in /traces.
+        """
         try:
             delta = Delta.from_wire(request.json())
         except ValueError as exc:
             raise BadRequest(str(exc)) from exc
-        rejection = self._admit(tenant)
-        if rejection is not None:
-            return rejection
-        # Traced like a query, so the eager refresh's ``revalidate`` span
-        # (incremental or not, provenance rows indexed) lands in /traces.
-        scope = self._trace_scope(request, f"facts:{tenant.name}")
-        started = time.perf_counter()
-        try:
-            with scope if scope is not None else contextlib.nullcontext() as trace:
-                added, removed = await self._in_thread(
-                    tenant, self._mutate_blocking, tenant, delta
-                )
-        finally:
-            tenant.inflight -= 1
-        tenant.counters.bump("mutations")
-        self._counters.bump("mutations")
-        payload = {
-            "tenant": tenant.name,
-            "added": added,
-            "removed": removed,
-            "db_version": tenant.database.version,
-            "db_facts": len(tenant.database),
-            "elapsed_ms": round(1000 * (time.perf_counter() - started), 3),
-        }
-        return self._with_trace(Response.json(payload), trace)
+
+        def respond(counts: tuple[int, int], trace, elapsed: float) -> Response:
+            added, removed = counts
+            payload = {
+                "tenant": tenant.name,
+                "added": added,
+                "removed": removed,
+                "db_version": tenant.database.version,
+                "db_facts": len(tenant.database),
+                "elapsed_ms": round(1000 * elapsed, 3),
+            }
+            return self._reply(payload, trace)
+
+        work = self._in_thread(tenant, self._mutate_blocking, tenant, delta)
+        return await self._serve(tenant, request, "facts", work, respond)
 
     @staticmethod
     def _mutate_blocking(

@@ -67,17 +67,31 @@ class TestWalkSource:
         walk = compile_walk(plan)
         assert set(walk([{(): [("a",), ("b",)]}], DECODE)) == {("A",), ("B",)}
 
-    def test_depth_zero_and_too_deep_fall_back(self):
-        assert walk_source(((), (), (), 0)) is None
-        deep = MAX_WALK_DEPTH + 1
+    def test_depth_zero_yields_the_empty_answer(self):
+        plan = ((), (), (), 0)
+        assert walk_source(plan) == "def _walk(index_list, decode):\n    yield ()\n"
+        assert list(compile_walk(plan)([], DECODE)) == [()]
+
+    def test_a_walk_deeper_than_one_function_chains(self):
+        # A path R0(x0, x1), R1(x1, x2), ...: level l joins on slot l.  Only
+        # the first and last slots are answers, so the chained functions
+        # take exactly those they still read.
+        depth = 2 * MAX_WALK_DEPTH + 1
         plan = (
-            tuple(() for _ in range(deep)),
-            tuple(((0, i),) for i in range(deep)),
-            (0,),
-            deep,
+            ((),) + tuple((level,) for level in range(1, depth)),
+            tuple(((0, level), (1, level + 1)) for level in range(depth)),
+            (0, depth),
+            depth + 1,
         )
-        assert walk_source(plan) is None
-        assert compile_walk(plan) is None
+        source = walk_source(plan)
+        first, second = MAX_WALK_DEPTH, 2 * MAX_WALK_DEPTH
+        assert f"def _walk{first}(index_list, decode, _v0, _v{first}):" in source
+        assert f"yield from _walk{second}(index_list, decode, _v0, _v{second})" in source
+        # Level 0 branches to two roots; every later level maps v -> v.
+        indexes = [{(): [("a", "a"), ("b", "b")]}] + [
+            {("a",): [("a", "a")], ("b",): [("b", "b")]} for _ in range(1, depth)
+        ]
+        assert list(compile_walk(plan)(indexes, DECODE)) == [("A", "A"), ("B", "B")]
 
 
 class TestPlanCodegen:
@@ -91,15 +105,6 @@ class TestPlanCodegen:
         assert compiled_after == compiled_before + 1
         assert hits_after == hits_before + 1
         assert len(cache) == 1
-
-    def test_uncovered_plans_cache_the_fallback(self):
-        cache = PlanCodegen()
-        plan = ((), (), (), 0)
-        assert cache.walk_for(plan) is None
-        _, hits_before = CODEGEN_STATS.snapshot()
-        assert cache.walk_for(plan) is None  # cached None, no recompile
-        _, hits_after = CODEGEN_STATS.snapshot()
-        assert hits_after == hits_before + 1
 
 
 OFFICE_RULES = """

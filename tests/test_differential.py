@@ -18,8 +18,8 @@ reference implementation:
 * order metamorphics: shuffling the TGDs, the facts or the query's atoms,
   or renaming the query's variables, changes no answer of the engine or of
   the three enumerators,
-* the interpreted CD∘Lin walk, which only a plan too deep to compile
-  reaches (a fixed 17-block query; every generated query compiles).
+* a CD∘Lin walk deep enough that its generated code chains to a second
+  function (a fixed 17-block query; every generated query is shallower).
 
 Every path stores rows as dense term ids and decodes at answer emission, so
 the constant pool mixes strings with integers far above any dense id: an id
@@ -412,9 +412,9 @@ def test_integer_constants_come_back_as_themselves():
     assert accepted == complete
 
 
-def test_plan_too_deep_to_compile_walks_interpreted():
-    """The one input that reaches the interpreted walk: 17 answer blocks,
-    one more than the generated walk nests, through the enumerator and the
+def test_plan_deeper_than_one_function_compiles_chained():
+    """17 answer blocks, one more than one generated function nests, so the
+    walk chains to a second function: through the enumerator and the
     engine, cold and after ``add_facts``."""
     n = MAX_WALK_DEPTH + 1
     head = ", ".join(f"x{i}" for i in range(1, n + 1))
@@ -429,11 +429,11 @@ def test_plan_too_deep_to_compile_walks_interpreted():
         expected = naive_certain_answers(omq, database)
         assert len(expected) == count
         enumerator = CompleteAnswerEnumerator(omq, database)
-        assert walk_source(enumerator._enumerator._plan) is None
+        assert f"yield from _walk{MAX_WALK_DEPTH}(" in walk_source(enumerator._enumerator._plan)
         assert set(enumerator) == expected
         assert engine.execute(omq.query) == expected
         state = engine._materialized_state(engine.prepare(omq.query), database)
-        assert walk_source(state.enumerator._plan) is None
+        assert f"yield from _walk{MAX_WALK_DEPTH}(" in walk_source(state.enumerator._plan)
         database.add_facts([Fact("A2", ("c1",)), Fact(f"A{n}", ("c2",))])
     assert engine.stats.chase_increments == 1
 

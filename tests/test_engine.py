@@ -136,7 +136,6 @@ class TestPlanCache:
         assert plan.is_acyclic
         assert plan.is_free_connex_acyclic
         assert plan.supports_enumeration
-        assert plan.join_tree is not None
         assert plan.decomposition is not None
         assert plan.null_depth > 0
         assert plan.cache_key == (

@@ -356,6 +356,75 @@ class TestTimeoutCancellation:
         assert service.tenants["t"].inflight == 0
 
 
+def _hang(cancel, *args):
+    """A worker stub that runs until the service cancels it."""
+    while not cancel.is_set():
+        time.sleep(0.005)
+    raise _Cancelled()
+
+
+class TestTimeoutFrame:
+    """Every endpoint that does work times out through one frame: the 504 of
+    a traced request echoes its trace id, and a slow-query log line records
+    the timeout."""
+
+    TRACE_ID = "abc123"
+
+    def _timed_out(self, service, endpoint: str):
+        headers = {"x-repro-trace": self.TRACE_ID}
+
+        async def scenario():
+            if endpoint == "cursor":
+                service._open_blocking = _hang
+                return await service.handle(
+                    _request("POST", "/tenants/t/cursors", {"query": QUERY}, headers=headers)
+                )
+            if endpoint == "facts":
+                service._mutate_blocking = _hang
+                return await service.handle(
+                    _request(
+                        "POST",
+                        "/tenants/t/facts",
+                        {"add": [["HasAdvisor", ["m1", "prof0"]]]},
+                        headers=headers,
+                    )
+                )
+            opened = await service.handle(
+                _request("POST", "/tenants/t/cursors", {"query": QUERY})
+            )
+            service._page_blocking = _hang
+            cursor_id = _body(opened)["cursor"]
+            return await service.handle(
+                _request("GET", f"/tenants/t/cursors/{cursor_id}", headers=headers)
+            )
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("endpoint", ["cursor", "page", "facts"])
+    def test_a_traced_timeout_echoes_the_trace_id(self, endpoint):
+        service = _service(query_timeout=0.1)
+        response = self._timed_out(service, endpoint)
+        assert response.status == 504
+        assert response.headers["X-Repro-Trace"] == self.TRACE_ID
+        assert _body(response)["trace_id"] == self.TRACE_ID
+        tenant = service.tenants["t"]
+        assert tenant.inflight == 0
+        assert tenant.counters.get("timeouts") == 1
+        assert service.open_cursor_count() == 0
+
+    def test_a_timed_out_page_writes_one_slow_log_line(self, capsys):
+        service = _service(query_timeout=0.1, slow_query_ms=0.0)
+        capsys.readouterr()
+        assert self._timed_out(service, "page").status == 504
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        entry = json.loads(lines[0])
+        assert entry["outcome"] == "timeout"
+        assert entry["trace_id"] == self.TRACE_ID
+        assert entry["query"] == QUERY
+        assert entry["cursor"] == "c1"
+
+
 class TestGracefulShutdown:
     def test_drain_waits_for_inflight_and_closes_cursors(self):
         service = _service()

@@ -127,6 +127,13 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "        if tenant.database.version == version:\n",
         "        if True:\n",
     ),
+    # The request frame's 504 drops the trace id, so a traced request that
+    # timed out cannot be correlated with its trace.
+    "timeout-drops-trace": (
+        "src/repro/server/service.py",
+        '            return self._reply({"error": str(exc), "status": 504}, trace, status=504)\n',
+        "            return Response.error(504, str(exc))\n",
+    ),
 }
 
 _IGNORE = shutil.ignore_patterns(
